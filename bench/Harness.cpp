@@ -283,14 +283,12 @@ std::vector<MicroDomainCase> charon::bench::defaultMicroDomainCases() {
   std::vector<MicroDomainCase> Cases;
   auto Add = [&Cases](const char *Name, size_t Width, BaseDomainKind Base,
                       int Disjuncts,
-                      KernelPrecision Precision = KernelPrecision::Double,
                       ActivationKind Act = ActivationKind::Relu) {
     MicroDomainCase C;
     C.Name = Name;
     C.Width = Width;
     C.HiddenLayers = 3;
     C.Spec = DomainSpec{Base, Disjuncts};
-    C.Precision = Precision;
     C.Act = Act;
     Cases.push_back(std::move(C));
   };
@@ -299,21 +297,12 @@ std::vector<MicroDomainCase> charon::bench::defaultMicroDomainCases() {
   Add("zonotope_dense_relu_w128", 128, BaseDomainKind::Zonotope, 1);
   Add("zonotope_dense_relu_w256", 256, BaseDomainKind::Zonotope, 1);
   Add("zonotope_dense_relu_w512", 512, BaseDomainKind::Zonotope, 1);
-  // Float32 twins of the two largest zonotope cases: sound outward-rounded
-  // low precision, tracked so the speed/width trade stays visible in the
-  // trajectory.
-  Add("zonotope_dense_relu_w256_f32", 256, BaseDomainKind::Zonotope, 1,
-      KernelPrecision::Float32);
-  Add("zonotope_dense_relu_w512_f32", 512, BaseDomainKind::Zonotope, 1,
-      KernelPrecision::Float32);
   Add("zonotope_powerset4_w64", 64, BaseDomainKind::Zonotope, 4);
   // Smooth-activation twins: same seeded weights, sigmoid hidden layers.
   // Tracks the cost of the parallel-line relaxation transformers (every
   // neuron contributes a fresh noise symbol) against the ReLU case split.
   Add("zonotope_dense_sigmoid_w128", 128, BaseDomainKind::Zonotope, 1,
-      KernelPrecision::Double, ActivationKind::Sigmoid);
-  Add("zonotope_dense_sigmoid_w128_f32", 128, BaseDomainKind::Zonotope, 1,
-      KernelPrecision::Float32, ActivationKind::Sigmoid);
+      ActivationKind::Sigmoid);
   return Cases;
 }
 
@@ -328,8 +317,7 @@ MicroDomainResult charon::bench::runMicroDomainCase(const MicroDomainCase &Case,
 
   // One untimed run collects the shape/margin metadata (and warms caches).
   {
-    std::unique_ptr<AbstractElement> Elem =
-        makeElement(F.Region, Case.Spec, Case.Precision);
+    std::unique_ptr<AbstractElement> Elem = makeElement(F.Region, Case.Spec);
     propagate(F.Net, *Elem);
     Result.Generators = countGenerators(*Elem);
     double Margin = std::numeric_limits<double>::infinity();
@@ -342,8 +330,7 @@ MicroDomainResult charon::bench::runMicroDomainCase(const MicroDomainCase &Case,
   Result.Seconds = std::numeric_limits<double>::infinity();
   for (int R = 0; R < Result.Repeats; ++R) {
     Stopwatch Watch;
-    AnalysisResult A = analyzeRobustness(F.Net, F.Region, 0, Case.Spec,
-                                         /*Budget=*/nullptr, Case.Precision);
+    AnalysisResult A = analyzeRobustness(F.Net, F.Region, 0, Case.Spec);
     double Elapsed = Watch.seconds();
     if (A.Margin != Result.Margin)
       reportFatalError("micro-domain case is nondeterministic");
@@ -362,7 +349,7 @@ charon::bench::microDomainJson(const std::vector<MicroDomainResult> &Results) {
     Os << (I == 0 ? "\n" : ",\n");
     Os << "    {\"name\": \"" << R.Case.Name << "\", \"domain\": \""
        << toString(R.Case.Spec) << "\", \"precision\": \""
-       << toString(R.Case.Precision) << "\", \"act\": \""
+       << toString(KernelPrecision::Double) << "\", \"act\": \""
        << toString(R.Case.Act) << "\", \"width\": " << R.Case.Width
        << ", \"hidden_layers\": " << R.Case.HiddenLayers
        << ", \"input_dim\": " << R.InputDim

@@ -138,9 +138,6 @@ struct MicroDomainCase {
   size_t Width = 25; ///< input and hidden width of the MLP
   int HiddenLayers = 3;
   DomainSpec Spec;
-  /// Kernel precision of the abstract propagation. Float32 cases track the
-  /// sound outward-rounded low-precision mode next to their double twins.
-  KernelPrecision Precision = KernelPrecision::Double;
   /// Hidden activation: smooth kinds route the propagation through the
   /// parallel-line relaxation transformers instead of the ReLU case split.
   ActivationKind Act = ActivationKind::Relu;
@@ -173,7 +170,7 @@ MicroDomainResult runMicroDomainCase(const MicroDomainCase &Case, int Repeats);
 /// Serializes results as the BENCH_micro_domains.json document
 /// (schema "charon-bench-micro-domains/3": adds a per-case "act" field
 /// naming the hidden activation; /2 added the top-level "simd" field and
-/// the per-case "precision" field).
+/// the per-case "precision" field, which now always reads "double").
 std::string microDomainJson(const std::vector<MicroDomainResult> &Results);
 
 /// Writes microDomainJson to \p Path; returns false on I/O failure.

@@ -38,8 +38,8 @@
 # A dispatch-matrix leg re-runs the kernel, zonotope-layout, and batched
 # execution suites under every CHARON_SIMD level the host supports
 # (scalar always; avx2 when /proc/cpuinfo advertises it), so the suites'
-# bit-identity and containment oracles are exercised against each backend
-# explicitly rather than only the auto-selected one. The sanitize leg
+# bit-identity oracles are exercised against each backend explicitly
+# rather than only the auto-selected one. The sanitize leg
 # pins CHARON_SIMD=scalar for the matrix (keeping the instrumented run
 # deterministic and cheap) and adds a single CHARON_SIMD=avx2 kernel_tests
 # smoke so the vector backend still sees ASan + UBSan coverage.
@@ -80,9 +80,9 @@ fi
 
 # Dispatch-matrix leg: the SIMD-sensitive suites must pass at every level
 # the host can run, not just the auto-selected one. kernel_tests carries
-# the cross-level bit-identity and float32 containment oracles,
-# zonotope_layout_tests the abstract-transformer layout invariants, and
-# batch_exec_tests the batched-vs-scalar execution equivalence.
+# the cross-level bit-identity oracles, zonotope_layout_tests the
+# abstract-transformer layout invariants, and batch_exec_tests the
+# batched-vs-scalar execution equivalence.
 SIMD_SUITES=(kernel_tests zonotope_layout_tests batch_exec_tests)
 SIMD_LEVELS=(scalar)
 if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
@@ -127,7 +127,7 @@ for field in ("name", "domain", "precision", "act", "width", "hidden_layers",
               "input_dim", "output_dim", "generators", "margin", "seconds",
               "repeats"):
     assert field in case, field
-assert case["precision"] in ("double", "float32"), case["precision"]
+assert case["precision"] == "double", case["precision"]
 assert case["act"] in ("relu", "sigmoid", "tanh"), case["act"]
 assert case["seconds"] > 0, case["seconds"]
 print("bench smoke: JSON OK")

@@ -3,9 +3,8 @@
 #include "abstract/Analyzer.h"
 
 #include "abstract/IntervalElement.h"
+#include "abstract/LinearBoundsElement.h"
 #include "abstract/PowersetElement.h"
-#include "abstract/PolyhedraElement.h"
-#include "abstract/SymbolicIntervalElement.h"
 #include "abstract/ZonotopeElement.h"
 #include "nn/Residual.h"
 #include "support/Check.h"
@@ -37,22 +36,23 @@ std::string charon::toString(const DomainSpec &Spec) {
 
 std::unique_ptr<AbstractElement> charon::makeElement(const Box &Region,
                                                      const DomainSpec &Spec,
-                                                     KernelPrecision Precision) {
+                                                     KernelPrecision) {
+  using Relu = LinearBoundsElement::ReluRelaxation;
   std::unique_ptr<AbstractElement> Base;
   switch (Spec.Base) {
   case BaseDomainKind::Interval:
     Base = std::make_unique<IntervalElement>(Region);
     break;
   case BaseDomainKind::Zonotope:
-    Base = std::make_unique<ZonotopeElement>(Region, Precision);
+    Base = std::make_unique<ZonotopeElement>(Region);
     break;
   case BaseDomainKind::SymbolicInterval:
     assert(Spec.Disjuncts == 1 &&
            "symbolic intervals do not support powerset lifting");
-    Base = std::make_unique<SymbolicIntervalElement>(Region);
+    Base = std::make_unique<LinearBoundsElement>(Region, Relu::Concretize);
     break;
   case BaseDomainKind::Polyhedra:
-    Base = std::make_unique<PolyhedraElement>(Region);
+    Base = std::make_unique<LinearBoundsElement>(Region, Relu::Triangle);
     break;
   }
   if (Spec.Disjuncts > 1)

@@ -49,11 +49,8 @@ struct DomainSpec {
 /// Human-readable name like "Zonotope^2" (for reports).
 std::string toString(const DomainSpec &Spec);
 
-/// Builds the initial abstraction of \p Region under \p Spec. \p Precision
-/// selects the kernel precision of zonotope-family elements (float32 stores
-/// generator matrices as floats with a sound outward-rounded error pad, see
-/// abstract/ZonotopeElement.h); other base domains always run double and
-/// ignore it.
+/// Builds the initial abstraction of \p Region under \p Spec. Every domain
+/// runs in double precision; \p Precision has that one value.
 std::unique_ptr<AbstractElement>
 makeElement(const Box &Region, const DomainSpec &Spec,
             KernelPrecision Precision = KernelPrecision::Double);
@@ -75,8 +72,7 @@ struct AnalysisResult {
 /// checks the robustness property with target class \p K. When \p Budget is
 /// non-null the propagation is abandoned between layers once it expires
 /// (expensive powerset analyses on convolutional nets need this).
-/// \p Precision as in makeElement: float32 trades a slightly wider (still
-/// sound) margin for faster kernels on zonotope-family domains.
+/// \p Precision as in makeElement.
 AnalysisResult
 analyzeRobustness(const Network &Net, const Box &Region, size_t K,
                   const DomainSpec &Spec, const Deadline *Budget = nullptr,

@@ -1,6 +1,6 @@
-//===- SymbolicIntervalElement.cpp - Symbolic interval domain ----------------===//
+//===- LinearBoundsElement.cpp - Symbolic linear-bounds domain ---------------===//
 
-#include "abstract/SymbolicIntervalElement.h"
+#include "abstract/LinearBoundsElement.h"
 
 #include "nn/Activation.h"
 
@@ -10,8 +10,10 @@
 
 using namespace charon;
 
-SymbolicIntervalElement::SymbolicIntervalElement(const Box &Region)
-    : InputRegion(Region), LowerExpr(Region.dim(), Region.dim() + 1),
+LinearBoundsElement::LinearBoundsElement(const Box &Region,
+                                         ReluRelaxation Relaxation)
+    : Relaxation(Relaxation), InputRegion(Region),
+      LowerExpr(Region.dim(), Region.dim() + 1),
       UpperExpr(Region.dim(), Region.dim() + 1) {
   for (size_t I = 0, E = Region.dim(); I < E; ++I) {
     LowerExpr(I, I) = 1.0;
@@ -19,12 +21,12 @@ SymbolicIntervalElement::SymbolicIntervalElement(const Box &Region)
   }
 }
 
-std::unique_ptr<AbstractElement> SymbolicIntervalElement::clone() const {
-  return std::make_unique<SymbolicIntervalElement>(*this);
+std::unique_ptr<AbstractElement> LinearBoundsElement::clone() const {
+  return std::make_unique<LinearBoundsElement>(*this);
 }
 
-double SymbolicIntervalElement::evalExtreme(const Matrix &Expr, size_t R,
-                                            bool Minimize) const {
+double LinearBoundsElement::evalExtreme(const Matrix &Expr, size_t R,
+                                        bool Minimize) const {
   size_t NumInputs = InputRegion.dim();
   const double *Row = Expr.row(R);
   double Val = Row[NumInputs]; // constant term
@@ -38,7 +40,7 @@ double SymbolicIntervalElement::evalExtreme(const Matrix &Expr, size_t R,
   return Val;
 }
 
-void SymbolicIntervalElement::applyAffine(const Matrix &W, const Vector &B) {
+void LinearBoundsElement::applyAffine(const Matrix &W, const Vector &B) {
   assert(W.cols() == dim() && "affine shape mismatch");
   size_t OutDim = W.rows();
   size_t Cols = LowerExpr.cols();
@@ -65,8 +67,8 @@ void SymbolicIntervalElement::applyAffine(const Matrix &W, const Vector &B) {
   UpperExpr = std::move(NewUpper);
 }
 
-void SymbolicIntervalElement::applyActivation(ActivationKind K, size_t Begin,
-                                              size_t End) {
+void LinearBoundsElement::applyActivation(ActivationKind K, size_t Begin,
+                                          size_t End) {
   assert(Begin <= End && End <= dim() && "activation range out of bounds");
   size_t Cols = LowerExpr.cols();
   if (K != ActivationKind::Relu) {
@@ -88,11 +90,11 @@ void SymbolicIntervalElement::applyActivation(ActivationKind K, size_t Begin,
     return;
   }
   for (size_t R = Begin; R < End; ++R) {
-    double LoLo = evalExtreme(LowerExpr, R, /*Minimize=*/true);
-    double HiHi = evalExtreme(UpperExpr, R, /*Minimize=*/false);
-    if (LoLo >= 0.0)
+    double Lo = evalExtreme(LowerExpr, R, /*Minimize=*/true);
+    double Hi = evalExtreme(UpperExpr, R, /*Minimize=*/false);
+    if (Lo >= 0.0)
       continue; // Stable active: both bounds pass through unchanged.
-    if (HiHi <= 0.0) {
+    if (Hi <= 0.0) {
       // Stable inactive: exactly zero.
       for (size_t C = 0; C < Cols; ++C) {
         LowerExpr(R, C) = 0.0;
@@ -100,24 +102,31 @@ void SymbolicIntervalElement::applyActivation(ActivationKind K, size_t Begin,
       }
       continue;
     }
-    // Unstable neuron (ReluVal's concretization):
-    //  - lower bound: if the symbolic lower can be negative, relax to 0.
+    // Crossing neuron. Lower: relu(x) >= 0.
     for (size_t C = 0; C < Cols; ++C)
       LowerExpr(R, C) = 0.0;
-    //  - upper bound: keep the symbolic expression if it is nonnegative on
-    //    the whole region; otherwise concretize to the constant HiHi.
-    double HiLo = evalExtreme(UpperExpr, R, /*Minimize=*/true);
-    if (HiLo < 0.0) {
+    if (Relaxation == ReluRelaxation::Triangle) {
+      // Upper: relu(x) <= Lambda * (x - Lo) with Lambda = Hi / (Hi - Lo);
+      // substituting x by its symbolic upper bound is sound (Lambda >= 0).
+      double Lambda = Hi / (Hi - Lo);
+      for (size_t C = 0; C < Cols; ++C)
+        UpperExpr(R, C) *= Lambda;
+      UpperExpr(R, Cols - 1) -= Lambda * Lo;
+    } else if (evalExtreme(UpperExpr, R, /*Minimize=*/true) < 0.0) {
+      // Upper (ReluVal): keep the symbolic expression if it is nonnegative
+      // on the whole region; otherwise concretize to the constant Hi.
       for (size_t C = 0; C < Cols; ++C)
         UpperExpr(R, C) = 0.0;
-      UpperExpr(R, Cols - 1) = HiHi;
+      UpperExpr(R, Cols - 1) = Hi;
     }
   }
 }
 
-void SymbolicIntervalElement::applyMaxPool(const PoolSpec &Spec) {
+void LinearBoundsElement::applyMaxPool(const PoolSpec &Spec) {
   // Concretizing fallback: max of interval bounds per window (ReluVal does
-  // not support pooling layers; this keeps the domain total and sound).
+  // not support pooling layers, and pooling only occurs in the conv nets,
+  // where the zonotope domain is the tool of choice; this keeps the domain
+  // total and sound).
   size_t OutDim = Spec.PoolIndices.size();
   size_t Cols = LowerExpr.cols();
   Matrix NewLower(OutDim, Cols), NewUpper(OutDim, Cols);
@@ -136,18 +145,18 @@ void SymbolicIntervalElement::applyMaxPool(const PoolSpec &Spec) {
   UpperExpr = std::move(NewUpper);
 }
 
-double SymbolicIntervalElement::lowerBound(size_t I) const {
+double LinearBoundsElement::lowerBound(size_t I) const {
   return evalExtreme(LowerExpr, I, /*Minimize=*/true);
 }
 
-double SymbolicIntervalElement::upperBound(size_t I) const {
+double LinearBoundsElement::upperBound(size_t I) const {
   return evalExtreme(UpperExpr, I, /*Minimize=*/false);
 }
 
-double SymbolicIntervalElement::lowerBoundDiff(size_t K, size_t J) const {
+double LinearBoundsElement::lowerBoundDiff(size_t K, size_t J) const {
   // Subtract symbolically, then minimize the single linear expression over
   // the box. This preserves shared input dependencies — the key advantage
-  // of symbolic intervals over plain boxes.
+  // of linear bounds over plain boxes.
   size_t NumInputs = InputRegion.dim();
   double Val = LowerExpr(K, NumInputs) - UpperExpr(J, NumInputs);
   for (size_t C = 0; C < NumInputs; ++C) {
@@ -161,13 +170,11 @@ double SymbolicIntervalElement::lowerBoundDiff(size_t K, size_t J) const {
 }
 
 std::unique_ptr<AbstractElement>
-SymbolicIntervalElement::meetHalfspaceAtZero(size_t, bool) const {
-  // Sound (the result overapproximates the meet) but imprecise; ReluVal
-  // never case-splits intermediate neurons, so this is intentionally inert.
+LinearBoundsElement::meetHalfspaceAtZero(size_t, bool) const {
   return clone();
 }
 
-double SymbolicIntervalElement::smear(size_t InputDim) const {
+double LinearBoundsElement::smear(size_t InputDim) const {
   assert(InputDim < InputRegion.dim() && "input dimension out of range");
   double Width = InputRegion.width(InputDim);
   double Mass = 0.0;

@@ -7,30 +7,10 @@
 // oldest-first, sparse tail afterwards), which is what the layout-equivalence
 // suite pins down.
 //
-// Float mode: the dense block is float32 and every reported bound folds in
-// the outward-rounded error radius Pad. Soundness argument, transformer by
-// transformer (linalg/KernelsF32.h holds the per-kernel error bounds):
-//  - affine: the float product's per-output error is bounded by
-//    Gamma * sum_k |W(j,k)| * ColMass_k; old pads propagate through |W|;
-//    both fold into the new pad with one double abs-matVec. The sparse tail
-//    tracks its double->float conversion error exactly.
-//  - relu: decisions use padded bounds (outer approximations of the true
-//    range), so stable/crossing classifications are sound; the rescale's
-//    per-entry float rounding is covered by scaleEps * column mass.
-//  - max-pool: dominance tests use padded bounds; copies are exact on the
-//    stored floats and gather the pad along; hull fallbacks re-box padded
-//    intervals.
-//  - bounds: the double accumulation over float entries is inflated with
-//    roundOut before use.
-// Residual double-rounding noise of the same class the double path already
-// has (sparse magnitude rescales, final +=) is treated as tolerance-class,
-// exactly as it is for the double kernels.
-//
 //===----------------------------------------------------------------------===//
 
 #include "abstract/ZonotopeElement.h"
 
-#include "linalg/KernelsF32.h"
 #include "nn/Activation.h"
 
 #include <algorithm>
@@ -39,12 +19,8 @@
 
 using namespace charon;
 
-ZonotopeElement::ZonotopeElement(const Box &Region, KernelPrecision P)
-    : Center(Region.center()), Prec(P), Dense(0, Region.dim()) {
-  if (Prec == KernelPrecision::Float32) {
-    DenseF = MatrixF(0, Region.dim());
-    Pad = Vector(Region.dim());
-  }
+ZonotopeElement::ZonotopeElement(const Box &Region)
+    : Center(Region.center()), Dense(0, Region.dim()) {
   for (size_t I = 0, E = Region.dim(); I < E; ++I) {
     double HalfWidth = 0.5 * Region.width(I);
     if (HalfWidth == 0.0)
@@ -72,14 +48,7 @@ std::unique_ptr<AbstractElement> ZonotopeElement::clone() const {
 
 const Vector &ZonotopeElement::radii() const {
   if (!RadiiValid) {
-    if (Prec == KernelPrecision::Float32) {
-      RadiiCache = kernels::absColumnSumsF(DenseF);
-      double Terms = static_cast<double>(DenseF.rows()) + 2.0;
-      for (size_t I = 0, N = dim(); I < N; ++I)
-        RadiiCache[I] = kernels::roundOut(RadiiCache[I], Terms) + Pad[I];
-    } else {
-      RadiiCache = kernels::absColumnSums(Dense);
-    }
+    RadiiCache = kernels::absColumnSums(Dense);
     for (const SparseGenerator &S : Sparse)
       RadiiCache[S.Coord] += std::fabs(S.Mag);
     RadiiValid = true;
@@ -90,17 +59,11 @@ const Vector &ZonotopeElement::radii() const {
 Vector ZonotopeElement::generatorRow(size_t E) const {
   assert(E < numGenerators() && "generator index out of range");
   Vector Row(dim());
-  size_t Gd = denseRows();
+  size_t Gd = Dense.rows();
   if (E < Gd) {
-    if (Prec == KernelPrecision::Float32) {
-      const float *Src = DenseF.row(E);
-      for (size_t I = 0, N = dim(); I < N; ++I)
-        Row[I] = static_cast<double>(Src[I]);
-    } else {
-      const double *Src = Dense.row(E);
-      for (size_t I = 0, N = dim(); I < N; ++I)
-        Row[I] = Src[I];
-    }
+    const double *Src = Dense.row(E);
+    for (size_t I = 0, N = dim(); I < N; ++I)
+      Row[I] = Src[I];
   } else {
     const SparseGenerator &S = Sparse[E - Gd];
     Row[S.Coord] = S.Mag;
@@ -112,82 +75,26 @@ void ZonotopeElement::materializeSparsePrefix(size_t Prefix) {
   if (Prefix == 0)
     return;
   assert(Prefix <= Sparse.size() && "prefix past the sparse tail");
-  if (Prec == KernelPrecision::Float32) {
-    size_t Gd = DenseF.rows();
-    DenseF.resizeRows(Gd + Prefix);
-    for (size_t S = 0; S < Prefix; ++S) {
-      double Mag = Sparse[S].Mag;
-      float F = static_cast<float>(Mag);
-      DenseF(Gd + S, Sparse[S].Coord) = F;
-      double Err = std::fabs(Mag - static_cast<double>(F));
-      if (Err != 0.0)
-        Pad[Sparse[S].Coord] =
-            kernels::roundOut(Pad[Sparse[S].Coord] + Err, 4.0);
-    }
-  } else {
-    size_t Gd = Dense.rows();
-    Dense.resizeRows(Gd + Prefix);
-    for (size_t S = 0; S < Prefix; ++S)
-      Dense(Gd + S, Sparse[S].Coord) = Sparse[S].Mag;
-  }
+  size_t Gd = Dense.rows();
+  Dense.resizeRows(Gd + Prefix);
+  for (size_t S = 0; S < Prefix; ++S)
+    Dense(Gd + S, Sparse[S].Coord) = Sparse[S].Mag;
   Sparse.erase(Sparse.begin(), Sparse.begin() + static_cast<long>(Prefix));
-}
-
-void ZonotopeElement::applyAffineF32(const Matrix &W) {
-  size_t M = W.rows();
-  size_t N = dim();
-  size_t Gd = DenseF.rows();
-
-  // Error budget first (it needs the pre-transform column masses):
-  // V_k = Pad_k + Gamma * ColMass_k bounds, per input coordinate, the old
-  // pad plus every float dot's rounding attributable to that coordinate;
-  // pushing V through |W| (float32AffinePad, outward-rounded) yields the
-  // dense part of the new pad.
-  Vector Eff = kernels::absColumnSumsF(DenseF);
-  for (const SparseGenerator &S : Sparse)
-    Eff[S.Coord] += std::fabs(S.Mag);
-  double Gamma = kernels::float32Gamma(N);
-  double EffTerms = static_cast<double>(Gd + Sparse.size()) + 2.0;
-  Vector V(N);
-  for (size_t K = 0; K < N; ++K)
-    V[K] = Pad[K] + Gamma * kernels::roundOut(Eff[K], EffTerms);
-  Vector NewPad = kernels::float32AffinePad(W, V);
-
-  MatrixF WF = kernels::toFloat32(W);
-  MatrixF NewDense = MatrixF::uninit(Gd + Sparse.size(), M);
-  kernels::matMulTransposedIntoF(DenseF, WF, NewDense, 0);
-
-  // The one-hot tail converts exactly-tracked: its per-coordinate
-  // double->float losses land in Err and join the pad.
-  Vector Err(M);
-  kernels::oneHotMatMulIntoF(Sparse, W, NewDense, Gd, Err);
-  double ErrTerms = static_cast<double>(Sparse.size()) + 2.0;
-  for (size_t R = 0; R < M; ++R)
-    if (Err[R] != 0.0)
-      NewPad[R] += kernels::roundOut(Err[R], ErrTerms);
-
-  DenseF = std::move(NewDense);
-  Pad = std::move(NewPad);
-  Sparse.clear();
 }
 
 void ZonotopeElement::applyAffine(const Matrix &W, const Vector &B) {
   assert(W.cols() == dim() && "affine shape mismatch");
-  if (Prec == KernelPrecision::Float32) {
-    applyAffineF32(W);
-  } else {
-    size_t M = W.rows();
-    size_t Gd = Dense.rows();
-    // All dense generators go through one blocked W * G^T product; each
-    // sparse one-hot mu * e_c densifies to the scaled column mu * W(:, c)
-    // without ever materializing the one-hot rows. The two kernels together
-    // write every element, so the buffer starts uninitialized.
-    Matrix NewDense = Matrix::uninit(Gd + Sparse.size(), M);
-    kernels::matMulTransposedInto(Dense, W, NewDense, 0);
-    kernels::oneHotMatMulInto(Sparse, W, NewDense, Gd);
-    Dense = std::move(NewDense);
-    Sparse.clear();
-  }
+  size_t M = W.rows();
+  size_t Gd = Dense.rows();
+  // All dense generators go through one blocked W * G^T product; each sparse
+  // one-hot mu * e_c densifies to the scaled column mu * W(:, c) without
+  // ever materializing the one-hot rows. The two kernels together write
+  // every element, so the buffer starts uninitialized.
+  Matrix NewDense = Matrix::uninit(Gd + Sparse.size(), M);
+  kernels::matMulTransposedInto(Dense, W, NewDense, 0);
+  kernels::oneHotMatMulInto(Sparse, W, NewDense, Gd);
+  Dense = std::move(NewDense);
+  Sparse.clear();
 
   Center = matVec(W, Center);
   Center += B;
@@ -203,11 +110,10 @@ void ZonotopeElement::applyActivation(ActivationKind K, size_t Begin,
   // Decide every in-range neuron first, building a per-coordinate rescale
   // vector (1 = untouched / stable active, 0 = stable inactive, lambda for
   // relaxations), then apply it to the whole generator block in one fused
-  // sweep. In float mode the radii are padded outward, so each decision is
-  // sound for the true range. Smooth activations always relax: the
-  // parallel-line band act(x) in Lambda*x + Mu +- Beta becomes a column
-  // rescale by Lambda, a center shift, and one fresh noise symbol of
-  // magnitude Beta per coordinate — slack, never a case split.
+  // sweep. Smooth activations always relax: the parallel-line band
+  // act(x) in Lambda*x + Mu +- Beta becomes a column rescale by Lambda, a
+  // center shift, and one fresh noise symbol of magnitude Beta per
+  // coordinate — slack, never a case split.
   Vector Scale(N, 1.0);
   bool AnyChange = false;
   std::vector<SparseGenerator> Fresh;
@@ -244,27 +150,7 @@ void ZonotopeElement::applyActivation(ActivationKind K, size_t Begin,
   }
 
   if (AnyChange) {
-    if (Prec == KernelPrecision::Float32) {
-      // Each rescaled entry rounds once to float; the lost mass per column
-      // is below scaleEps * lambda * (old column mass), folded into the pad
-      // along with the scaled old pad.
-      Vector DCol = kernels::absColumnSumsF(DenseF);
-      double ColTerms = static_cast<double>(DenseF.rows()) + 2.0;
-      double SEps = kernels::float32ScaleEps();
-      kernels::scaleColumnsF(DenseF, Scale);
-      for (size_t I = 0; I < N; ++I) {
-        if (Scale[I] == 1.0)
-          continue;
-        if (Scale[I] == 0.0) {
-          Pad[I] = 0.0;
-          continue;
-        }
-        double Mass = kernels::roundOut(DCol[I], ColTerms);
-        Pad[I] = kernels::roundOut(Scale[I] * (Pad[I] + SEps * Mass), 6.0);
-      }
-    } else {
-      kernels::scaleColumns(Dense, Scale);
-    }
+    kernels::scaleColumns(Dense, Scale);
     for (SparseGenerator &S : Sparse)
       S.Mag *= Scale[S.Coord];
     invalidateRadii();
@@ -358,19 +244,9 @@ void ZonotopeElement::applyMaxPool(const PoolSpec &Spec) {
   }
   NewSparse.insert(NewSparse.end(), Fresh.begin(), Fresh.end());
 
-  if (Prec == KernelPrecision::Float32) {
-    MatrixF NewDense(DenseF.rows(), OutDim);
-    kernels::gatherColumnsF(DenseF, SrcCol, NewDense);
-    Vector NewPad(OutDim);
-    for (size_t O = 0; O < OutDim; ++O)
-      NewPad[O] = SrcCol[O] < 0 ? 0.0 : Pad[static_cast<size_t>(SrcCol[O])];
-    DenseF = std::move(NewDense);
-    Pad = std::move(NewPad);
-  } else {
-    Matrix NewDense(Dense.rows(), OutDim);
-    kernels::gatherColumns(Dense, SrcCol, NewDense);
-    Dense = std::move(NewDense);
-  }
+  Matrix NewDense(Dense.rows(), OutDim);
+  kernels::gatherColumns(Dense, SrcCol, NewDense);
+  Dense = std::move(NewDense);
   Center = std::move(NewCenter);
   Sparse = std::move(NewSparse);
   invalidateRadii();
@@ -388,26 +264,6 @@ double ZonotopeElement::lowerBoundDiff(size_t K, size_t J) const {
   // min over eps of (x_K - x_J) = (c_K - c_J) - sum_e |g_K - g_J|: exact for
   // the linear functional, capturing shared noise symbols.
   double Diff = Center[K] - Center[J];
-  if (Prec == KernelPrecision::Float32) {
-    // Entry differences are exact in double; the accumulation and the pads
-    // are inflated outward before subtracting.
-    double Sum = 0.0;
-    for (size_t E = 0, G = DenseF.rows(); E < G; ++E) {
-      const float *Row = DenseF.row(E);
-      Sum += std::fabs(static_cast<double>(Row[K]) -
-                       static_cast<double>(Row[J]));
-    }
-    for (const SparseGenerator &S : Sparse) {
-      if (S.Coord != K && S.Coord != J)
-        continue;
-      double GK = S.Coord == K ? S.Mag : 0.0;
-      double GJ = S.Coord == J ? S.Mag : 0.0;
-      Sum += std::fabs(GK - GJ);
-    }
-    Sum += Pad[K] + Pad[J];
-    double Terms = static_cast<double>(DenseF.rows() + Sparse.size()) + 4.0;
-    return Diff - kernels::roundOut(Sum, Terms);
-  }
   for (size_t E = 0, G = Dense.rows(); E < G; ++E) {
     const double *Row = Dense.row(E);
     Diff -= std::fabs(Row[K] - Row[J]);
@@ -425,17 +281,6 @@ double ZonotopeElement::lowerBoundDiff(size_t K, size_t J) const {
 std::unique_ptr<AbstractElement>
 ZonotopeElement::meetHalfspaceAtZero(size_t D, bool NonNegative) const {
   assert(D < dim() && "meet dimension out of range");
-  if (Prec == KernelPrecision::Float32) {
-    // Drop to double mode: float generators embed exactly, the pad becomes
-    // per-coordinate one-hot box generators. The result (and everything the
-    // powerset domain derives from it) continues in double.
-    std::vector<SparseGenerator> Sp = Sparse;
-    for (size_t I = 0, N = dim(); I < N; ++I)
-      if (Pad[I] != 0.0)
-        Sp.push_back({I, Pad[I]});
-    ZonotopeElement Dbl(Center, kernels::toDouble(DenseF), std::move(Sp));
-    return Dbl.meetHalfspaceAtZero(D, NonNegative);
-  }
   // Work in noise-symbol space. The constraint (NonNegative ? x_D >= 0 :
   // x_D <= 0) becomes a . eps <= e with a_j = sgn * g_j[D], e = sgn * -c[D],
   // where sgn = -1 for x_D >= 0 and +1 for x_D <= 0.
@@ -537,26 +382,19 @@ ZonotopeElement::meetHalfspaceAtZero(size_t D, bool NonNegative) const {
 
 void ZonotopeElement::compact(double Tol) {
   size_t N = dim();
-  size_t Gd = denseRows();
+  size_t Gd = Dense.rows();
   Vector Folded(N);
 
-  Vector Mags = Prec == KernelPrecision::Float32 ? kernels::absRowSumsF(DenseF)
-                                                 : kernels::absRowSums(Dense);
+  Vector Mags = kernels::absRowSums(Dense);
   std::vector<size_t> KeptRows;
   KeptRows.reserve(Gd);
   for (size_t J = 0; J < Gd; ++J) {
     if (Mags[J] <= Tol) {
       // Fold the small generator into an axis-aligned envelope (sound:
       // componentwise interval hull of its contribution).
-      if (Prec == KernelPrecision::Float32) {
-        const float *Row = DenseF.row(J);
-        for (size_t I = 0; I < N; ++I)
-          Folded[I] += std::fabs(static_cast<double>(Row[I]));
-      } else {
-        const double *Row = Dense.row(J);
-        for (size_t I = 0; I < N; ++I)
-          Folded[I] += std::fabs(Row[I]);
-      }
+      const double *Row = Dense.row(J);
+      for (size_t I = 0; I < N; ++I)
+        Folded[I] += std::fabs(Row[I]);
     } else {
       KeptRows.push_back(J);
     }
@@ -573,25 +411,14 @@ void ZonotopeElement::compact(double Tol) {
   }
 
   if (KeptRows.size() != Gd) {
-    if (Prec == KernelPrecision::Float32) {
-      MatrixF NewDense(KeptRows.size(), N);
-      for (size_t R = 0, E = KeptRows.size(); R < E; ++R) {
-        const float *Src = DenseF.row(KeptRows[R]);
-        float *Dst = NewDense.row(R);
-        for (size_t I = 0; I < N; ++I)
-          Dst[I] = Src[I];
-      }
-      DenseF = std::move(NewDense);
-    } else {
-      Matrix NewDense(KeptRows.size(), N);
-      for (size_t R = 0, E = KeptRows.size(); R < E; ++R) {
-        const double *Src = Dense.row(KeptRows[R]);
-        double *Dst = NewDense.row(R);
-        for (size_t I = 0; I < N; ++I)
-          Dst[I] = Src[I];
-      }
-      Dense = std::move(NewDense);
+    Matrix NewDense(KeptRows.size(), N);
+    for (size_t R = 0, E = KeptRows.size(); R < E; ++R) {
+      const double *Src = Dense.row(KeptRows[R]);
+      double *Dst = NewDense.row(R);
+      for (size_t I = 0; I < N; ++I)
+        Dst[I] = Src[I];
     }
+    Dense = std::move(NewDense);
   }
   Sparse = std::move(KeptSparse);
   for (size_t I = 0; I < N; ++I) {

@@ -34,17 +34,6 @@
 /// produced, which keeps accumulation orders (and therefore every bound, to
 /// the last bit on serial scalar paths) identical to that layout.
 ///
-/// Precision modes: the default stores generators as doubles. Constructing
-/// with KernelPrecision::Float32 stores the dense generator block as float32
-/// (half the memory traffic, twice the SIMD lanes) and carries an explicit
-/// per-coordinate error radius Pad that is grown with outward-rounded
-/// forward error bounds (linalg/KernelsF32.h), so every bound this element
-/// reports still over-approximates what exact real arithmetic would give —
-/// verdicts remain sound, they are just (slightly) less precise. Center and
-/// the sparse tail stay double in both modes. A halfspace meet on a float
-/// element returns a double element (float generators embed exactly; the pad
-/// becomes one-hot box generators), so powerset splitting degrades gracefully.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef CHARON_ABSTRACT_ZONOTOPEELEMENT_H
@@ -52,8 +41,6 @@
 
 #include "abstract/AbstractElement.h"
 #include "linalg/Kernels.h"
-#include "linalg/MatrixF.h"
-#include "linalg/SimdDispatch.h"
 
 #include <vector>
 
@@ -67,15 +54,13 @@ public:
   using SparseGenerator = kernels::OneHot;
 
   /// Abstraction of the box \p Region: one generator per nonzero-width
-  /// dimension (exact in both precision modes — the initial one-hot
-  /// magnitudes stay double). All initial generators are one-hot and stay
-  /// sparse until the first affine layer.
-  explicit ZonotopeElement(const Box &Region,
-                           KernelPrecision P = KernelPrecision::Double);
+  /// dimension. All initial generators are one-hot and stay sparse until the
+  /// first affine layer.
+  explicit ZonotopeElement(const Box &Region);
 
-  /// Assembles a double-mode element from an explicit layout. \p DenseGens
-  /// is G x N (may have zero rows); \p SparseGens are appended after the
-  /// dense rows in order.
+  /// Assembles an element from an explicit layout. \p DenseGens is G x N
+  /// (may have zero rows); \p SparseGens are appended after the dense rows
+  /// in order.
   ZonotopeElement(Vector C, Matrix DenseGens,
                   std::vector<SparseGenerator> SparseGens = {});
 
@@ -94,23 +79,12 @@ public:
   meetHalfspaceAtZero(size_t D, bool NonNegative) const override;
 
   /// Number of noise symbols currently tracked (dense rows + sparse tail).
-  size_t numGenerators() const { return denseRows() + Sparse.size(); }
+  size_t numGenerators() const { return Dense.rows() + Sparse.size(); }
 
   const Vector &center() const { return Center; }
 
-  /// The kernel precision this element's generator matrix runs at.
-  KernelPrecision precision() const { return Prec; }
-
   /// The dense generator block: one row per (densified) noise symbol.
-  /// Double mode only (empty in float mode; see denseGeneratorsF).
   const Matrix &denseGenerators() const { return Dense; }
-
-  /// The float32 dense generator block (float mode only).
-  const MatrixF &denseGeneratorsF() const { return DenseF; }
-
-  /// The per-coordinate outward-rounded error radius (float mode; empty in
-  /// double mode). Folded into every bound this element reports.
-  const Vector &errorPad() const { return Pad; }
 
   /// The sparse one-hot tail, in creation order (newer than every dense row).
   const std::vector<SparseGenerator> &sparseGenerators() const {
@@ -127,30 +101,18 @@ public:
   void compact(double Tol);
 
 private:
-  size_t denseRows() const {
-    return Prec == KernelPrecision::Float32 ? DenseF.rows() : Dense.rows();
-  }
-
-  /// Per-coordinate deviation radii (sum of |g_I| over generators, plus Pad
-  /// in float mode), cached until the next mutation.
+  /// Per-coordinate deviation radii (sum of |g_I| over generators), cached
+  /// until the next mutation.
   const Vector &radii() const;
   void invalidateRadii() { RadiiValid = false; }
 
-  void applyAffineF32(const Matrix &W);
-
-  /// Densifies the sparse prefix [0, Prefix) into the dense block
-  /// (mode-appropriate storage), leaving [Prefix, end) in place.
+  /// Densifies the sparse prefix [0, Prefix) into the dense block, leaving
+  /// [Prefix, end) in place.
   void materializeSparsePrefix(size_t Prefix);
 
   Vector Center;
-  KernelPrecision Prec = KernelPrecision::Double;
-  /// G x N generator matrix: row e is noise symbol e's coefficient vector
-  /// (double mode).
+  /// G x N generator matrix: row e is noise symbol e's coefficient vector.
   Matrix Dense;
-  /// Float-mode generator storage (Dense stays 0 x N then).
-  MatrixF DenseF;
-  /// Float-mode per-coordinate error radius (outward-rounded, sound).
-  Vector Pad;
   /// Fresh one-hot symbols, logically appended after the dense rows.
   std::vector<SparseGenerator> Sparse;
 

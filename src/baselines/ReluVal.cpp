@@ -2,7 +2,7 @@
 
 #include "baselines/ReluVal.h"
 
-#include "abstract/SymbolicIntervalElement.h"
+#include "abstract/LinearBoundsElement.h"
 #include "support/Timer.h"
 
 #include <limits>
@@ -16,7 +16,8 @@ namespace {
 /// via \p SplitDim, the input dimension with the largest smear.
 double analyzeRegion(const Network &Net, const Box &Region, size_t K,
                      size_t &SplitDim) {
-  SymbolicIntervalElement Elem(Region);
+  LinearBoundsElement Elem(Region,
+                           LinearBoundsElement::ReluRelaxation::Concretize);
   propagate(Net, Elem);
 
   double Margin = std::numeric_limits<double>::infinity();

@@ -2,7 +2,7 @@
 
 #include "baselines/Reluplex.h"
 
-#include "abstract/SymbolicIntervalElement.h"
+#include "abstract/LinearBoundsElement.h"
 #include "lp/Simplex.h"
 #include "support/Check.h"
 #include "support/Timer.h"
@@ -59,7 +59,8 @@ void exprBounds(const std::vector<double> &Coef, double Const,
 void computePreReluBounds(const Network &Net, const Box &Region,
                           std::vector<double> &PreLo,
                           std::vector<double> &PreHi) {
-  SymbolicIntervalElement Elem(Region);
+  LinearBoundsElement Elem(Region,
+                           LinearBoundsElement::ReluRelaxation::Concretize);
   for (size_t I = 0, E = Net.numLayers(); I < E; ++I) {
     const Layer &L = Net.layer(I);
     if (L.isIdentity())

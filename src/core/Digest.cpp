@@ -100,10 +100,10 @@ uint64_t charon::digestVerifierConfigSemantics(const VerifierConfig &Config) {
   H.u64(static_cast<uint64_t>(Config.SearchOrder));
   H.u64(Config.CompleteFallback ? 1 : 0);
   H.f64(Config.CompleteFallbackDiameter);
-  // Kernel precision changes every abstract margin, so checkpoints and
-  // certificates must never cross-validate between precisions. The SIMD
-  // level is deliberately NOT digested: per-level accumulation differences
-  // are tolerance-class noise, like thread-count nondeterminism isn't.
+  // Kernel precision has one value, but stays hashed so digests computed
+  // before the float32 mode was removed still match. The SIMD level is
+  // deliberately NOT digested: per-level accumulation differences are
+  // tolerance-class noise, like thread-count nondeterminism isn't.
   H.u64(static_cast<uint64_t>(Config.Precision));
   // CEGAR changes which network the search runs on (and hence which
   // counterexample a falsifiable query returns), so the whole block is

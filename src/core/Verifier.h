@@ -163,13 +163,9 @@ struct VerifierConfig {
   /// the verdict-selection rule keeps clean-run answers order-independent.
   FrontierOrder SearchOrder = FrontierOrder::Lifo;
 
-  /// Kernel precision of the abstract-domain legs (see
-  /// abstract/ZonotopeElement.h). Float32 stores zonotope generator
-  /// matrices as floats with a sound outward-rounded error pad: verdicts
-  /// stay sound, margins get (slightly) wider, kernels get faster. The
-  /// concrete/PGD leg always runs bit-identical double regardless.
-  /// Semantic (digested): margins differ across precisions, so checkpoints
-  /// and certificates from different precisions never cross-validate.
+  /// Kernel precision of the abstract-domain legs. Double is the only
+  /// value; the field stays digested so every config digest, and with it
+  /// every persisted cache log, checkpoint and certificate, keeps its key.
   KernelPrecision Precision = KernelPrecision::Double;
 
   /// Optional per-node-expansion event sink (see search/Trace.h). May be

@@ -106,8 +106,6 @@ std::string charon::formatRunCommand(const RunSpec &Spec) {
   appendEscaped(Out, formatU64(Spec.Seed));
   Out += ",\"order\":";
   appendEscaped(Out, Spec.Order);
-  Out += ",\"precision\":";
-  appendEscaped(Out, Spec.Precision);
   Out += ",\"checkpoint\":";
   appendEscaped(Out, Spec.CheckpointText);
   Out.push_back('}');
@@ -253,8 +251,6 @@ std::optional<FleetCommand> charon::parseCommandLine(const std::string &Line,
       ;
     else if (Key == "order" && V.K == Value::Str)
       R.Order = V.S;
-    else if (Key == "precision" && V.K == Value::Str)
-      R.Precision = V.S;
     else if (Key == "checkpoint" && V.K == Value::Str)
       R.CheckpointText = V.S;
     else {
@@ -370,8 +366,6 @@ VerifierConfig charon::configFromRunSpec(const RunSpec &Spec) {
   C.Seed = Spec.Seed;
   C.SearchOrder = Spec.Order == "best-first" ? FrontierOrder::BestFirst
                                              : FrontierOrder::Lifo;
-  C.Precision = Spec.Precision == "float32" ? KernelPrecision::Float32
-                                            : KernelPrecision::Double;
   return C;
 }
 
@@ -398,8 +392,6 @@ RunSpec charon::runSpecFromJob(const VerifierConfig &Config,
   Spec.Seed = Config.Seed;
   Spec.Order =
       Config.SearchOrder == FrontierOrder::BestFirst ? "best-first" : "lifo";
-  Spec.Precision =
-      Config.Precision == KernelPrecision::Float32 ? "float32" : "double";
   return Spec;
 }
 

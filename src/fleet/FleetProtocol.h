@@ -19,7 +19,7 @@
 ///    "lower":[...],"upper":[...],"delta":1e-6,"budget":10,"maxdepth":400,
 ///    "pgd_steps":25,"pgd_restarts":2,"pgd_step_scale":0.3,
 ///    "optimizer":"pgd","use_cex_search":true,"seed":"7","order":"lifo",
-///    "precision":"double","checkpoint":"<checkpoint text>"}
+///    "checkpoint":"<checkpoint text>"}
 ///   {"cmd":"cancel","shard":7}
 ///   {"cmd":"ping"}   {"cmd":"quit"}
 /// \endcode
@@ -73,8 +73,7 @@ struct RunSpec {
   bool UseCexSearch = true;
   uint64_t Seed = 7;
   std::string Order = "lifo";      ///< "lifo" | "best-first"
-  std::string Precision = "double"; ///< "double" | "float32"
-  std::string CheckpointText;       ///< the shard frontier
+  std::string CheckpointText;      ///< the shard frontier
 };
 
 /// One parsed command line.

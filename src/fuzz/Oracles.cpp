@@ -4,7 +4,6 @@
 
 #include "cegar/Abstractor.h"
 #include "cert/CertChecker.h"
-#include "linalg/KernelsF32.h"
 #include "cert/Certificate.h"
 #include "search/Checkpoint.h"
 #include "service/VerificationService.h"
@@ -151,56 +150,6 @@ charon::checkContainment(const Network &Net, const Box &Region,
     CheckPoint(randomCorner(Region, R));
   for (int I = 0; I < Cfg.ContainmentSamples; ++I)
     CheckPoint(Region.sample(R));
-
-  // Float32 leg (plain zonotopes only: powerset case-split decisions react
-  // to the precision, so cross-precision dominance only holds disjunct-free).
-  // The reduced-precision mode claims its outward-rounded bounds *contain*
-  // the double bounds — a deterministic dominance that, unlike the sampled
-  // concrete checks above, fires on rounding-scale unsoundness too. A
-  // positive InjectTighten flips the rounding direction inward, simulating
-  // a low-precision transformer that cheats, so tests can prove this leg
-  // catches one.
-  if (Spec.Base == BaseDomainKind::Zonotope && Spec.Disjuncts == 1) {
-    const std::string FName = "float32-dominance:" + toString(Spec);
-    double SavedDir = kernels::float32ErrDir();
-    if (Cfg.InjectTighten > 0.0)
-      kernels::setFloat32ErrDirForTest(-1.0);
-    std::unique_ptr<AbstractElement> ElemF =
-        makeElement(Region, Spec, KernelPrecision::Float32);
-    propagate(Net, *ElemF);
-    kernels::setFloat32ErrDirForTest(SavedDir);
-
-    for (size_t I = 0; I < M; ++I) {
-      if (Out.size() >= MaxViolationsPerCheck)
-        return Out;
-      double Lod = Elem->lowerBound(I), Hid = Elem->upperBound(I);
-      double Lof = ElemF->lowerBound(I), Hif = ElemF->upperBound(I);
-      double S = slack(Cfg, std::max(std::fabs(Lod), std::fabs(Hid)));
-      if (Lof > Lod + S || Hif < Hid - S) {
-        std::ostringstream Os;
-        Os << std::setprecision(17) << "float32 interval [" << Lof << ", "
-           << Hif << "] fails to contain double interval [" << Lod << ", "
-           << Hid << "] at output " << I;
-        Out.push_back({FName, Os.str()});
-      }
-    }
-    for (size_t K = 0; K < M; ++K)
-      for (size_t J = 0; J < M; ++J) {
-        if (J == K || Out.size() >= MaxViolationsPerCheck)
-          continue;
-        double Bd = Elem->lowerBoundDiff(K, J);
-        double Bf = ElemF->lowerBoundDiff(K, J);
-        // A wider abstraction can only lose margin: float32 Verified must
-        // imply double Verified.
-        if (Bf > Bd + slack(Cfg, Bd)) {
-          std::ostringstream Os;
-          Os << std::setprecision(17) << "float32 margin " << Bf
-             << " exceeds double margin " << Bd << " for y_" << K << " - y_"
-             << J;
-          Out.push_back({FName, Os.str()});
-        }
-      }
-  }
   return Out;
 }
 

@@ -82,13 +82,6 @@ struct OracleConfig {
 /// Containment oracle: propagates \p Region through \p Net under \p Spec
 /// and asserts every sampled concrete execution lands inside the abstract
 /// output (per-coordinate bounds and all pairwise difference bounds).
-/// For plain zonotope specs it additionally re-propagates the region under
-/// KernelPrecision::Float32 and asserts dominance: the outward-rounded
-/// float32 bounds must contain the double bounds and its margins must not
-/// exceed the double margins (so float32 Verified implies double Verified).
-/// This leg is deterministic — it catches rounding-scale unsoundness the
-/// sampled points never would. InjectTighten > 0 flips the float32 rounding
-/// direction inward so tests can prove the leg fires.
 std::vector<OracleViolation>
 checkContainment(const Network &Net, const Box &Region, const DomainSpec &Spec,
                  const OracleConfig &Cfg, Rng &R);

@@ -7,10 +7,10 @@
 /// \file
 /// An allocator whose no-argument construct() default-initializes instead of
 /// value-initializing, so vector::resize(n) leaves trivial elements
-/// uninitialized. Matrix/MatrixF use it to hand out scratch buffers whose
-/// every element is about to be overwritten by a kernel: a zonotope affine
-/// step allocates a generator matrix larger than L2, and zero-filling it
-/// first both costs a memset and evicts the operands the kernel is about to
+/// uninitialized. Matrix uses it to hand out scratch buffers whose every
+/// element is about to be overwritten by a kernel: a zonotope affine step
+/// allocates a generator matrix larger than L2, and zero-filling it first
+/// both costs a memset and evicts the operands the kernel is about to
 /// stream.
 ///
 //===----------------------------------------------------------------------===//

@@ -277,9 +277,6 @@ const kernels::detail::SimdOps ScalarTable = {
     absColumnSumsColsScalar,
     dotScalar,
     saxpyScalar,
-    kernels::detail::mmtRowsFScalar,
-    kernels::detail::scaleColumnsRowsFScalar,
-    kernels::detail::absColumnSumsColsFScalar,
 };
 
 } // namespace

@@ -408,103 +408,6 @@ void absColumnSumsColsAvx2(const Matrix &A, double *Out, size_t ColBegin,
   }
 }
 
-/// Float32 twin of packPanelAvx2: sixteen B rows interleaved into a K x 16
-/// panel, P[k*16 + r] = B(j + r, k), zero-filled past the live width.
-void packPanelFAvx2(const MatrixF &B, size_t J, size_t W, float *P) {
-  const size_t K = B.cols();
-  for (size_t R = 0; R < 16; ++R) {
-    if (R < W) {
-      const float *Src = B.row(J + R);
-      for (size_t Kk = 0; Kk < K; ++Kk)
-        P[Kk * 16 + R] = Src[Kk];
-    } else {
-      for (size_t Kk = 0; Kk < K; ++Kk)
-        P[Kk * 16 + R] = 0.0f;
-    }
-  }
-}
-
-/// Float32 twin of mmt4x8Avx2: four A rows against sixteen packed columns,
-/// 8-lane single-precision fma, same broadcast scheme and the same
-/// position-independent per-element chain.
-void mmt4x16FAvx2(const float *A0, const float *A1, const float *A2,
-                  const float *A3, const float *P, size_t K, float *C0,
-                  float *C1, float *C2, float *C3) {
-  __m256 S00 = _mm256_setzero_ps(), S01 = _mm256_setzero_ps();
-  __m256 S10 = _mm256_setzero_ps(), S11 = _mm256_setzero_ps();
-  __m256 S20 = _mm256_setzero_ps(), S21 = _mm256_setzero_ps();
-  __m256 S30 = _mm256_setzero_ps(), S31 = _mm256_setzero_ps();
-  for (size_t Kk = 0; Kk < K; ++Kk) {
-    __m256 P0 = _mm256_loadu_ps(P + Kk * 16);
-    __m256 P1 = _mm256_loadu_ps(P + Kk * 16 + 8);
-    __m256 V0 = _mm256_broadcast_ss(A0 + Kk);
-    __m256 V1 = _mm256_broadcast_ss(A1 + Kk);
-    __m256 V2 = _mm256_broadcast_ss(A2 + Kk);
-    __m256 V3 = _mm256_broadcast_ss(A3 + Kk);
-    S00 = _mm256_fmadd_ps(V0, P0, S00);
-    S01 = _mm256_fmadd_ps(V0, P1, S01);
-    S10 = _mm256_fmadd_ps(V1, P0, S10);
-    S11 = _mm256_fmadd_ps(V1, P1, S11);
-    S20 = _mm256_fmadd_ps(V2, P0, S20);
-    S21 = _mm256_fmadd_ps(V2, P1, S21);
-    S30 = _mm256_fmadd_ps(V3, P0, S30);
-    S31 = _mm256_fmadd_ps(V3, P1, S31);
-  }
-  _mm256_storeu_ps(C0, S00);
-  _mm256_storeu_ps(C0 + 8, S01);
-  _mm256_storeu_ps(C1, S10);
-  _mm256_storeu_ps(C1 + 8, S11);
-  _mm256_storeu_ps(C2, S20);
-  _mm256_storeu_ps(C2 + 8, S21);
-  _mm256_storeu_ps(C3, S30);
-  _mm256_storeu_ps(C3 + 8, S31);
-}
-
-/// Float32 generator product: same packed-panel driver as mmtRowsAvx2 with
-/// 16-wide panels. Rounding differences vs scalar are covered by the
-/// float-mode pad (KernelsF32.h), so no cross-level promise is needed —
-/// only within-level determinism, which the position-independent
-/// per-element scheme provides.
-void mmtRowsFAvx2(const MatrixF &A, const MatrixF &B, MatrixF &C,
-                  size_t RowOffset, size_t Begin, size_t End) {
-  const size_t K = A.cols();
-  const size_t N = B.rows();
-  std::vector<float> Panel(K * 16);
-  float Scratch[4][16];
-  for (size_t J = 0; J < N; J += 16) {
-    const size_t W = N - J < 16 ? N - J : 16;
-    packPanelFAvx2(B, J, W, Panel.data());
-    size_t I = Begin;
-    for (; I + 4 <= End; I += 4) {
-      if (W == 16) {
-        mmt4x16FAvx2(A.row(I), A.row(I + 1), A.row(I + 2), A.row(I + 3),
-                     Panel.data(), K, C.row(RowOffset + I) + J,
-                     C.row(RowOffset + I + 1) + J, C.row(RowOffset + I + 2) + J,
-                     C.row(RowOffset + I + 3) + J);
-      } else {
-        mmt4x16FAvx2(A.row(I), A.row(I + 1), A.row(I + 2), A.row(I + 3),
-                     Panel.data(), K, Scratch[0], Scratch[1], Scratch[2],
-                     Scratch[3]);
-        for (size_t R = 0; R < 4; ++R)
-          for (size_t Cc = 0; Cc < W; ++Cc)
-            C.row(RowOffset + I + R)[J + Cc] = Scratch[R][Cc];
-      }
-    }
-    if (I < End) {
-      const size_t Left = End - I;
-      const float *R0 = A.row(I);
-      const float *R1 = A.row(I + (Left > 1 ? 1 : 0));
-      const float *R2 = A.row(I + (Left > 2 ? 2 : 0));
-      const float *R3 = A.row(I + (Left > 3 ? 3 : 0));
-      mmt4x16FAvx2(R0, R1, R2, R3, Panel.data(), K, Scratch[0], Scratch[1],
-                   Scratch[2], Scratch[3]);
-      for (size_t R = 0; R < Left; ++R)
-        for (size_t Cc = 0; Cc < W; ++Cc)
-          C.row(RowOffset + I + R)[J + Cc] = Scratch[R][Cc];
-    }
-  }
-}
-
 const detail::SimdOps Avx2Table = {
     "avx2",
     mmtRowsAvx2,
@@ -517,11 +420,6 @@ const detail::SimdOps Avx2Table = {
     absColumnSumsColsAvx2,
     dotAvx2,
     saxpyAvx2,
-    mmtRowsFAvx2,
-    // The remaining float bodies are memory-bound scalar-per-element code;
-    // the shared scalar shard bodies are already optimal for them.
-    detail::scaleColumnsRowsFScalar,
-    detail::absColumnSumsColsFScalar,
 };
 
 } // namespace

@@ -12,9 +12,7 @@
 using namespace charon;
 using namespace charon::kernels;
 
-const char *charon::toString(KernelPrecision P) {
-  return P == KernelPrecision::Float32 ? "float32" : "double";
-}
+const char *charon::toString(KernelPrecision) { return "double"; }
 
 const char *kernels::simdLevelName(SimdLevel Level) {
   return Level == SimdLevel::Avx2 ? "avx2" : "scalar";

@@ -42,13 +42,11 @@
 namespace charon {
 
 /// Numeric precision the *abstract-domain* kernels run at. Double is the
-/// default everywhere; Float32 stores zonotope generator matrices as floats
-/// and folds a rigorous outward-rounded error term into the radius vector,
-/// so bounds stay sound (see linalg/KernelsF32.h). The concrete/PGD path is
-/// always double regardless of this knob.
-enum class KernelPrecision { Double, Float32 };
+/// only mode; the enum stays so configs, digests and bench records keep
+/// their precision field.
+enum class KernelPrecision { Double };
 
-/// "double" / "float32" (stable names used in bench JSON and docs).
+/// "double" (the stable name used in bench JSON and docs).
 const char *toString(KernelPrecision P);
 
 namespace kernels {

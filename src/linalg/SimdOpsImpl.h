@@ -6,13 +6,13 @@
 ///
 /// \file
 /// Internal-only function-pointer table that a SIMD backend fills in. The
-/// public kernels (Kernels.h, KernelsF32.h, matVec/matTVec) shard work with
-/// parallelFor and forward each shard to the active table; backends provide
-/// only the straight-line row/column-block bodies.
+/// public kernels (Kernels.h, matVec/matTVec) shard work with parallelFor
+/// and forward each shard to the active table; backends provide only the
+/// straight-line row/column-block bodies.
 ///
-/// Included by Kernels.cpp, KernelsF32.cpp, KernelsAvx2.cpp and
-/// SimdDispatch.cpp. Not installed behind the public headers — tests and
-/// callers go through the dispatch API in SimdDispatch.h.
+/// Included by Kernels.cpp, KernelsAvx2.cpp and SimdDispatch.cpp. Not
+/// installed behind the public headers — tests and callers go through the
+/// dispatch API in SimdDispatch.h.
 ///
 /// Contract notes for backend authors (see SimdDispatch.h for the
 /// user-facing statement):
@@ -39,7 +39,6 @@
 #define CHARON_LINALG_SIMDOPSIMPL_H
 
 #include "linalg/Kernels.h"
-#include "linalg/MatrixF.h"
 #include "linalg/Matrix.h"
 
 #include <cstddef>
@@ -92,20 +91,6 @@ struct SimdOps {
 
   /// Y[i] += A * X[i] over N entries — the matTVec/matMul update.
   void (*Saxpy)(double *Y, const double *X, double A, size_t N);
-
-  /// Float32 generator-matrix product (float accumulators), same shape
-  /// contract as MmtRows.
-  void (*MmtRowsF)(const MatrixF &A, const MatrixF &B, MatrixF &C,
-                   size_t RowOffset, size_t Begin, size_t End);
-
-  /// Rows [Begin, End): A(i, j) = (float)(Scale[j] * (double)A(i, j)).
-  void (*ScaleColumnsRowsF)(MatrixF &A, const Vector &Scale, size_t Begin,
-                            size_t End);
-
-  /// Columns [ColBegin, ColEnd): Out[j] += sum_i |A(i, j)| accumulated in
-  /// double, ascending-row order per column.
-  void (*AbsColumnSumsColsF)(const MatrixF &A, double *Out, size_t ColBegin,
-                             size_t ColEnd);
 };
 
 /// The portable scalar backend (always available; the historical
@@ -118,15 +103,6 @@ const SimdOps *avx2Ops();
 
 /// The table for the currently selected SimdLevel.
 const SimdOps &activeOps();
-
-/// Scalar float32 shard bodies, shared with backends that do not provide
-/// their own float variants (defined in KernelsF32.cpp).
-void mmtRowsFScalar(const MatrixF &A, const MatrixF &B, MatrixF &C,
-                    size_t RowOffset, size_t Begin, size_t End);
-void scaleColumnsRowsFScalar(MatrixF &A, const Vector &Scale, size_t Begin,
-                             size_t End);
-void absColumnSumsColsFScalar(const MatrixF &A, double *Out, size_t ColBegin,
-                              size_t ColEnd);
 
 } // namespace detail
 } // namespace kernels

@@ -145,8 +145,7 @@ SearchEngine::expandNode(const RobustnessProperty &Prop, const Box &Region,
   else
     ++E.Stats.ZonotopeChoices;
   E.Stats.DisjunctSum += Spec.Disjuncts;
-  AnalysisResult Analysis =
-      analyzeRobustness(Net, Region, K, Spec, Budget, Config.Precision);
+  AnalysisResult Analysis = analyzeRobustness(Net, Region, K, Spec, Budget);
   if (Analysis.TimedOut) {
     // The deadline cut the analysis short: discard the whole expansion so
     // the node stays open (and uncounted) in the checkpoint, and a resumed

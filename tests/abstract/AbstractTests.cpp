@@ -2,8 +2,8 @@
 
 #include "abstract/Analyzer.h"
 #include "abstract/IntervalElement.h"
+#include "abstract/LinearBoundsElement.h"
 #include "abstract/PowersetElement.h"
-#include "abstract/SymbolicIntervalElement.h"
 #include "abstract/ZonotopeElement.h"
 #include "nn/Builder.h"
 #include "nn/Dense.h"
@@ -251,11 +251,13 @@ TEST(PowersetTest, TighterThanPlainZonotope) {
 }
 
 //===----------------------------------------------------------------------===//
-// SymbolicIntervalElement (ReluVal's domain)
+// LinearBoundsElement, Concretize relaxation (ReluVal's symbolic intervals)
 //===----------------------------------------------------------------------===//
 
+constexpr auto Concretize = LinearBoundsElement::ReluRelaxation::Concretize;
+
 TEST(SymbolicIntervalTest, ExactOnAffineNetworks) {
-  SymbolicIntervalElement S(Box::uniform(2, -1.0, 1.0));
+  LinearBoundsElement S(Box::uniform(2, -1.0, 1.0), Concretize);
   S.applyAffine(Matrix{{1.0, 1.0}, {1.0, -1.0}}, Vector{0.0, 0.0});
   // Like zonotopes, symbolic intervals keep input correlations exactly
   // through affine layers: y0 - y1 = 2 x1 in [-2, 2].
@@ -265,7 +267,7 @@ TEST(SymbolicIntervalTest, ExactOnAffineNetworks) {
 }
 
 TEST(SymbolicIntervalTest, ReluStableKeepsSymbolic) {
-  SymbolicIntervalElement S(Box(Vector{1.0, -3.0}, Vector{2.0, -1.0}));
+  LinearBoundsElement S(Box(Vector{1.0, -3.0}, Vector{2.0, -1.0}), Concretize);
   S.applyRelu();
   EXPECT_DOUBLE_EQ(S.lowerBound(0), 1.0);
   EXPECT_DOUBLE_EQ(S.upperBound(0), 2.0);
@@ -274,14 +276,14 @@ TEST(SymbolicIntervalTest, ReluStableKeepsSymbolic) {
 }
 
 TEST(SymbolicIntervalTest, ReluUnstableConcretizes) {
-  SymbolicIntervalElement S(Box(Vector{-1.0}, Vector{1.0}));
+  LinearBoundsElement S(Box(Vector{-1.0}, Vector{1.0}), Concretize);
   S.applyRelu();
   EXPECT_DOUBLE_EQ(S.lowerBound(0), 0.0);
   EXPECT_GE(S.upperBound(0), 1.0);
 }
 
 TEST(SymbolicIntervalTest, SmearScalesWithInfluence) {
-  SymbolicIntervalElement S(Box::uniform(2, 0.0, 1.0));
+  LinearBoundsElement S(Box::uniform(2, 0.0, 1.0), Concretize);
   S.applyAffine(Matrix{{5.0, 0.1}}, Vector{0.0});
   EXPECT_GT(S.smear(0), S.smear(1));
 }

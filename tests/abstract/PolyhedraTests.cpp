@@ -2,8 +2,7 @@
 
 #include "abstract/Analyzer.h"
 #include "abstract/IntervalElement.h"
-#include "abstract/PolyhedraElement.h"
-#include "abstract/SymbolicIntervalElement.h"
+#include "abstract/LinearBoundsElement.h"
 #include "nn/Builder.h"
 #include "support/Random.h"
 
@@ -13,8 +12,12 @@
 
 using namespace charon;
 
+namespace {
+constexpr auto Triangle = LinearBoundsElement::ReluRelaxation::Triangle;
+} // namespace
+
 TEST(PolyhedraTest, ExactOnAffineNetworks) {
-  PolyhedraElement P(Box::uniform(2, -1.0, 1.0));
+  LinearBoundsElement P(Box::uniform(2, -1.0, 1.0), Triangle);
   P.applyAffine(Matrix{{1.0, 1.0}, {1.0, -1.0}}, Vector{0.0, 0.0});
   // Relational: y0 - y1 = 2 x1 in [-2, 2], exactly.
   EXPECT_DOUBLE_EQ(P.lowerBoundDiff(0, 1), -2.0);
@@ -23,7 +26,7 @@ TEST(PolyhedraTest, ExactOnAffineNetworks) {
 }
 
 TEST(PolyhedraTest, ReluStableCases) {
-  PolyhedraElement P(Box(Vector{1.0, -3.0}, Vector{2.0, -1.0}));
+  LinearBoundsElement P(Box(Vector{1.0, -3.0}, Vector{2.0, -1.0}), Triangle);
   P.applyRelu();
   EXPECT_DOUBLE_EQ(P.lowerBound(0), 1.0);
   EXPECT_DOUBLE_EQ(P.upperBound(0), 2.0);
@@ -34,7 +37,7 @@ TEST(PolyhedraTest, ReluStableCases) {
 TEST(PolyhedraTest, CrossingReluRelaxationIsTriangleTight) {
   // Crossing neuron with [l, u] = [-1, 3]: upper line y = 0.75 (x + 1)
   // hits (u, u) exactly, lower is clamped to 0.
-  PolyhedraElement P(Box(Vector{-1.0}, Vector{3.0}));
+  LinearBoundsElement P(Box(Vector{-1.0}, Vector{3.0}), Triangle);
   P.applyRelu();
   EXPECT_GE(P.upperBound(0), 3.0);
   EXPECT_LE(P.upperBound(0), 3.0 + 1e-12); // upper line hits (u, u)
@@ -45,7 +48,7 @@ TEST(PolyhedraTest, CrossingReluUpperStaysRelational) {
   // After the ReLU, the upper bound must still depend on the input (the
   // whole point of the domain): feeding the neuron into y = -x + const
   // keeps the correlation that a concretizing domain would lose.
-  PolyhedraElement P(Box(Vector{-3.0}, Vector{1.0}));
+  LinearBoundsElement P(Box(Vector{-3.0}, Vector{1.0}), Triangle);
   P.applyRelu();
   P.applyAffine(Matrix{{-1.0}}, Vector{0.0});
   // y = -relu(x): exact range [-1, 0]; relational tracking keeps the lower
@@ -61,7 +64,7 @@ TEST(PolyhedraTest, SoundOnRandomNetworks) {
   for (int T = 0; T < 4; ++T) {
     Network Net = makeMlp(3, {8, 8}, 3, NetRng);
     Box Region = Box::uniform(3, -0.4, 0.4);
-    PolyhedraElement P(Region);
+    LinearBoundsElement P(Region, Triangle);
     propagate(Net, P);
     for (int S = 0; S < 300; ++S) {
       Vector Y = Net.evaluate(Region.sample(SampleRng));
@@ -114,7 +117,7 @@ TEST(PolyhedraTest, VerifiesExample23) {
 TEST(PolyhedraTest, PointRegionIsExact) {
   Network Net = testing_nets::makeXorNetwork();
   Vector X{0.6, 0.4};
-  PolyhedraElement P(Box(X, X));
+  LinearBoundsElement P(Box(X, X), Triangle);
   propagate(Net, P);
   Vector Y = Net.evaluate(X);
   for (size_t O = 0; O < Y.size(); ++O) {
@@ -131,7 +134,7 @@ TEST(PolyhedraTest, MaxPoolFallbackIsSound) {
   for (size_t I = 0; I < Center.size(); ++I)
     Center[I] = SampleRng.uniform(0.3, 0.7);
   Box Region = Box::linfBall(Center, 0.02, 0.0, 1.0);
-  PolyhedraElement P(Region);
+  LinearBoundsElement P(Region, Triangle);
   propagate(Net, P);
   for (int S = 0; S < 100; ++S) {
     Vector Y = Net.evaluate(Region.sample(SampleRng));

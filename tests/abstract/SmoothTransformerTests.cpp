@@ -3,15 +3,15 @@
 // Part of the Charon reproduction of "Optimization and Abstraction" (PLDI'19).
 //
 // Sampled-concrete-containment sweep for the layer-zoo transformers: every
-// abstract domain, at both kernel precisions, must bound the concrete
-// outputs of networks using sigmoid/tanh activations, average pooling,
-// flatten, and residual (identity-skip) blocks. The sweep runs through
-// propagate() so it exercises exactly the code path the verifier uses
-// (including the cached residual plan in the analyzer), not a per-layer
-// shortcut. On top of containment, the end-to-end pieces of the delta-
-// decision procedure are pinned on smooth nets: PGD returns delta-valid
-// counterexamples, and CEGAR (which cannot abstract non-ReLU networks)
-// falls back inline with a verdict bit-identical to the direct search.
+// abstract domain must bound the concrete outputs of networks using
+// sigmoid/tanh activations, average pooling, flatten, and residual
+// (identity-skip) blocks. The sweep runs through propagate() so it
+// exercises exactly the code path the verifier uses (including the cached
+// residual plan in the analyzer), not a per-layer shortcut. On top of
+// containment, the end-to-end pieces of the delta-decision procedure are
+// pinned on smooth nets: PGD returns delta-valid counterexamples, and CEGAR
+// (which cannot abstract non-ReLU networks) falls back inline with a
+// verdict bit-identical to the direct search.
 //
 //===----------------------------------------------------------------------===//
 
@@ -127,13 +127,12 @@ const DomainSpec AllDomains[] = {
 };
 
 class SmoothSweepTest
-    : public ::testing::TestWithParam<
-          std::tuple<NetCase, DomainSpec, KernelPrecision>> {};
+    : public ::testing::TestWithParam<std::tuple<NetCase, DomainSpec>> {};
 
 } // namespace
 
 TEST_P(SmoothSweepTest, ConcreteOutputsAreContained) {
-  const auto &[Case, Spec, Precision] = GetParam();
+  const auto &[Case, Spec] = GetParam();
   for (uint64_t Seed : {11ull, 12ull}) {
     Network Net = Case.Make(Seed);
     Rng R(Seed * 31 + 5);
@@ -143,7 +142,7 @@ TEST_P(SmoothSweepTest, ConcreteOutputsAreContained) {
         Center[I] = R.uniform(-0.6, 0.6);
       Box Region = Box::linfBall(Center, R.uniform(0.02, 0.3), -1.0, 1.0);
 
-      auto Elem = makeElement(Region, Spec, Precision);
+      auto Elem = makeElement(Region, Spec);
       ASSERT_TRUE(propagate(Net, *Elem));
 
       for (int S = 0; S < 400; ++S) {
@@ -161,10 +160,10 @@ TEST_P(SmoothSweepTest, ConcreteOutputsAreContained) {
 }
 
 TEST_P(SmoothSweepTest, BoundsAreFiniteAndOrdered) {
-  const auto &[Case, Spec, Precision] = GetParam();
+  const auto &[Case, Spec] = GetParam();
   Network Net = Case.Make(42);
   Box Region = Box::uniform(Net.inputSize(), -0.5, 0.5);
-  auto Elem = makeElement(Region, Spec, Precision);
+  auto Elem = makeElement(Region, Spec);
   ASSERT_TRUE(propagate(Net, *Elem));
   for (size_t O = 0; O < Net.outputSize(); ++O) {
     EXPECT_TRUE(std::isfinite(Elem->lowerBound(O))) << Case.Name;
@@ -176,15 +175,10 @@ TEST_P(SmoothSweepTest, BoundsAreFiniteAndOrdered) {
 INSTANTIATE_TEST_SUITE_P(
     ZooNetsAndDomains, SmoothSweepTest,
     ::testing::Combine(::testing::ValuesIn(NetCases),
-                       ::testing::ValuesIn(AllDomains),
-                       ::testing::Values(KernelPrecision::Double,
-                                         KernelPrecision::Float32)),
-    [](const ::testing::TestParamInfo<
-        std::tuple<NetCase, DomainSpec, KernelPrecision>> &Info) {
+                       ::testing::ValuesIn(AllDomains)),
+    [](const ::testing::TestParamInfo<std::tuple<NetCase, DomainSpec>> &Info) {
       std::string Name = std::get<0>(Info.param).Name;
       Name += "_" + toString(std::get<1>(Info.param));
-      Name += std::get<2>(Info.param) == KernelPrecision::Float32 ? "_f32"
-                                                                  : "_f64";
       for (char &C : Name)
         if (C == '^')
           C = '_';
@@ -283,18 +277,12 @@ TEST(SmoothVerifierTest, CegarFallsBackInlineWithIdenticalVerdict) {
   }
 }
 
-TEST(SmoothVerifierTest, SmoothNetVerifiesUnderBothPrecisions) {
+TEST(SmoothVerifierTest, SmoothNetVerifies) {
   // A robust property on a smooth net should be provable through the
-  // relaxation transformers, and the float32 mode must stay sound (it may
-  // only widen margins, never flip a verdict to an unsound Verified).
+  // relaxation transformers.
   Network Net = smoothMlp(ActivationKind::Sigmoid, 31);
   RobustnessProperty Prop = likelyRobustProperty(Net);
-  for (KernelPrecision P :
-       {KernelPrecision::Double, KernelPrecision::Float32}) {
-    VerifierConfig Config = smoothConfig();
-    Config.Precision = P;
-    VerifyResult R = Verifier(Net, VerificationPolicy(), Config).verify(Prop);
-    EXPECT_EQ(R.Result, Outcome::Verified)
-        << (P == KernelPrecision::Float32 ? "float32" : "double");
-  }
+  VerifyResult R =
+      Verifier(Net, VerificationPolicy(), smoothConfig()).verify(Prop);
+  EXPECT_EQ(R.Result, Outcome::Verified);
 }

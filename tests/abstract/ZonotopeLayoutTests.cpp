@@ -11,18 +11,10 @@
 // forcing every kernel onto the thread pool is bit-identical to the serial
 // path at each level.
 //
-// The float32 mode (KernelPrecision::Float32) never promises agreement with
-// the reference — it promises *containment*: its outward-rounded pads must
-// make every bound at least as wide as the exact double bound. The tests at
-// the bottom pin that dominance on randomized stacks, check the pads stay
-// within a sane factor of the double bounds, and prove the check can fire by
-// flipping the rounding direction inward (the simulated unsound mode).
-//
 //===----------------------------------------------------------------------===//
 
 #include "abstract/ZonotopeElement.h"
 #include "linalg/Kernels.h"
-#include "linalg/KernelsF32.h"
 #include "linalg/SimdDispatch.h"
 #include "support/Random.h"
 
@@ -315,16 +307,6 @@ private:
   kernels::SimdLevel Saved;
 };
 
-/// Restores the float32 error direction when a test scope ends.
-class ErrDirGuard {
-public:
-  ErrDirGuard() : Saved(kernels::float32ErrDir()) {}
-  ~ErrDirGuard() { kernels::setFloat32ErrDirForTest(Saved); }
-
-private:
-  double Saved;
-};
-
 /// Runs \p Body once per available SIMD level with that level active.
 template <typename Fn> void forEachSimdLevel(Fn Body) {
   SimdGuard Guard;
@@ -484,8 +466,8 @@ TEST(ZonotopeLayoutTest, ForcedThreadingIsBitIdentical) {
     Bs.push_back(randomBias(Sizes[L + 1], R));
   }
 
-  auto Propagate = [&](KernelPrecision P) {
-    ZonotopeElement Z(In, P);
+  auto Propagate = [&] {
+    ZonotopeElement Z(In);
     for (size_t L = 0; L < Ws.size(); ++L) {
       Z.applyAffine(Ws[L], Bs[L]);
       if (L + 1 < Ws.size())
@@ -500,141 +482,14 @@ TEST(ZonotopeLayoutTest, ForcedThreadingIsBitIdentical) {
   };
 
   forEachSimdLevel([&] {
-    for (KernelPrecision P : {KernelPrecision::Double,
-                              KernelPrecision::Float32}) {
-      SCOPED_TRACE(toString(P));
-      size_t Saved = kernels::parallelThreshold();
-      kernels::setParallelThreshold(size_t(1) << 40);
-      Vector Serial = Propagate(P);
-      kernels::setParallelThreshold(0);
-      Vector Threaded = Propagate(P);
-      kernels::setParallelThreshold(Saved);
+    size_t Saved = kernels::parallelThreshold();
+    kernels::setParallelThreshold(size_t(1) << 40);
+    Vector Serial = Propagate();
+    kernels::setParallelThreshold(0);
+    Vector Threaded = Propagate();
+    kernels::setParallelThreshold(Saved);
 
-      for (size_t I = 0; I < Serial.size(); ++I)
-        ASSERT_EQ(Serial[I], Threaded[I]) << "entry " << I;
-    }
+    for (size_t I = 0; I < Serial.size(); ++I)
+      ASSERT_EQ(Serial[I], Threaded[I]) << "entry " << I;
   });
-}
-
-//===----------------------------------------------------------------------===//
-// Float32 mode: containment instead of agreement
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Drives a double and a float32 element through the same layer stack and
-/// asserts, after every layer, that the float32 interval contains the double
-/// interval (dominance — the soundness invariant) while staying within a
-/// sane width of it (the pads must not be garbage-loose). Returns true iff
-/// dominance held everywhere, so the inward-flip test can assert failure.
-bool float32DominatesDouble(uint64_t Seed, bool ExpectDominance) {
-  Rng R(Seed);
-  const size_t Sizes[] = {6, 40, 40, 6};
-  Box In = randomInputBox(Sizes[0], R);
-  ZonotopeElement Zd(In, KernelPrecision::Double);
-  ZonotopeElement Zf(In, KernelPrecision::Float32);
-  EXPECT_EQ(Zf.precision(), KernelPrecision::Float32);
-
-  bool Dominates = true;
-  auto CheckLayer = [&]() {
-    for (size_t I = 0; I < Zd.dim(); ++I) {
-      double Lo = Zd.lowerBound(I), Hi = Zd.upperBound(I);
-      // The double bounds sit within ordinary rounding of the exact-real
-      // bounds; the float pads are orders of magnitude above that, so
-      // dominance must hold with this tiny slack to spare.
-      double Slack = 1e-10 * (1.0 + std::max(std::fabs(Lo), std::fabs(Hi)));
-      bool Ok = Zf.lowerBound(I) <= Lo + Slack && Zf.upperBound(I) >= Hi - Slack;
-      Dominates = Dominates && Ok;
-      if (ExpectDominance) {
-        EXPECT_LE(Zf.lowerBound(I), Lo + Slack) << "dim " << I;
-        EXPECT_GE(Zf.upperBound(I), Hi - Slack) << "dim " << I;
-        // Not garbage-loose either: float32 noise on O(1) values.
-        EXPECT_NEAR(Zf.lowerBound(I), Lo, 1e-3) << "dim " << I;
-        EXPECT_NEAR(Zf.upperBound(I), Hi, 1e-3) << "dim " << I;
-      }
-    }
-  };
-
-  for (size_t L = 0; L + 1 < std::size(Sizes); ++L) {
-    Matrix W = randomWeights(Sizes[L + 1], Sizes[L], R);
-    Vector B = randomBias(Sizes[L + 1], R);
-    Zd.applyAffine(W, B);
-    Zf.applyAffine(W, B);
-    CheckLayer();
-    if (L + 2 < std::size(Sizes)) {
-      Zd.applyRelu();
-      Zf.applyRelu();
-      CheckLayer();
-    }
-  }
-
-  // The verdict-carrying query: the float32 margin must never exceed the
-  // double margin (a wider abstraction can only lose precision).
-  for (size_t K = 0; K < Zd.dim(); ++K)
-    for (size_t J = 0; J < Zd.dim(); ++J) {
-      if (K == J)
-        continue;
-      double Dd = Zd.lowerBoundDiff(K, J);
-      double Df = Zf.lowerBoundDiff(K, J);
-      double Slack = 1e-10 * (1.0 + std::fabs(Dd));
-      Dominates = Dominates && Df <= Dd + Slack;
-      if (ExpectDominance)
-        EXPECT_LE(Df, Dd + Slack) << "margin (" << K << ", " << J << ")";
-    }
-  return Dominates;
-}
-
-} // namespace
-
-TEST(ZonotopeFloat32Test, OutwardRoundedBoundsDominateDouble) {
-  forEachSimdLevel([&] {
-    for (uint64_t Seed : {7u, 19u, 23u, 57u})
-      float32DominatesDouble(Seed, /*ExpectDominance=*/true);
-  });
-}
-
-TEST(ZonotopeFloat32Test, MaxPoolKeepsDominance) {
-  forEachSimdLevel([&] {
-    Rng R(131);
-    Box In = randomInputBox(16, R);
-    ZonotopeElement Zd(In, KernelPrecision::Double);
-    ZonotopeElement Zf(In, KernelPrecision::Float32);
-    Matrix W = randomWeights(16, 16, R);
-    Vector B = randomBias(16, R);
-    Zd.applyAffine(W, B);
-    Zf.applyAffine(W, B);
-    Zd.applyRelu();
-    Zf.applyRelu();
-
-    // Overlapping windows force the sparse prefix to materialize in both
-    // modes (the float mode folds the conversion error into its pad).
-    PoolSpec Spec;
-    Spec.PoolIndices.push_back({0, 1, 2});
-    Spec.PoolIndices.push_back({1, 2, 3});
-    Spec.PoolIndices.push_back({4, 5});
-    Spec.PoolIndices.push_back({6, 7, 8, 9});
-    Zd.applyMaxPool(Spec);
-    Zf.applyMaxPool(Spec);
-    ASSERT_EQ(Zf.dim(), Zd.dim());
-    for (size_t I = 0; I < Zd.dim(); ++I) {
-      double Slack = 1e-10 * (1.0 + std::fabs(Zd.lowerBound(I)));
-      EXPECT_LE(Zf.lowerBound(I), Zd.lowerBound(I) + Slack) << "dim " << I;
-      EXPECT_GE(Zf.upperBound(I), Zd.upperBound(I) - Slack) << "dim " << I;
-    }
-  });
-}
-
-TEST(ZonotopeFloat32Test, InwardFlipBreaksDominance) {
-  // With the error direction flipped every pad term shrinks the radius: the
-  // float32 bounds land strictly inside the double bounds somewhere, which
-  // is exactly the unsoundness the dominance check (and the fuzz oracle
-  // built on it) must detect. This proves the check is not vacuous.
-  ErrDirGuard Guard;
-  kernels::setFloat32ErrDirForTest(-1.0);
-  bool AnyViolation = false;
-  for (uint64_t Seed : {7u, 19u, 23u, 57u})
-    AnyViolation =
-        AnyViolation || !float32DominatesDouble(Seed, /*ExpectDominance=*/false);
-  EXPECT_TRUE(AnyViolation)
-      << "inward-rounded float32 bounds still dominated double everywhere";
 }

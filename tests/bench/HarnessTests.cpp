@@ -160,17 +160,11 @@ TEST(HarnessTest, MicroDomainJsonHasTrackedFields) {
 
 TEST(HarnessTest, DefaultMicroDomainCasesAreDistinctlyNamed) {
   std::set<std::string> Names;
-  bool SawFloat32 = false;
-  for (const MicroDomainCase &Case : defaultMicroDomainCases()) {
+  for (const MicroDomainCase &Case : defaultMicroDomainCases())
     EXPECT_TRUE(Names.insert(Case.Name).second) << Case.Name;
-    SawFloat32 |= Case.Precision == KernelPrecision::Float32;
-  }
   EXPECT_GE(Names.size(), 5u);
-  // The tracked set keeps float32 twins next to their double cases so the
-  // low-precision mode's speed/width trade stays visible in the trajectory.
-  EXPECT_TRUE(SawFloat32);
-  // And at least one smooth-activation case tracks the relaxation
-  // transformers' cost next to the ReLU case split.
+  // At least one smooth-activation case tracks the relaxation transformers'
+  // cost next to the ReLU case split.
   bool SawSmooth = false;
   for (const MicroDomainCase &Case : defaultMicroDomainCases())
     SawSmooth |= Case.Act != ActivationKind::Relu;

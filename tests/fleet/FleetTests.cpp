@@ -71,7 +71,6 @@ TEST(FleetProtocolTest, RunCommandRoundTrips) {
   Spec.UseCexSearch = false;
   Spec.Seed = 0xffffffffffffffffull;
   Spec.Order = "best-first";
-  Spec.Precision = "float32";
   Spec.CheckpointText = "charon-checkpoint 1\nline two\n";
 
   std::string Err;
@@ -94,7 +93,6 @@ TEST(FleetProtocolTest, RunCommandRoundTrips) {
   EXPECT_EQ(R.UseCexSearch, Spec.UseCexSearch);
   EXPECT_EQ(R.Seed, Spec.Seed);
   EXPECT_EQ(R.Order, Spec.Order);
-  EXPECT_EQ(R.Precision, Spec.Precision);
   EXPECT_EQ(R.CheckpointText, Spec.CheckpointText);
 }
 
@@ -166,6 +164,17 @@ TEST(FleetProtocolTest, MalformedLinesReportAReason) {
   EXPECT_FALSE(parseCommandLine("{\"no_cmd\":1}", &Err).has_value());
   EXPECT_FALSE(parseEventLine("{\"event\":\"???\"}", &Err).has_value());
   EXPECT_FALSE(parseEventLine("{", &Err).has_value());
+  // Float32 mode is gone: a run asking for it must be refused, never run
+  // silently in double.
+  RunSpec Spec;
+  Spec.Lower = {0.0};
+  Spec.Upper = {1.0};
+  Spec.CheckpointText = "charon-checkpoint 1\n";
+  std::string Run = formatRunCommand(Spec);
+  ASSERT_TRUE(parseCommandLine(Run, &Err).has_value()) << Err;
+  Run.insert(Run.size() - 1, ",\"precision\":\"float32\"");
+  EXPECT_FALSE(parseCommandLine(Run, &Err).has_value());
+  EXPECT_EQ(Err, "unknown or mistyped run key: precision");
 }
 
 TEST(FleetProtocolTest, ConfigTransportability) {
@@ -177,7 +186,7 @@ TEST(FleetProtocolTest, ConfigTransportability) {
   Tuned.Seed = 99;
   Tuned.Optimizer = CexSearchKind::Fgsm;
   Tuned.SearchOrder = FrontierOrder::BestFirst;
-  Tuned.Precision = KernelPrecision::Float32;
+  Tuned.Pgd.StepScale = 0.45;
   EXPECT_TRUE(configTransportable(Tuned));
 
   VerifierConfig Traced;

@@ -183,32 +183,6 @@ TEST(OracleTest, InjectedBugIsCaught) {
   EXPECT_EQ(V.front().Oracle, "containment:Interval");
 }
 
-TEST(OracleTest, Float32InjectedBugIsCaught) {
-  // The float32 leg of the containment oracle is deterministic dominance,
-  // not sampling: an injection far below what any sampled concrete point
-  // could expose (1e-9, under the 1e-7 oracle tolerance) must still fire,
-  // because any positive injection flips the float32 rounding direction
-  // inward and the inward-rounded bounds land strictly inside the double
-  // bounds.
-  Rng WeightR(31);
-  Network Net = makeMlp(4, {12, 10, 8}, 5, WeightR);
-  Box Region = Box::uniform(4, 0.1, 0.6);
-
-  OracleConfig Clean;
-  Rng R1(5);
-  EXPECT_TRUE(
-      checkContainment(Net, Region, {BaseDomainKind::Zonotope, 1}, Clean, R1)
-          .empty());
-
-  OracleConfig Buggy;
-  Buggy.InjectTighten = 1e-9;
-  Rng R2(5);
-  std::vector<OracleViolation> V =
-      checkContainment(Net, Region, {BaseDomainKind::Zonotope, 1}, Buggy, R2);
-  ASSERT_FALSE(V.empty());
-  EXPECT_EQ(V.front().Oracle, "float32-dominance:Zonotope");
-}
-
 TEST(OracleTest, CegarSoundnessCleanOnDenseNetworks) {
   OracleConfig Cfg;
   Rng WeightR(41);

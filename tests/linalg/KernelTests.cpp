@@ -10,11 +10,7 @@
 //    absColumnSums are bit-identical across *all* levels;
 //  - reductions (matMul, matMulTransposed, absRowSums) may regroup their
 //    accumulation under AVX2/FMA, but stay bit-identical across thread
-//    counts *within* a level and within a small tolerance of the reference;
-//  - the float32 kernels (linalg/KernelsF32.h) stay within the closed-form
-//    error bounds the zonotope float mode folds into its pad, and the
-//    outward-rounding helpers really round outward (and flip inward under
-//    the test-only direction override).
+//    counts *within* a level and within a small tolerance of the reference.
 //
 // Each product/sweep case runs both below and above the parallel threshold
 // (setParallelThreshold(0) forces every kernel onto the thread pool), on
@@ -23,7 +19,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "linalg/Kernels.h"
-#include "linalg/KernelsF32.h"
 #include "linalg/Matrix.h"
 #include "linalg/SimdDispatch.h"
 #include "support/Random.h"
@@ -103,14 +98,6 @@ void expectValueEqual(const Vector &Got, const Vector &Want) {
     ASSERT_EQ(Got[I], Want[I]) << "at " << I;
 }
 
-void expectValueEqualF(const MatrixF &Got, const MatrixF &Want) {
-  ASSERT_EQ(Got.rows(), Want.rows());
-  ASSERT_EQ(Got.cols(), Want.cols());
-  for (size_t I = 0; I < Got.rows(); ++I)
-    for (size_t J = 0; J < Got.cols(); ++J)
-      ASSERT_EQ(Got(I, J), Want(I, J)) << "at (" << I << ", " << J << ")";
-}
-
 // Reductions regroup their accumulation under AVX2/FMA: compare against the
 // naive reference with a relative tolerance far above double noise but far
 // below any real defect.
@@ -151,16 +138,6 @@ private:
   kernels::SimdLevel Saved;
 };
 
-/// Restores the float32 error direction when a test scope ends.
-class ErrDirGuard {
-public:
-  ErrDirGuard() : Saved(kernels::float32ErrDir()) {}
-  ~ErrDirGuard() { kernels::setFloat32ErrDirForTest(Saved); }
-
-private:
-  double Saved;
-};
-
 /// Runs \p Body once per available SIMD level with that level active, under
 /// a SCOPED_TRACE naming the level.
 template <typename Fn> void forEachSimdLevel(Fn Body) {
@@ -193,7 +170,6 @@ TEST(KernelTest, DispatchLevelsRoundTrip) {
   EXPECT_STREQ(kernels::simdLevelName(kernels::SimdLevel::Scalar), "scalar");
   EXPECT_STREQ(kernels::simdLevelName(kernels::SimdLevel::Avx2), "avx2");
   EXPECT_STREQ(toString(KernelPrecision::Double), "double");
-  EXPECT_STREQ(toString(KernelPrecision::Float32), "float32");
   for (kernels::SimdLevel L : Levels) {
     ASSERT_TRUE(kernels::setSimdLevel(L));
     EXPECT_EQ(kernels::simdLevel(), L);
@@ -453,169 +429,4 @@ TEST(KernelTest, ThresholdRoundTrips) {
   kernels::setParallelThreshold(12345);
   EXPECT_EQ(kernels::parallelThreshold(), 12345u);
   EXPECT_GE(kernels::kernelThreads(), 1u);
-}
-
-//===----------------------------------------------------------------------===//
-// Float32 kernels and the outward-rounding error model
-//===----------------------------------------------------------------------===//
-
-TEST(KernelF32Test, RoundTripConversions) {
-  Rng R(901);
-  Matrix A = randomMatrix(5, 17, R);
-  MatrixF F = kernels::toFloat32(A);
-  ASSERT_EQ(F.rows(), A.rows());
-  ASSERT_EQ(F.cols(), A.cols());
-  for (size_t I = 0; I < A.rows(); ++I)
-    for (size_t J = 0; J < A.cols(); ++J)
-      ASSERT_EQ(F(I, J), static_cast<float>(A(I, J)));
-  Matrix D = kernels::toDouble(F); // float -> double is exact.
-  for (size_t I = 0; I < A.rows(); ++I)
-    for (size_t J = 0; J < A.cols(); ++J)
-      ASSERT_EQ(D(I, J), static_cast<double>(F(I, J)));
-}
-
-TEST(KernelF32Test, MatMulTransposedFStaysWithinGammaBound) {
-  Rng R(902);
-  for (const Shape &S : ProductShapes) {
-    MatrixF A = kernels::toFloat32(randomMatrix(S.M, S.K, R));
-    MatrixF B = kernels::toFloat32(randomMatrix(S.N, S.K, R));
-    // Exact double reference over the widened float operands, plus the
-    // absolute-value dot that scales the gamma bound.
-    Matrix Exact(S.M, S.N), AbsDot(S.M, S.N);
-    for (size_t I = 0; I < S.M; ++I)
-      for (size_t J = 0; J < S.N; ++J) {
-        double Sum = 0.0, Abs = 0.0;
-        for (size_t K = 0; K < S.K; ++K) {
-          double P = double(A(I, K)) * double(B(J, K));
-          Sum += P;
-          Abs += std::fabs(P);
-        }
-        Exact(I, J) = Sum;
-        AbsDot(I, J) = Abs;
-      }
-    double Gamma = kernels::float32Gamma(S.K);
-    forEachSimdLevel([&](kernels::SimdLevel) {
-      ThresholdGuard G;
-      kernels::setParallelThreshold(size_t(1) << 40);
-      MatrixF Serial(S.M, S.N);
-      kernels::matMulTransposedIntoF(A, B, Serial, 0);
-      for (size_t I = 0; I < S.M; ++I)
-        for (size_t J = 0; J < S.N; ++J)
-          ASSERT_LE(std::fabs(double(Serial(I, J)) - Exact(I, J)),
-                    Gamma * AbsDot(I, J) + 1e-30)
-              << "at (" << I << ", " << J << ")";
-      kernels::setParallelThreshold(0);
-      MatrixF Threaded(S.M, S.N);
-      kernels::matMulTransposedIntoF(A, B, Threaded, 0);
-      expectValueEqualF(Threaded, Serial); // Deterministic within a level.
-    });
-  }
-}
-
-TEST(KernelF32Test, ColumnAndRowSumsMatchDoubleAccumulation) {
-  Rng R(903);
-  Matrix Src = randomMatrix(23, 41, R, 0.2);
-  MatrixF A = kernels::toFloat32(Src);
-  Vector WantCols(A.cols()), WantRows(A.rows());
-  for (size_t I = 0; I < A.rows(); ++I)
-    for (size_t J = 0; J < A.cols(); ++J) {
-      WantCols[J] += std::fabs(double(A(I, J)));
-      WantRows[I] += std::fabs(double(A(I, J)));
-    }
-  forEachSimdLevel([&](kernels::SimdLevel) {
-    ThresholdGuard G;
-    for (size_t Threshold : {size_t(1) << 40, size_t(0)}) {
-      kernels::setParallelThreshold(Threshold);
-      expectValueEqual(kernels::absColumnSumsF(A), WantCols);
-      expectValueEqual(kernels::absRowSumsF(A), WantRows);
-    }
-  });
-}
-
-TEST(KernelF32Test, ScaleAndGatherAreExactPerEntry) {
-  Rng R(904);
-  MatrixF A = kernels::toFloat32(randomMatrix(9, 26, R));
-  Vector Scale(A.cols());
-  for (size_t J = 0; J < A.cols(); ++J)
-    Scale[J] = J % 3 == 0 ? 0.0 : R.uniform(0.0, 1.0);
-  std::vector<int> SrcCol = {-1, 3, 0, 25, 3};
-  forEachSimdLevel([&](kernels::SimdLevel) {
-    MatrixF Scaled = A;
-    kernels::scaleColumnsF(Scaled, Scale);
-    for (size_t I = 0; I < A.rows(); ++I)
-      for (size_t J = 0; J < A.cols(); ++J)
-        ASSERT_EQ(Scaled(I, J),
-                  static_cast<float>(Scale[J] * double(A(I, J))));
-    MatrixF Out(A.rows(), SrcCol.size());
-    kernels::gatherColumnsF(A, SrcCol, Out);
-    for (size_t I = 0; I < A.rows(); ++I)
-      for (size_t O = 0; O < SrcCol.size(); ++O)
-        ASSERT_EQ(Out(I, O), SrcCol[O] < 0 ? 0.0f : A(I, SrcCol[O]));
-  });
-}
-
-TEST(KernelF32Test, OneHotMatMulTracksExactConversionError) {
-  Rng R(905);
-  Matrix W = randomMatrix(7, 11, R);
-  // A magnitude with plenty of mantissa bits so the float conversion
-  // genuinely loses something.
-  std::vector<kernels::OneHot> Sparse = {{4, 1.0 / 3.0}, {10, -0.7211}};
-  MatrixF C(Sparse.size(), W.rows());
-  Vector Err(W.rows());
-  kernels::oneHotMatMulIntoF(Sparse, W, C, 0, Err);
-  Vector WantErr(W.rows());
-  for (size_t S = 0; S < Sparse.size(); ++S)
-    for (size_t J = 0; J < W.rows(); ++J) {
-      double Val = Sparse[S].Mag * W(J, Sparse[S].Coord);
-      float F = static_cast<float>(Val);
-      ASSERT_EQ(C(S, J), F);
-      WantErr[J] += std::fabs(Val - double(F));
-    }
-  expectValueEqual(Err, WantErr);
-  bool AnyLoss = false;
-  for (size_t J = 0; J < W.rows(); ++J)
-    AnyLoss = AnyLoss || Err[J] > 0.0;
-  EXPECT_TRUE(AnyLoss) << "conversion error test vector lost no precision";
-}
-
-TEST(KernelF32Test, OutwardRoundingRoundsOutAndFlipsInward) {
-  ErrDirGuard Guard;
-  kernels::setFloat32ErrDirForTest(1.0);
-  EXPECT_GT(kernels::float32Gamma(16), 0.0);
-  EXPECT_GT(kernels::float32Eta(), 0.0);
-  EXPECT_GT(kernels::float32ScaleEps(), 0.0);
-  for (double X : {0.0, 1e-20, 0.125, 1.0, 3.75e4}) {
-    double Out = kernels::roundOut(X, 12.0);
-    EXPECT_GT(Out, X) << "X = " << X; // nextafter guarantees strict growth
-    EXPECT_LT(Out, X * (1.0 + 1e-12) + 1e-300) << "X = " << X;
-  }
-  // Flipped, every term turns inward: the simulated unsound mode the fuzz
-  // oracle must catch.
-  kernels::setFloat32ErrDirForTest(-1.0);
-  EXPECT_LT(kernels::float32Gamma(16), 0.0);
-  EXPECT_LT(kernels::float32Eta(), 0.0);
-  for (double X : {1e-20, 0.125, 1.0, 3.75e4})
-    EXPECT_LT(kernels::roundOut(X, 12.0), X) << "X = " << X;
-}
-
-TEST(KernelF32Test, AffinePadDominatesExactAbsMatVec) {
-  Rng R(906);
-  Matrix W = randomMatrix(31, 47, R);
-  Vector V(W.cols());
-  for (size_t K = 0; K < W.cols(); ++K)
-    V[K] = R.uniform(0.0, 1e-4); // Pads are small non-negative radii.
-  Vector Want(W.rows());
-  for (size_t J = 0; J < W.rows(); ++J)
-    for (size_t K = 0; K < W.cols(); ++K)
-      Want[J] += std::fabs(W(J, K)) * V[K];
-  ThresholdGuard G;
-  for (size_t Threshold : {size_t(1) << 40, size_t(0)}) {
-    kernels::setParallelThreshold(Threshold);
-    Vector Pad = kernels::float32AffinePad(W, V);
-    for (size_t J = 0; J < W.rows(); ++J) {
-      // Outward: never below the exact double value, and within a hair of it.
-      ASSERT_GE(Pad[J], Want[J]) << "at " << J;
-      ASSERT_LE(Pad[J], Want[J] * (1.0 + 1e-10) + 1e-30) << "at " << J;
-    }
-  }
 }

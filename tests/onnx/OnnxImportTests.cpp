@@ -233,8 +233,7 @@ TEST(OnnxNegativeTest, OutOfSubsetAttributesAreRejected) {
 TEST(OnnxEndToEndTest, MixedFixtureSoundInEveryDomain) {
   // The headline acceptance check: the conv/avgpool/sigmoid/residual
   // fixture imports and its abstract output bounds contain the concrete
-  // outputs in every domain at both kernel precisions — 10k sampled points
-  // per combination, 100k total.
+  // outputs in every domain — 10k sampled points per domain, 50k total.
   ImportResult R = importModelFile(fixturePath("mixed.onnx"));
   ASSERT_TRUE(R.Net.has_value()) << R.Error;
   const Network &Net = *R.Net;
@@ -253,19 +252,16 @@ TEST(OnnxEndToEndTest, MixedFixtureSoundInEveryDomain) {
   };
   Rng Sampler(2026);
   for (const DomainSpec &Spec : Domains) {
-    for (KernelPrecision P :
-         {KernelPrecision::Double, KernelPrecision::Float32}) {
-      auto Elem = makeElement(Region, Spec, P);
-      ASSERT_TRUE(propagate(Net, *Elem)) << toString(Spec);
-      for (int S = 0; S < 10000; ++S) {
-        Vector X = Region.sample(Sampler);
-        Vector Y = Net.evaluate(X);
-        for (size_t O = 0; O < Y.size(); ++O) {
-          ASSERT_GE(Y[O], Elem->lowerBound(O) - 1e-7)
-              << toString(Spec) << " output " << O;
-          ASSERT_LE(Y[O], Elem->upperBound(O) + 1e-7)
-              << toString(Spec) << " output " << O;
-        }
+    auto Elem = makeElement(Region, Spec);
+    ASSERT_TRUE(propagate(Net, *Elem)) << toString(Spec);
+    for (int S = 0; S < 10000; ++S) {
+      Vector X = Region.sample(Sampler);
+      Vector Y = Net.evaluate(X);
+      for (size_t O = 0; O < Y.size(); ++O) {
+        ASSERT_GE(Y[O], Elem->lowerBound(O) - 1e-7)
+            << toString(Spec) << " output " << O;
+        ASSERT_LE(Y[O], Elem->upperBound(O) + 1e-7)
+            << toString(Spec) << " output " << O;
       }
     }
   }

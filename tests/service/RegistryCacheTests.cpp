@@ -81,6 +81,15 @@ TEST(DigestTest, ConfigDigestSensitiveToBudgetAndSeed) {
   EXPECT_NE(digestVerifierConfig(A), digestVerifierConfig(C));
 }
 
+TEST(DigestTest, DefaultConfigDigestsArePinned) {
+  // Persisted cache logs, checkpoints and certificates are keyed by these
+  // digests, so a change to what the default config hashes orphans every
+  // one of them. Change the pins only together with a format version bump.
+  EXPECT_EQ(digestVerifierConfigSemantics(VerifierConfig{}),
+            0xaf0c6c02654d8278ull);
+  EXPECT_EQ(digestVerifierConfig(VerifierConfig{}), 0x0700656decc55078ull);
+}
+
 //===----------------------------------------------------------------------===//
 // NetworkRegistry
 //===----------------------------------------------------------------------===//

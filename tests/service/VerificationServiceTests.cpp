@@ -245,18 +245,25 @@ TEST(VerificationServiceTest, PriorityOrdersQueuedJobs) {
   NetworkId Net = Service.registry().add(makeExample23Network());
 
   // Gate the worker so every prioritized job is queued before any runs,
-  // then record execution order through each job's poll hook.
+  // then record execution order through each job's poll hook. The worker
+  // must be parked inside the blocker before the others are submitted:
+  // otherwise a worker that wakes late dequeues the highest priority job
+  // queued so far, which need not be the highest one overall.
+  std::atomic<bool> Parked{false};
   std::atomic<bool> Release{false};
   JobRequest Blocker;
   Blocker.Net = Net;
   Blocker.Prop = example23Property();
   Blocker.Config.TimeLimitSeconds = 30.0;
-  Blocker.Config.CancelRequested = [&Release] {
+  Blocker.Config.CancelRequested = [&Parked, &Release] {
+    Parked.store(true);
     while (!Release.load())
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     return false;
   };
   JobHandle Head = Service.submit(Blocker);
+  while (!Parked.load())
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
   std::mutex OrderMutex;
   std::vector<int> Order;
