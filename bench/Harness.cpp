@@ -9,9 +9,8 @@
 #include "baselines/Reluplex.h"
 #include "core/PolicyIo.h"
 #include "linalg/SimdDispatch.h"
+#include "nn/Activation.h"
 #include "nn/Builder.h"
-#include "nn/Dense.h"
-#include "nn/Relu.h"
 #include "support/Check.h"
 #include "support/Random.h"
 #include "support/Timer.h"
@@ -531,235 +530,6 @@ bool charon::bench::updateCexSearchJsonFile(
   if (!Out)
     return false;
   Out << cexSearchDocument(Lines);
-  return static_cast<bool>(Out);
-}
-
-//===----------------------------------------------------------------------===//
-// CEGAR benchmark cases
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Hidden (post-ReLU) neurons, for the original-size column.
-long benchHiddenNeurons(const Network &Net) {
-  long N = 0;
-  for (size_t I = 0; I < Net.numLayers(); ++I)
-    if (Net.layer(I).isRelu())
-      N += static_cast<long>(Net.layer(I).outputSize());
-  return N;
-}
-
-/// A width-\p Width dense ReLU net whose hidden layers carry \p Factor-fold
-/// neuron redundancy: the seeded base MLP with hidden width Width/Factor,
-/// each hidden neuron duplicated Factor times with its outgoing weights
-/// split evenly. The expanded net computes exactly the base's function, so
-/// a neuron-merging abstraction can collapse it back toward Width/Factor
-/// with little precision loss — the regime CEGAR targets.
-Network buildRedundantMlp(size_t Width, int HiddenLayers, int Factor) {
-  size_t BaseWidth = Width / static_cast<size_t>(Factor);
-  Rng R(17);
-  Network Base = makeMlp(Width, std::vector<size_t>(HiddenLayers, BaseWidth),
-                         10, R);
-  double Inv = 1.0 / static_cast<double>(Factor);
-  size_t F = static_cast<size_t>(Factor);
-
-  Network Net;
-  size_t DenseIndex = 0;
-  for (size_t L = 0; L < Base.numLayers(); ++L) {
-    const Layer &Lay = Base.layer(L);
-    if (Lay.isRelu()) {
-      Net.addLayer(std::make_unique<ReluLayer>(Lay.outputSize() * F));
-      continue;
-    }
-    auto Affine = Lay.affineForm();
-    const Matrix &W = *Affine->W;
-    const Vector &B = *Affine->B;
-    bool FirstDense = DenseIndex == 0;
-    bool LastDense = L + 1 == Base.numLayers();
-    size_t Rows = LastDense ? W.rows() : W.rows() * F;
-    size_t Cols = FirstDense ? W.cols() : W.cols() * F;
-    Matrix WE(Rows, Cols);
-    Vector BE(Rows);
-    for (size_t P = 0; P < W.rows(); ++P)
-      for (size_t Q = 0; Q < W.cols(); ++Q) {
-        double V = FirstDense ? W(P, Q) : W(P, Q) * Inv;
-        for (size_t A = 0; A < (LastDense ? 1 : F); ++A)
-          for (size_t C = 0; C < (FirstDense ? 1 : F); ++C)
-            WE(LastDense ? P : P * F + A, FirstDense ? Q : Q * F + C) = V;
-      }
-    for (size_t P = 0; P < W.rows(); ++P)
-      for (size_t A = 0; A < (LastDense ? 1 : F); ++A)
-        BE[LastDense ? P : P * F + A] = B[P];
-    Net.addLayer(std::make_unique<DenseLayer>(std::move(WE), std::move(BE)));
-    ++DenseIndex;
-  }
-  return Net;
-}
-
-} // namespace
-
-std::vector<CegarBenchCase>
-charon::bench::defaultCegarBenchCases(double BudgetSeconds) {
-  std::vector<CegarBenchCase> Cases;
-  auto AddMlp = [&](const char *Name, const char *Kind, size_t Width,
-                    double Radius) {
-    CegarBenchCase C;
-    C.Name = Name;
-    C.Kind = Kind;
-    C.Width = Width;
-    C.Radius = Radius;
-    C.BudgetSeconds = BudgetSeconds;
-    Cases.push_back(std::move(C));
-  };
-  AddMlp("cegar_mlp_w256", "dense_mlp", 256, 0.05);
-  AddMlp("cegar_mlp_w512", "dense_mlp", 512, 0.05);
-  // 8-fold duplicated hidden neurons: at MergeRatio 0.5 the gap-aware
-  // partition collapses every duplicate run exactly, leaving an abstract
-  // net half the width with (near-)zero abstraction error. The radii sit in
-  // the regime where one abstract analysis pass settles the property — at
-  // larger radii the part-split relaxation still needs case splits and the
-  // smaller net stops paying for itself (the threshold shrinks with width).
-  AddMlp("cegar_redundant_w256", "redundant_mlp", 256, 0.005);
-  AddMlp("cegar_redundant_w512", "redundant_mlp", 512, 0.002);
-  for (CegarBenchCase &C : Cases)
-    if (C.Kind == "redundant_mlp")
-      C.MergeRatio = 0.5;
-  for (size_t I = 0; I < 4; ++I) {
-    CegarBenchCase C;
-    C.Name = "cegar_acas_" + std::to_string(I);
-    C.Kind = "acas";
-    C.Width = 0;
-    C.AcasProperty = I;
-    C.BudgetSeconds = BudgetSeconds;
-    Cases.push_back(std::move(C));
-  }
-  return Cases;
-}
-
-CegarBenchResult
-charon::bench::runCegarBenchCase(const CegarBenchCase &Case, int Repeats,
-                                 const std::string &AcasCacheDir) {
-  CegarBenchResult Result;
-  Result.Case = Case;
-  Result.Repeats = std::max(1, Repeats);
-
-  Network Net;
-  RobustnessProperty Prop;
-  if (Case.Kind == "acas") {
-    BenchmarkSuite Suite = makeAcasSuite(4, 321, AcasCacheDir);
-    if (Case.AcasProperty >= Suite.Properties.size())
-      reportFatalError("cegar bench: ACAS property index out of range");
-    Net = std::move(Suite.Net);
-    Prop = Suite.Properties[Case.AcasProperty];
-  } else {
-    if (Case.Kind == "redundant_mlp") {
-      Net = buildRedundantMlp(Case.Width, Case.HiddenLayers, 8);
-    } else {
-      MicroFixture F(Case.Width, Case.HiddenLayers);
-      Net = std::move(F.Net);
-    }
-    // Same seeded-center recipe as MicroFixture, with the case's radius.
-    Rng CenterR(19);
-    Vector Center(Case.Width);
-    for (size_t I = 0; I < Case.Width; ++I)
-      Center[I] = CenterR.uniform(0.3, 0.7);
-    Prop.Region = Box::linfBall(Center, Case.Radius, 0.0, 1.0);
-    Prop.TargetClass = Net.classify(Center);
-    Prop.Name = Case.Name;
-  }
-  Result.OriginalNeurons = benchHiddenNeurons(Net);
-
-  VerificationPolicy Policy;
-  VerifierConfig DirectVC;
-  DirectVC.TimeLimitSeconds = Case.BudgetSeconds;
-  VerifierConfig CegarVC = DirectVC;
-  CegarVC.Cegar.Enabled = true;
-  CegarVC.Cegar.InitialMergeRatio = Case.MergeRatio;
-
-  VerifyResult Direct, Cegar;
-  Result.DirectSeconds = std::numeric_limits<double>::infinity();
-  Result.CegarSeconds = std::numeric_limits<double>::infinity();
-  for (int R = 0; R < Result.Repeats; ++R) {
-    {
-      Stopwatch Watch;
-      Direct = Verifier(Net, Policy, DirectVC).verify(Prop);
-      Result.DirectSeconds = std::min(Result.DirectSeconds, Watch.seconds());
-    }
-    {
-      Stopwatch Watch;
-      Cegar = Verifier(Net, Policy, CegarVC).verify(Prop);
-      Result.CegarSeconds = std::min(Result.CegarSeconds, Watch.seconds());
-    }
-    if (R == 0) {
-      Result.Rounds = Cegar.Stats.CegarRounds;
-      Result.Spurious = Cegar.Stats.CegarSpuriousCexes;
-      Result.Fallbacks = Cegar.Stats.CegarFallbacks;
-      Result.AbstractNeurons = Cegar.Stats.CegarAbstractNeurons;
-    }
-  }
-  Result.DirectOutcome = charon::toString(Direct.Result);
-  Result.CegarOutcome = charon::toString(Cegar.Result);
-
-  bool BothDecided = Direct.Result != Outcome::Timeout &&
-                     Cegar.Result != Outcome::Timeout;
-  Result.Agree = !BothDecided || Direct.Result == Cegar.Result;
-  if (BothDecided && Direct.Result != Cegar.Result) {
-    // Delta-completeness legally permits a Verified/Falsified split only
-    // when the falsifying side's witness sits in the (0, delta] band; a
-    // strictly violating witness against a Verified verdict is a soundness
-    // bug, and timing an unsound engine would be meaningless.
-    const VerifyResult &Fals =
-        Direct.Result == Outcome::Falsified ? Direct : Cegar;
-    if (Net.objective(Fals.Counterexample, Prop.TargetClass) <= 0.0)
-      reportFatalError("cegar bench: direct and abstract-first verdicts "
-                       "contradict with a true counterexample");
-  }
-  return Result;
-}
-
-std::string
-charon::bench::cegarBenchJson(const std::vector<CegarBenchResult> &Results) {
-  std::ostringstream Os;
-  Os << "{\n  \"schema\": \"charon-bench-cegar/1\",\n  \"cases\": [";
-  for (size_t I = 0; I < Results.size(); ++I) {
-    const CegarBenchResult &R = Results[I];
-    Os << (I == 0 ? "\n" : ",\n");
-    Os << "    {\"name\": \"" << R.Case.Name << "\", \"kind\": \""
-       << R.Case.Kind << "\", \"width\": " << R.Case.Width
-       << ", \"hidden_layers\": " << R.Case.HiddenLayers
-       << ", \"radius\": ";
-    appendJsonDouble(Os, R.Case.Radius);
-    Os << ", \"budget_seconds\": ";
-    appendJsonDouble(Os, R.Case.BudgetSeconds);
-    Os << ", \"merge_ratio\": ";
-    appendJsonDouble(Os, R.Case.MergeRatio);
-    Os << ", \"direct_outcome\": \"" << R.DirectOutcome
-       << "\", \"cegar_outcome\": \"" << R.CegarOutcome
-       << "\", \"direct_seconds\": ";
-    appendJsonDouble(Os, R.DirectSeconds);
-    Os << ", \"cegar_seconds\": ";
-    appendJsonDouble(Os, R.CegarSeconds);
-    Os << ", \"speedup\": ";
-    appendJsonDouble(Os, R.CegarSeconds > 0.0
-                             ? R.DirectSeconds / R.CegarSeconds
-                             : 0.0);
-    Os << ", \"rounds\": " << R.Rounds << ", \"spurious\": " << R.Spurious
-       << ", \"fallbacks\": " << R.Fallbacks
-       << ", \"abstract_neurons\": " << R.AbstractNeurons
-       << ", \"original_neurons\": " << R.OriginalNeurons
-       << ", \"agree\": " << (R.Agree ? "true" : "false")
-       << ", \"repeats\": " << R.Repeats << "}";
-  }
-  Os << "\n  ]\n}\n";
-  return Os.str();
-}
-
-bool charon::bench::writeCegarBenchJsonFile(
-    const std::string &Path, const std::vector<CegarBenchResult> &Results) {
-  std::ofstream Out(Path);
-  if (!Out)
-    return false;
-  Out << cegarBenchJson(Results);
   return static_cast<bool>(Out);
 }
 

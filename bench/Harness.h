@@ -229,74 +229,6 @@ bool updateCexSearchJsonFile(const std::string &Path,
                              const std::vector<CexSearchResult> &Results);
 
 //===----------------------------------------------------------------------===//
-// CEGAR benchmark cases (BENCH_cegar.json)
-//===----------------------------------------------------------------------===//
-
-/// One tracked abstract-first-vs-direct verification case.
-///  - "dense_mlp": an L-inf ball around the seeded micro-fixture MLP's
-///    center (the same (width, layers) fixture family as the micro-domain
-///    trajectory). Unstructured random weights: the regime where merging
-///    has nothing to exploit, tracked to bound the CEGAR overhead.
-///  - "redundant_mlp": the same profile but with each hidden neuron
-///    duplicated 4x (outgoing weights split evenly), so the function equals
-///    a width/4 net's. The regime neuron-merging abstraction targets: the
-///    abstract net collapses toward width/4 with little precision loss.
-///  - "acas": one property of the seed-321 synthetic ACAS suite that
-///    acas_export materializes (trained, structured weights).
-struct CegarBenchCase {
-  std::string Name;               ///< stable id, e.g. "cegar_mlp_w256"
-  std::string Kind = "dense_mlp"; ///< "dense_mlp", "redundant_mlp", "acas"
-  size_t Width = 256;             ///< MLP width; 0 for acas cases
-  int HiddenLayers = 3;
-  double Radius = 0.05;    ///< L-inf ball radius (mlp kinds)
-  size_t AcasProperty = 0; ///< property index within the ACAS suite
-  double BudgetSeconds = 5.0;
-  double MergeRatio = 0.25; ///< Cegar.InitialMergeRatio for the CEGAR run
-};
-
-/// Measurement of one case: the same property verified directly and
-/// abstract-first under identical budgets.
-struct CegarBenchResult {
-  CegarBenchCase Case;
-  std::string DirectOutcome; ///< verified / falsified / timeout
-  std::string CegarOutcome;
-  double DirectSeconds = 0.0; ///< best-of-repeats wall time
-  double CegarSeconds = 0.0;
-  /// CEGAR-run counters (from the first repeat; deterministic per seed).
-  long Rounds = 0;
-  long Spurious = 0;
-  long Fallbacks = 0;
-  long AbstractNeurons = 0;
-  long OriginalNeurons = 0;
-  /// False only for the legal delta-band disagreement (one side Verified,
-  /// the other Falsified with objective in (0, delta]). The runner aborts
-  /// outright on a true contradiction, so an unsound run never produces a
-  /// JSON document at all.
-  bool Agree = true;
-  int Repeats = 0;
-};
-
-/// The tracked case set: w256/w512 dense MLP balls plus the four seed-321
-/// ACAS properties. \p AcasCacheDir caches the trained ACAS network
-/// (pass the networks/ cache or a scratch dir).
-std::vector<CegarBenchCase> defaultCegarBenchCases(double BudgetSeconds);
-
-/// Runs one case: times \p Repeats direct and abstract-first runs (keeping
-/// the fastest of each), aborts on verdict contradiction, and collects the
-/// CEGAR counters. ACAS cases train/load the suite network via
-/// \p AcasCacheDir.
-CegarBenchResult runCegarBenchCase(const CegarBenchCase &Case, int Repeats,
-                                   const std::string &AcasCacheDir);
-
-/// Serializes results as the BENCH_cegar.json document
-/// (schema "charon-bench-cegar/1").
-std::string cegarBenchJson(const std::vector<CegarBenchResult> &Results);
-
-/// Writes cegarBenchJson to \p Path; returns false on I/O failure.
-bool writeCegarBenchJsonFile(const std::string &Path,
-                             const std::vector<CegarBenchResult> &Results);
-
-//===----------------------------------------------------------------------===//
 // Scaling benchmark series (BENCH_fleet.json / thread scaling)
 //===----------------------------------------------------------------------===//
 

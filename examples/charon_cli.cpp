@@ -25,11 +25,6 @@
 //   --resume <file>         continue the search from a saved checkpoint
 //   --cert <file>           on a decided verdict, save a proof certificate
 //                           (re-check it with charon_check; charon only)
-//   --cegar                 abstract-first verification: search a merged
-//                           sound over-approximation, refine on spurious
-//                           counterexamples (charon only)
-//   --cegar-ratio <r>       initial abstract width / original width (0.25)
-//   --cegar-rounds <n>      abstract rounds before direct fallback (12)
 //
 //===----------------------------------------------------------------------===//
 
@@ -61,8 +56,7 @@ namespace {
                "usage: %s <network.net|model.onnx> <property.prop> [--tool T] "
                "[--budget S] [--delta D] [--policy F] [--fgsm] "
                "[--parallel] [--order lifo|best-first] [--trace F] "
-               "[--checkpoint F] [--resume F] [--cert F] [--cegar] "
-               "[--cegar-ratio R] [--cegar-rounds N]\n"
+               "[--checkpoint F] [--resume F] [--cert F]\n"
                "       %s --import-onnx <model.onnx> <out.net>\n",
                Argv0, Argv0);
   std::exit(2);
@@ -118,9 +112,6 @@ int main(int Argc, char **Argv) {
   bool Parallel = false;
   std::string Order = "lifo";
   std::string TracePath, CheckpointPath, ResumePath, CertPath;
-  bool Cegar = false;
-  double CegarRatio = -1.0;
-  int CegarRounds = -1;
   for (int I = 3; I < Argc; ++I) {
     if (!std::strcmp(Argv[I], "--tool") && I + 1 < Argc)
       Tool = Argv[++I];
@@ -144,12 +135,6 @@ int main(int Argc, char **Argv) {
       ResumePath = Argv[++I];
     else if (!std::strcmp(Argv[I], "--cert") && I + 1 < Argc)
       CertPath = Argv[++I];
-    else if (!std::strcmp(Argv[I], "--cegar"))
-      Cegar = true;
-    else if (!std::strcmp(Argv[I], "--cegar-ratio") && I + 1 < Argc)
-      CegarRatio = std::atof(Argv[++I]);
-    else if (!std::strcmp(Argv[I], "--cegar-rounds") && I + 1 < Argc)
-      CegarRounds = std::atoi(Argv[++I]);
     else
       usage(Argv[0]);
   }
@@ -188,11 +173,6 @@ int main(int Argc, char **Argv) {
     VC.SearchOrder =
         Order == "best-first" ? FrontierOrder::BestFirst : FrontierOrder::Lifo;
     VC.EmitCertificate = !CertPath.empty();
-    VC.Cegar.Enabled = Cegar;
-    if (CegarRatio >= 0.0)
-      VC.Cegar.InitialMergeRatio = CegarRatio;
-    if (CegarRounds >= 0)
-      VC.Cegar.MaxRounds = CegarRounds;
 
     std::ofstream TraceOs;
     if (!TracePath.empty()) {
@@ -228,11 +208,6 @@ int main(int Argc, char **Argv) {
                 Prop->Name.c_str(), toString(R.Result), R.Stats.Seconds,
                 R.Stats.PgdCalls, R.Stats.AnalyzeCalls, R.Stats.Splits,
                 R.Stats.NodesExpanded);
-    if (Cegar)
-      std::printf("cegar: %ld rounds, %ld spurious, %ld fallbacks, "
-                  "abstract %ld neurons\n",
-                  R.Stats.CegarRounds, R.Stats.CegarSpuriousCexes,
-                  R.Stats.CegarFallbacks, R.Stats.CegarAbstractNeurons);
     if (R.Result == Outcome::Falsified)
       printCex(*Net, R.Counterexample);
     if (!CertPath.empty() && R.Result != Outcome::Timeout) {
@@ -240,8 +215,8 @@ int main(int Argc, char **Argv) {
         std::printf("certificate: %zu nodes saved to %s\n",
                     R.Certificate->Nodes.size(), CertPath.c_str());
       else if (!R.Certificate)
-        // CEGAR's abstract-phase Verified and resumed Verified runs are
-        // sound but carry no self-contained proof (see core/Verifier.h).
+        // A resumed Verified run is sound but carries no self-contained
+        // proof (see core/Verifier.h).
         std::fprintf(stderr, "note: this verdict carries no certificate\n");
       else
         std::fprintf(stderr, "error: cannot save certificate to %s\n",
@@ -251,9 +226,6 @@ int main(int Argc, char **Argv) {
       if (R.Checkpoint && saveCheckpointFile(*R.Checkpoint, CheckpointPath))
         std::printf("checkpoint: %zu open nodes saved to %s\n",
                     R.Checkpoint->Open.size(), CheckpointPath.c_str());
-      else if (Cegar && !R.Checkpoint)
-        std::fprintf(stderr,
-                     "note: abstract-round timeout carries no checkpoint\n");
       else
         std::fprintf(stderr, "error: cannot save checkpoint to %s\n",
                      CheckpointPath.c_str());

@@ -129,11 +129,11 @@ int main(int Argc, char **Argv) {
   const CampaignStats &S = Result.Stats;
   std::printf("cases %ld in %.1fs (%.1f/s): %ld containment, %ld precision, "
               "%ld agreement, %ld monotonicity, %ld cex, %ld resume, "
-              "%ld cegar, %ld certificate checks\n",
+              "%ld certificate checks\n",
               S.Cases, S.Seconds, S.Seconds > 0 ? S.Cases / S.Seconds : 0.0,
               S.ContainmentChecks, S.PrecisionChecks, S.AgreementChecks,
               S.MonotonicityChecks, S.CexChecks, S.ResumeChecks,
-              S.CegarChecks, S.CertificateChecks);
+              S.CertificateChecks);
 
   if (Result.Violations.empty()) {
     std::printf("no soundness-oracle violations\n");

@@ -17,11 +17,11 @@
 # property with --trace (validating the charon-trace/1 JSONL schema), and
 # exercises the Timeout -> --checkpoint -> --resume path; the sanitize leg
 # runs it with --parallel and forced-threaded kernels.
-# Finally two CEGAR smokes run: one ACAS property verified with
-# --cegar --trace (the trace must carry cegar_round events alongside node
-# events, and the verdict must match a direct run) and one bench_cegar
-# case checking the charon-bench-cegar/1 JSON document; on the sanitize
-# leg both run with forced-threaded kernels (and --parallel for the CLI).
+# A hostile-input leg then feeds the three string-backed parsers a count
+# far larger than the file: charon_check (a certificate's dim and nodes)
+# and charon_cli --resume (a checkpoint's open) must exit 2 with their
+# parse/load diagnostic, and charon_serve --cache-file (a cache record's
+# region) must truncate the record and exit 0. A signal fails the leg.
 # A certificate smoke then decides an exported ACAS property with --cert,
 # requires charon_check to accept the emitted certificate, and requires it
 # to reject a tampered copy; the sanitize leg runs it forced-threaded.
@@ -250,99 +250,57 @@ else
   echo "checkpoint smoke: property decided within 20ms, resume not exercised"
 fi
 
-# CEGAR smoke: verify one exported ACAS property abstract-first with
-# --cegar --trace, then directly. The trace must interleave cegar_round
-# events with the plain node events, and both runs must decide the
-# property the same way. The sanitize leg reuses TRACE_ENV/TRACE_FLAGS,
-# so the abstract rounds run with forced-threaded kernels and --parallel
-# under ASan + UBSan.
-CEGAR_TRACE="$TRACE_DIR/cegar-trace.jsonl"
-set +e
-CEGAR_OUT=$(env "${TRACE_ENV[@]}" "$BUILD_DIR/examples/charon_cli" \
-  "$TRACE_DIR/acas.net" "$TRACE_DIR/acas-1.prop" \
-  --budget 10 --cegar --trace "$CEGAR_TRACE" "${TRACE_FLAGS[@]}")
-CEGAR_RC=$?
-DIRECT_OUT=$(env "${TRACE_ENV[@]}" "$BUILD_DIR/examples/charon_cli" \
-  "$TRACE_DIR/acas.net" "$TRACE_DIR/acas-1.prop" \
-  --budget 10 "${TRACE_FLAGS[@]}")
-DIRECT_RC=$?
-set -e
-for RC in "$CEGAR_RC" "$DIRECT_RC"; do
-  if [[ "$RC" != 0 && "$RC" != 1 ]]; then
-    echo "cegar smoke: charon_cli failed (rc=$RC)" >&2
+# Hostile-input smoke: each file is well formed except for one count far
+# beyond the bytes that follow it, which the parser must refuse before it
+# sizes an allocation. The sanitize leg reuses TRACE_ENV, so the parsers
+# run under ASan + UBSan.
+HOSTILE_DIR="$BUILD_DIR/hostile-smoke"
+rm -rf "$HOSTILE_DIR"
+mkdir -p "$HOSTILE_DIR"
+# A one-node certificate with dim $1 and a node count of $2.
+hostile_cert() {
+  printf '%s\n' "charon-cert 1" "verdict verified" \
+    "network 1 property 2 config 3" "delta 1e-06" "dim $1 class 0" \
+    "nodes $2" "node - verified zonotope 1 0.5" "lower 0" "upper 1" "end"
+}
+hostile_cert 100000000000000 1 > "$HOSTILE_DIR/dim.cert"
+hostile_cert 1 100000000000000 > "$HOSTILE_DIR/nodes.cert"
+printf '%s\n' "charon-checkpoint 1" "order lifo" \
+  "network 1 property 2 config 3" "stats 0 0 0 0 0 0 0 0 0" "dim 1" \
+  "open 100000000000000" "node - 0" "lower 0" "upper 1" "warm 0" "end" \
+  > "$HOSTILE_DIR/open.cp"
+printf '%s\n' "charon-cache 1" "entry 1 2 3 0" "region 100000000000000" \
+  "lower 0" > "$HOSTILE_DIR/region.db"
+# Runs a command that must exit with $1 and, when $2 is non-empty, print
+# $2 on stderr.
+expect_exit() {
+  local WANT="$1" DIAG="$2"
+  shift 2
+  set +e
+  env "${TRACE_ENV[@]}" "$@" >/dev/null 2> "$HOSTILE_DIR/stderr"
+  local RC=$?
+  set -e
+  if [[ "$RC" != "$WANT" ]] || \
+     { [[ -n "$DIAG" ]] && ! grep -q "$DIAG" "$HOSTILE_DIR/stderr"; }; then
+    echo "hostile smoke: '$*' exited $RC (want $WANT${DIAG:+, '$DIAG'})" >&2
+    cat "$HOSTILE_DIR/stderr" >&2
     exit 1
   fi
+}
+for COUNT in dim nodes; do
+  expect_exit 2 "cannot parse certificate" "$BUILD_DIR/examples/charon_check" \
+    "$TRACE_DIR/acas.net" "$TRACE_DIR/acas-1.prop" "$HOSTILE_DIR/$COUNT.cert"
 done
-CEGAR_VERDICT=$(printf '%s\n' "$CEGAR_OUT" \
-  | sed -n 's/^[^:]*: \([a-z]*\) in .*/\1/p' | head -n1)
-DIRECT_VERDICT=$(printf '%s\n' "$DIRECT_OUT" \
-  | sed -n 's/^[^:]*: \([a-z]*\) in .*/\1/p' | head -n1)
-if [[ -z "$CEGAR_VERDICT" || "$CEGAR_VERDICT" != "$DIRECT_VERDICT" ]]; then
-  echo "cegar smoke: verdict mismatch (cegar='$CEGAR_VERDICT'," \
-       "direct='$DIRECT_VERDICT')" >&2
+expect_exit 2 "cannot load checkpoint" "$BUILD_DIR/examples/charon_cli" \
+  "$TRACE_DIR/acas.net" "$TRACE_DIR/acas-1.prop" \
+  --resume "$HOSTILE_DIR/open.cp"
+expect_exit 0 "" "$BUILD_DIR/examples/charon_serve" /dev/null \
+  --cache-file "$HOSTILE_DIR/region.db" --workers 1
+if [[ "$(cat "$HOSTILE_DIR/region.db")" != "charon-cache 1" ]]; then
+  echo "hostile smoke: the oversized cache record was not truncated" >&2
   exit 1
 fi
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$CEGAR_TRACE" <<'EOF'
-import json, sys
-lines = [l for l in open(sys.argv[1]) if l.strip()]
-assert lines, "empty cegar trace"
-rounds = nodes = 0
-for line in lines:
-    event = json.loads(line)
-    if event.get("kind") == "cegar_round":
-        rounds += 1
-        for field in ("round", "abstract_neurons", "original_neurons",
-                      "spurious", "outcome", "seconds"):
-            assert field in event, field
-        assert event["outcome"] in {"verified", "falsified", "spurious",
-                                    "timeout"}, event["outcome"]
-        assert 0 < event["abstract_neurons"] <= event["original_neurons"]
-        assert event["round"] >= 0 and event["spurious"] >= 0
-    else:
-        nodes += 1
-        for field in ("path", "depth", "diameter", "pgd_objective",
-                      "outcome", "seconds"):
-            assert field in event, field
-assert rounds > 0, "no cegar_round events"
-assert nodes > 0, "no node events from the abstract search"
-print(f"cegar smoke: {rounds} round + {nodes} node events OK")
-EOF
-else
-  grep -q '"kind":"cegar_round"' "$CEGAR_TRACE"
-  grep -q '"path":"-"' "$CEGAR_TRACE"
-  echo "cegar smoke: trace OK (grep)"
-fi
-echo "cegar smoke: verdict '$CEGAR_VERDICT' matches direct run"
-
-# CEGAR bench smoke: one dense-MLP case must run both modes (the runner
-# aborts on a verdict contradiction) and emit valid JSON.
-CEGAR_SMOKE_JSON="$BUILD_DIR/bench-cegar-smoke.json"
-env "${CEX_ENV[@]}" "$BUILD_DIR/bench/bench_cegar" \
-  --cegar-filter=cegar_mlp_w256 --cegar-repeats=1 \
-  --cegar-out="$CEGAR_SMOKE_JSON"
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$CEGAR_SMOKE_JSON" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "charon-bench-cegar/1", doc["schema"]
-assert len(doc["cases"]) == 1, doc["cases"]
-case = doc["cases"][0]
-for field in ("name", "kind", "width", "hidden_layers", "radius",
-              "budget_seconds", "merge_ratio", "direct_outcome",
-              "cegar_outcome", "direct_seconds", "cegar_seconds", "speedup",
-              "rounds", "spurious", "fallbacks", "abstract_neurons",
-              "original_neurons", "agree", "repeats"):
-    assert field in case, field
-assert case["cegar_seconds"] > 0, case["cegar_seconds"]
-assert case["agree"] is True, case
-print("cegar bench smoke: JSON OK")
-EOF
-else
-  grep -q '"schema": "charon-bench-cegar/1"' "$CEGAR_SMOKE_JSON"
-  grep -q '"name": "cegar_mlp_w256"' "$CEGAR_SMOKE_JSON"
-  echo "cegar bench smoke: JSON OK (grep)"
-fi
+echo "hostile smoke: oversized counts refused, cache record truncated"
 
 # Certificate smoke: decide an exported ACAS property with --cert, check
 # the certificate with the standalone charon_check (which re-runs the

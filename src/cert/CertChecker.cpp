@@ -207,8 +207,7 @@ CertCheckReport charon::checkCertificate(const Network &Net,
   }
 
   // Obligation 5: replay every counterexample through the batched concrete
-  // engine in one call (bit-identical to the scalar path, and the same
-  // primitive the CEGAR replay trusts).
+  // engine in one call (bit-identical to the scalar path).
   if (!Falsified.empty()) {
     Matrix X(Falsified.size(), Cert.Dim);
     for (size_t R = 0; R < Falsified.size(); ++R)

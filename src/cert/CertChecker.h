@@ -10,7 +10,7 @@
 /// small — the abstract transformers (Analyzer) and the concrete forward
 /// pass (objectiveBatch) — and excludes everything a certificate makes
 /// redundant: the PGD search, the policies, the frontier, the scheduler,
-/// the CEGAR loop, and the service. Its obligations:
+/// and the service. Its obligations:
 ///
 ///  1. Guards: the certificate's network fingerprint and property digest
 ///     must match the given query; delta must be positive; the root must

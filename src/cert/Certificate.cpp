@@ -10,6 +10,7 @@
 #include <cassert>
 #include <fstream>
 #include <iomanip>
+#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -225,6 +226,19 @@ std::string charon::serializeCertificate(const ProofCertificate &Cert) {
 }
 
 std::optional<ProofCertificate> charon::loadCertificate(std::istream &Is) {
+  return deserializeCertificate(std::string(
+      std::istreambuf_iterator<char>(Is), std::istreambuf_iterator<char>()));
+}
+
+std::optional<ProofCertificate>
+charon::deserializeCertificate(const std::string &Text) {
+  std::istringstream Is(Text);
+  // Each count must fit in the unread text (a value takes at least one
+  // byte), so a damaged count is rejected before it sizes an allocation.
+  auto Fits = [&Is](size_t Count) {
+    std::streamsize Left = Is.rdbuf()->in_avail();
+    return Left >= 0 && Count <= static_cast<size_t>(Left);
+  };
   std::string Magic, Key, Token;
   int Version = 0;
   if (!(Is >> Magic >> Version) || Magic != "charon-cert" || Version != 1)
@@ -248,13 +262,13 @@ std::optional<ProofCertificate> charon::loadCertificate(std::istream &Is) {
     return std::nullopt;
   if (!(Is >> Key >> Cert.Delta) || Key != "delta")
     return std::nullopt;
-  if (!(Is >> Key >> Cert.Dim) || Key != "dim")
+  if (!(Is >> Key >> Cert.Dim) || Key != "dim" || !Fits(Cert.Dim))
     return std::nullopt;
   if (!(Is >> Key >> Cert.TargetClass) || Key != "class")
     return std::nullopt;
 
   size_t Count = 0;
-  if (!(Is >> Key >> Count) || Key != "nodes")
+  if (!(Is >> Key >> Count) || Key != "nodes" || !Fits(Count))
     return std::nullopt;
   if (Count > 0 && Cert.Dim == 0)
     return std::nullopt;
@@ -334,12 +348,6 @@ std::optional<ProofCertificate> charon::loadCertificate(std::istream &Is) {
   if (!(Is >> Key) || Key != "end")
     return std::nullopt;
   return Cert;
-}
-
-std::optional<ProofCertificate>
-charon::deserializeCertificate(const std::string &Text) {
-  std::istringstream Is(Text);
-  return loadCertificate(Is);
 }
 
 bool charon::saveCertificateFile(const ProofCertificate &Cert,

@@ -135,9 +135,8 @@ buildTreeCertificate(const Network &Net, const RobustnessProperty &Prop,
 
 /// Builds the degenerate single-node certificate of a falsification whose
 /// proof tree is unavailable (checkpoint-resumed searches materialize only
-/// the restored frontier; CEGAR falsifies on the abstract net's tree). One
-/// Falsified root carrying the counterexample is a complete proof — a
-/// refutation needs no tree.
+/// the restored frontier). One Falsified root carrying the counterexample
+/// is a complete proof — a refutation needs no tree.
 ProofCertificate buildFalsifiedCertificate(const Network &Net,
                                            const RobustnessProperty &Prop,
                                            const VerifierConfig &Config,
@@ -150,9 +149,9 @@ void saveCertificate(const ProofCertificate &Cert, std::ostream &Os);
 /// Renders \p Cert as a string (the byte-identity canonical form).
 std::string serializeCertificate(const ProofCertificate &Cert);
 
-/// Parses a certificate from \p Is; nullopt on malformed input (unknown
-/// keywords, non-numeric values, inverted bounds, duplicate node paths,
-/// truncation).
+/// Parses a certificate from the rest of \p Is; nullopt on malformed input
+/// (unknown keywords, non-numeric values, inverted bounds, duplicate node
+/// paths, truncation, a dim or nodes count larger than the text left).
 std::optional<ProofCertificate> loadCertificate(std::istream &Is);
 
 /// Parses a certificate from the canonical string form.

@@ -105,13 +105,13 @@ uint64_t charon::digestVerifierConfigSemantics(const VerifierConfig &Config) {
   // deliberately NOT digested: per-level accumulation differences are
   // tolerance-class noise, like thread-count nondeterminism isn't.
   H.u64(static_cast<uint64_t>(Config.Precision));
-  // CEGAR changes which network the search runs on (and hence which
-  // counterexample a falsifiable query returns), so the whole block is
-  // semantic, not budget-like.
-  H.u64(Config.Cegar.Enabled ? 1 : 0);
-  H.f64(Config.Cegar.InitialMergeRatio);
-  H.u64(static_cast<uint64_t>(Config.Cegar.MaxRounds));
-  H.u64(static_cast<uint64_t>(Config.Cegar.RefinePerRound));
+  // The removed CEGAR settings (enabled, merge ratio, rounds, splits per
+  // round) are hashed at their former defaults for the same reason: every
+  // config digest, and every key persisted under one, stays unchanged.
+  H.u64(0);
+  H.f64(0.25);
+  H.u64(12);
+  H.u64(8);
   return H.digest();
 }
 

@@ -2,7 +2,6 @@
 
 #include "core/Verifier.h"
 
-#include "cegar/CegarEngine.h"
 #include "search/SearchEngine.h"
 
 using namespace charon;
@@ -24,18 +23,11 @@ Verifier::Verifier(const Network &N, VerificationPolicy P, VerifierConfig C)
 
 VerifyResult Verifier::verify(const RobustnessProperty &Prop,
                               const SearchCheckpoint *Resume) const {
-  // CEGAR runs cannot resume a checkpoint: the frontier it would describe
-  // belongs to whichever network timed out, which is usually an abstract
-  // net the refined loop will never rebuild. Resume implies direct search.
-  if (Config.Cegar.Enabled && !Resume)
-    return CegarEngine(Net, Policy, Config).run(Prop, nullptr);
   return SearchEngine(Net, Policy, Config).run(Prop, Resume, nullptr);
 }
 
 VerifyResult Verifier::verifyParallel(const RobustnessProperty &Prop,
                                       ThreadPool &Pool,
                                       const SearchCheckpoint *Resume) const {
-  if (Config.Cegar.Enabled && !Resume)
-    return CegarEngine(Net, Policy, Config).run(Prop, &Pool);
   return SearchEngine(Net, Policy, Config).run(Prop, Resume, &Pool);
 }

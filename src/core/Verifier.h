@@ -57,18 +57,11 @@ struct VerifyStats {
   long ZonotopeChoices = 0;
   long DisjunctSum = 0; ///< sum of chosen disjunct budgets over Analyze calls
   long NodesExpanded = 0; ///< proof-tree nodes whose expansion completed
-  long CegarRounds = 0;   ///< abstract-net search rounds run by CegarEngine
-  long CegarSpuriousCexes = 0; ///< candidates refuted by concrete replay
-  long CegarFallbacks = 0;     ///< direct full-net runs (rounds exhausted or
-                               ///< network not abstractable)
-  long CegarAbstractNeurons = 0; ///< hidden neurons of the last (largest)
-                                 ///< abstract net; 0 outside CEGAR runs
   double Seconds = 0.0;
 
   /// Merges another run's (or node's) counters: counts and Seconds add,
-  /// MaxDepth and CegarAbstractNeurons take the max. Used by the parallel
-  /// driver, the CEGAR driver, the service batch reporter, and the bench
-  /// aggregators.
+  /// MaxDepth takes the max. Used by the parallel driver, the service
+  /// batch reporter, and the bench aggregators.
   VerifyStats &operator+=(const VerifyStats &O) {
     PgdCalls += O.PgdCalls;
     AnalyzeCalls += O.AnalyzeCalls;
@@ -78,12 +71,6 @@ struct VerifyStats {
     ZonotopeChoices += O.ZonotopeChoices;
     DisjunctSum += O.DisjunctSum;
     NodesExpanded += O.NodesExpanded;
-    CegarRounds += O.CegarRounds;
-    CegarSpuriousCexes += O.CegarSpuriousCexes;
-    CegarFallbacks += O.CegarFallbacks;
-    CegarAbstractNeurons = CegarAbstractNeurons > O.CegarAbstractNeurons
-                               ? CegarAbstractNeurons
-                               : O.CegarAbstractNeurons;
     Seconds += O.Seconds;
     return *this;
   }
@@ -92,19 +79,17 @@ struct VerifyStats {
 /// Result of a verification run. Counterexample is populated iff
 /// Result == Falsified, and then satisfies F(x) <= Delta (delta-
 /// completeness: it is a true counterexample or within delta of one).
-/// Checkpoint is populated iff Result == Timeout: it captures the open
-/// frontier and accumulated stats so a later call can resume the search
-/// where the deadline cut it off (see search/Checkpoint.h). Exception:
-/// CEGAR runs that time out while still searching an abstract network
-/// return a null Checkpoint, since an abstract-net frontier is not
-/// resumable against the original network.
+/// Checkpoint is populated iff Result == Timeout: every Timeout, whether
+/// from the deadline, CancelRequested, or the MaxDepth cap, captures the
+/// open frontier and accumulated stats so a later call can resume the
+/// search where it stopped (see search/Checkpoint.h).
 /// Certificate is populated iff VerifierConfig::EmitCertificate was set
 /// and the verdict is decided and checkable (see cert/Certificate.h):
-/// direct Verified/Falsified runs always certify; checkpoint-resumed and
-/// CEGAR runs certify Falsified via a single-counterexample certificate
-/// but leave Verified uncertified (their proof evidence — the pre-timeout
-/// subtree, the abstract net's tree — is not a self-contained proof of
-/// the original query).
+/// every decided verdict of a fresh run certifies, and a checkpoint-resumed
+/// run certifies Falsified via a single-counterexample certificate. Two
+/// Verified verdicts stay uncertified: a resumed one (its pre-timeout
+/// subtree is not part of this run's tree) and one resting on a
+/// CompleteFallback solver call (not re-derivable by abstract replay).
 struct VerifyResult {
   Outcome Result = Outcome::Timeout;
   Vector Counterexample;
@@ -118,25 +103,6 @@ struct VerifyResult {
 /// paper uses PGD but notes any gradient method fits (Sec. 8); FGSM is the
 /// classic cheap single-step alternative.
 enum class CexSearchKind { Pgd, Fgsm };
-
-/// CEGAR outer-loop settings (see cegar/CegarEngine.h). When Enabled, the
-/// verifier first searches a smaller sound over-approximation built by
-/// merging same-polarity hidden neurons (Elboher et al., CAV'20), replays
-/// candidate counterexamples through the original network, and splits the
-/// merged neurons with the largest abstract-vs-concrete activation gap on
-/// spurious candidates. Verdicts stay sound: Verified comes only from the
-/// over-approximation or the exact network, Falsified only with a
-/// concretely replayed counterexample.
-struct CegarConfig {
-  bool Enabled = false;
-  /// Target abstract hidden-layer width as a fraction of the original
-  /// width (>= 1 starts from the exact margin network).
-  double InitialMergeRatio = 0.25;
-  /// Abstract rounds before giving up and running the full network.
-  int MaxRounds = 12;
-  /// Merged groups split per spurious counterexample.
-  int RefinePerRound = 8;
-};
 
 /// Verifier configuration.
 struct VerifierConfig {
@@ -194,13 +160,6 @@ struct VerifierConfig {
   /// VerifyResult doc). Excluded from the config digests: a certificate
   /// records the run, it never changes a verdict.
   bool EmitCertificate = false;
-
-  /// Abstract-first verification via neuron merging. Only dense-ReLU
-  /// networks are abstracted; others silently run the direct search. A
-  /// CEGAR Timeout carries no checkpoint (abstract-net frontiers are not
-  /// resumable against the original network); the direct-fallback phase
-  /// still produces one.
-  CegarConfig Cegar;
 };
 
 /// The Charon verifier: couples optimization-based counterexample search

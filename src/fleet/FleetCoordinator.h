@@ -45,8 +45,8 @@
 /// counters match the serial run too (same node set, modulo Seconds).
 ///
 /// Jobs whose config carries process-local hooks (trace sink, complete-
-/// fallback callback, CEGAR) cannot cross the wire; they run inline in
-/// the coordinator — slower, never wrong — and count as InlineFallbacks.
+/// fallback callback) cannot cross the wire; they run inline in the
+/// coordinator — slower, never wrong — and count as InlineFallbacks.
 ///
 //===----------------------------------------------------------------------===//
 

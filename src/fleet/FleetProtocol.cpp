@@ -32,16 +32,12 @@ void appendStats(std::string &Out, const VerifyStats &S) {
       static_cast<double>(S.ZonotopeChoices),
       static_cast<double>(S.DisjunctSum),
       static_cast<double>(S.NodesExpanded),
-      static_cast<double>(S.CegarRounds),
-      static_cast<double>(S.CegarSpuriousCexes),
-      static_cast<double>(S.CegarFallbacks),
-      static_cast<double>(S.CegarAbstractNeurons),
       S.Seconds};
   appendNumberArray(Out, A);
 }
 
 bool statsFromArray(const std::vector<double> &A, VerifyStats &S) {
-  if (A.size() != 13)
+  if (A.size() != 9)
     return false;
   S.PgdCalls = static_cast<long>(A[0]);
   S.AnalyzeCalls = static_cast<long>(A[1]);
@@ -51,11 +47,7 @@ bool statsFromArray(const std::vector<double> &A, VerifyStats &S) {
   S.ZonotopeChoices = static_cast<long>(A[5]);
   S.DisjunctSum = static_cast<long>(A[6]);
   S.NodesExpanded = static_cast<long>(A[7]);
-  S.CegarRounds = static_cast<long>(A[8]);
-  S.CegarSpuriousCexes = static_cast<long>(A[9]);
-  S.CegarFallbacks = static_cast<long>(A[10]);
-  S.CegarAbstractNeurons = static_cast<long>(A[11]);
-  S.Seconds = A[12];
+  S.Seconds = A[8];
   return true;
 }
 
@@ -397,9 +389,9 @@ RunSpec charon::runSpecFromJob(const VerifierConfig &Config,
 
 bool charon::configTransportable(const VerifierConfig &Config) {
   // Process-local hooks the wire cannot carry. Trace is not digested, so
-  // it needs an explicit check; the others are also caught by the digest
+  // it needs an explicit check; the fallback is also caught by the digest
   // comparison below, listed here for clarity.
-  if (Config.Trace || Config.CompleteFallback || Config.Cegar.Enabled)
+  if (Config.Trace || Config.CompleteFallback)
     return false;
   RobustnessProperty Probe;
   Probe.Region = Box(Vector(std::vector<double>{0.0}),

@@ -29,7 +29,7 @@
 ///   {"event":"ready"}   {"event":"pong"}
 ///   {"event":"loaded","fingerprint":"<u64>"}
 ///   {"event":"done","shard":7,"outcome":"falsified","cex":[...],
-///    "objective":-0.01,"stats":[...13 numbers...],"expanded_here":42,
+///    "objective":-0.01,"stats":[...9 numbers...],"expanded_here":42,
 ///    "checkpoint":""}
 ///   {"event":"error","message":"..."}
 /// \endcode
@@ -135,7 +135,7 @@ RunSpec runSpecFromJob(const VerifierConfig &Config,
 
 /// True when \p Config survives the wire round-trip: no process-local
 /// hooks the protocol cannot carry (trace sink, complete-fallback
-/// callback, CEGAR) and a semantics digest unchanged by
+/// callback) and a semantics digest unchanged by
 /// runSpecFromJob ∘ configFromRunSpec. Non-transportable jobs run inline
 /// in the coordinator instead — slower, never wrong.
 bool configTransportable(const VerifierConfig &Config);

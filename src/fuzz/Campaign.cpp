@@ -105,15 +105,8 @@ charon::runFuzzCase(const Network &Net, const RobustnessProperty &Prop,
   if (Stats)
     ++Stats->ResumeChecks;
 
-  // Last among the RNG consumers on purpose: the CEGAR oracle draws from
-  // OracleR, and appending it after the established oracles keeps their RNG
-  // streams (and hence the checked-in repro corpus) byte-stable.
-  Append(checkCegarSoundness(Net, Prop, Policy, Cfg, OracleR));
-  if (Stats)
-    ++Stats->CegarChecks;
-
-  // Draws no RNG, so it can follow the CEGAR oracle without perturbing any
-  // stream.
+  // Draws no RNG, so it can follow the RNG consumers without perturbing any
+  // stream (and hence the checked-in repro corpus).
   Append(checkCertificates(Net, Prop, Policy, Cfg));
   if (Stats)
     ++Stats->CertificateChecks;

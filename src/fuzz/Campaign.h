@@ -55,15 +55,13 @@ struct CampaignStats {
   long MonotonicityChecks = 0;
   long CexChecks = 0;
   long ResumeChecks = 0;
-  long CegarChecks = 0;
   long CertificateChecks = 0;
   long Violations = 0; ///< violating cases (not individual messages)
   double Seconds = 0.0;
 
   long totalChecks() const {
     return ContainmentChecks + PrecisionChecks + AgreementChecks +
-           MonotonicityChecks + CexChecks + ResumeChecks + CegarChecks +
-           CertificateChecks;
+           MonotonicityChecks + CexChecks + ResumeChecks + CertificateChecks;
   }
 };
 

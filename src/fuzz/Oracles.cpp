@@ -2,7 +2,6 @@
 
 #include "fuzz/Oracles.h"
 
-#include "cegar/Abstractor.h"
 #include "cert/CertChecker.h"
 #include "cert/Certificate.h"
 #include "search/Checkpoint.h"
@@ -423,111 +422,6 @@ charon::checkPowersetPrecision(const Network &Net, const Box &Region,
        << PowerResult.Margin << " is looser than " << toString(Single)
        << " margin " << BaseResult.Margin;
     Out.push_back({"precision:" + toString(Power), Os.str()});
-  }
-  return Out;
-}
-
-std::vector<OracleViolation>
-charon::checkCegarSoundness(const Network &Net, const RobustnessProperty &Prop,
-                            const VerificationPolicy &Policy,
-                            const OracleConfig &Cfg, Rng &R) {
-  std::vector<OracleViolation> Out;
-  if (!canAbstract(Net))
-    return Out;
-
-  const size_t K = Prop.TargetClass;
-  const double Ratio = R.uniform(0.1, 0.8);
-  RefinementMap Map = initialPartition(Net, K, Ratio);
-  if (Map.Layers.empty())
-    return Out;
-
-  // Abstract output j+1 models the margin of the j-th competitor class (in
-  // increasing class order, skipping K); output 0 is the constant-zero
-  // stand-in for the target class itself.
-  std::vector<size_t> Competitors;
-  for (size_t C = 0; C < Net.outputSize(); ++C)
-    if (C != K)
-      Competitors.push_back(C);
-
-  auto checkDomination = [&](const Network &Abstract, const char *Name) {
-    auto CheckPoint = [&](const Vector &X) {
-      if (Out.size() >= MaxViolationsPerCheck)
-        return;
-      Vector Y = Net.evaluate(X);
-      Vector A = Abstract.evaluate(X);
-      for (size_t J = 0; J < Competitors.size(); ++J) {
-        double TrueMargin = Y[Competitors[J]] - Y[K];
-        double Claimed = A[J + 1] - Cfg.InjectTighten;
-        if (TrueMargin > Claimed + slack(Cfg, TrueMargin)) {
-          std::ostringstream Os;
-          Os << std::setprecision(17) << "true margin of class "
-             << Competitors[J] << " = " << TrueMargin
-             << " escapes above abstract output " << Claimed
-             << " (merge ratio " << Ratio << ", " << Map.abstractNeurons()
-             << " abstract neurons) at x = " << vecToString(X);
-          Out.push_back({Name, Os.str()});
-          return;
-        }
-      }
-      // Equivalent view at the objective level: the abstract net may only
-      // under-claim robustness, never over-claim it.
-      double FAbs = Abstract.objective(X, 0) + Cfg.InjectTighten;
-      double FOrig = Net.objective(X, K);
-      if (FAbs > FOrig + slack(Cfg, FOrig)) {
-        std::ostringstream Os;
-        Os << std::setprecision(17) << "abstract objective " << FAbs
-           << " exceeds original objective " << FOrig << " at x = "
-           << vecToString(X);
-        Out.push_back({Name, Os.str()});
-      }
-    };
-    CheckPoint(Prop.Region.center());
-    for (int I = 0; I < 2; ++I)
-      CheckPoint(randomCorner(Prop.Region, R));
-    for (int I = 0; I < Cfg.ContainmentSamples; ++I)
-      CheckPoint(Prop.Region.sample(R));
-  };
-
-  Network Abstract = buildAbstractNetwork(Net, Map, Prop.Region.lower());
-  checkDomination(Abstract, "cegar:containment");
-
-  // Domination must survive refinement: split a few merged groups at random
-  // probe points and re-check the rebuilt abstraction.
-  for (int Step = 0; Step < 3; ++Step) {
-    Vector Probe = Prop.Region.sample(R);
-    if (refinePartition(Map, Net, Abstract, Probe, /*MaxSplits=*/2) == 0)
-      break;
-    Abstract = buildAbstractNetwork(Net, Map, Prop.Region.lower());
-  }
-  checkDomination(Abstract, "cegar:refined-containment");
-
-  // Verdict cross-check: the CEGAR engine and the direct verifier run the
-  // same delta-complete query, so (as in the agreement oracle) they may only
-  // disagree inside the (0, delta] band — a Verified verdict on one side
-  // with a true counterexample on the other is a soundness bug.
-  VerifierConfig DirectVC = oracleVerifierConfig(Cfg);
-  VerifierConfig CegarVC = DirectVC;
-  CegarVC.Cegar.Enabled = true;
-  CegarVC.Cegar.InitialMergeRatio = Ratio;
-  VerifyResult Direct = Verifier(Net, Policy, DirectVC).verify(Prop);
-  VerifyResult Cegar = Verifier(Net, Policy, CegarVC).verify(Prop);
-
-  for (const OracleViolation &V : checkCounterexample(Net, Prop, Cegar, Cfg))
-    Out.push_back({"cegar:cex", V.Message});
-
-  if (decided(Direct.Result) && decided(Cegar.Result) &&
-      Direct.Result != Cegar.Result) {
-    const VerifyResult &Fals =
-        Direct.Result == Outcome::Falsified ? Direct : Cegar;
-    double F = Net.objective(Fals.Counterexample, K);
-    if (F <= -slack(Cfg, F)) {
-      std::ostringstream Os;
-      Os << std::setprecision(17) << "cegar/direct verdicts contradict: "
-         << toString(Cegar.Result) << " vs " << toString(Direct.Result)
-         << " with true counterexample (F = " << F << ") at x = "
-         << vecToString(Fals.Counterexample);
-      Out.push_back({"cegar:agreement", Os.str()});
-    }
   }
   return Out;
 }

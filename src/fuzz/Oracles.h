@@ -126,21 +126,6 @@ checkPowersetPrecision(const Network &Net, const Box &Region, size_t K,
                        BaseDomainKind Base, int Disjuncts,
                        const OracleConfig &Cfg);
 
-/// CEGAR soundness oracle (dense-ReLU networks only; others pass
-/// trivially). Builds a randomly merged abstraction of the property's
-/// margin network and asserts, at sampled points of the region, that every
-/// abstract competitor output upper-bounds the true margin (so the
-/// abstract objective contains the original's from below) — including
-/// after a few refinement splits. Then cross-checks CegarEngine's verdict
-/// against direct verify(): a contradiction needs a true counterexample on
-/// the falsifying side, exactly as in the agreement oracle. InjectTighten
-/// lowers the claimed abstract outputs so tests can prove the oracle
-/// catches an unsound merge rule.
-std::vector<OracleViolation>
-checkCegarSoundness(const Network &Net, const RobustnessProperty &Prop,
-                    const VerificationPolicy &Policy, const OracleConfig &Cfg,
-                    Rng &R);
-
 /// Certificate oracle: re-verifies the property with EmitCertificate set
 /// and checks the full proof-production contract. A decided verdict must
 /// carry a certificate that round-trips byte-identically through

@@ -120,8 +120,8 @@ public:
   }
 
   /// True for ReLU activation layers. Convenience over activationKind();
-  /// call sites that genuinely mean ReLU (CEGAR merging, the Reluplex
-  /// encoder) keep using this.
+  /// call sites that genuinely mean ReLU (the Reluplex encoder) keep using
+  /// this.
   bool isRelu() const { return activationKind() == ActivationKind::Relu; }
 
   /// Non-null for max-pool layers.

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iomanip>
+#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -53,6 +54,19 @@ std::string charon::serializeCheckpoint(const SearchCheckpoint &Cp) {
 }
 
 std::optional<SearchCheckpoint> charon::loadCheckpoint(std::istream &Is) {
+  return deserializeCheckpoint(std::string(std::istreambuf_iterator<char>(Is),
+                                           std::istreambuf_iterator<char>()));
+}
+
+std::optional<SearchCheckpoint>
+charon::deserializeCheckpoint(const std::string &Text) {
+  std::istringstream Is(Text);
+  // Each count must fit in the unread text (a value takes at least one
+  // byte), so a damaged count is rejected before it sizes an allocation.
+  auto Fits = [&Is](size_t Count) {
+    std::streamsize Left = Is.rdbuf()->in_avail();
+    return Left >= 0 && Count <= static_cast<size_t>(Left);
+  };
   std::string Magic, Key, Token;
   int Version = 0;
   if (!(Is >> Magic >> Version) || Magic != "charon-checkpoint" ||
@@ -84,10 +98,10 @@ std::optional<SearchCheckpoint> charon::loadCheckpoint(std::istream &Is) {
     return std::nullopt;
 
   size_t Dim = 0;
-  if (!(Is >> Key >> Dim) || Key != "dim")
+  if (!(Is >> Key >> Dim) || Key != "dim" || !Fits(Dim))
     return std::nullopt;
   size_t Count = 0;
-  if (!(Is >> Key >> Count) || Key != "open")
+  if (!(Is >> Key >> Count) || Key != "open" || !Fits(Count))
     return std::nullopt;
   if (Count > 0 && Dim == 0)
     return std::nullopt;
@@ -144,12 +158,6 @@ std::optional<SearchCheckpoint> charon::loadCheckpoint(std::istream &Is) {
   if (!(Is >> Key) || Key != "end")
     return std::nullopt;
   return Cp;
-}
-
-std::optional<SearchCheckpoint>
-charon::deserializeCheckpoint(const std::string &Text) {
-  std::istringstream Is(Text);
-  return loadCheckpoint(Is);
 }
 
 bool charon::saveCheckpointFile(const SearchCheckpoint &Cp,

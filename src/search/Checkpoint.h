@@ -82,9 +82,9 @@ void saveCheckpoint(const SearchCheckpoint &Cp, std::ostream &Os);
 /// Renders \p Cp as a string (the byte-identity canonical form).
 std::string serializeCheckpoint(const SearchCheckpoint &Cp);
 
-/// Parses a checkpoint from \p Is; nullopt on malformed input (bad magic
-/// or keywords, non-numeric values, inverted bounds, duplicate node paths,
-/// truncation).
+/// Parses a checkpoint from the rest of \p Is; nullopt on malformed input
+/// (bad magic or keywords, non-numeric values, inverted bounds, duplicate
+/// node paths, truncation, a dim or open count larger than the text left).
 std::optional<SearchCheckpoint> loadCheckpoint(std::istream &Is);
 
 /// Parses a checkpoint from the canonical string form.

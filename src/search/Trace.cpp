@@ -7,21 +7,12 @@
 #include <mutex>
 #include <ostream>
 #include <sstream>
-#include <string_view>
 
 using namespace charon;
 
 std::string charon::traceEventToJson(const TraceEvent &Event) {
   std::ostringstream Os;
   Os << std::setprecision(17);
-  if (Event.Kind && std::string_view(Event.Kind) == "cegar_round") {
-    Os << "{\"kind\":\"cegar_round\",\"round\":" << Event.Round
-       << ",\"abstract_neurons\":" << Event.AbstractNeurons
-       << ",\"original_neurons\":" << Event.OriginalNeurons
-       << ",\"spurious\":" << Event.SpuriousCexes << ",\"outcome\":\""
-       << Event.Outcome << "\",\"seconds\":" << Event.Seconds << "}";
-    return Os.str();
-  }
   Os << "{\"path\":\"" << Event.Path << "\",\"depth\":" << Event.Depth
      << ",\"diameter\":" << Event.Diameter
      << ",\"pgd_objective\":" << Event.PgdObjective;

@@ -22,20 +22,6 @@
 /// resume). `domain`/`disjuncts` appear once pi_alpha ran, `margin` once
 /// the abstract analysis completed; both are omitted otherwise.
 ///
-/// CEGAR runs additionally emit one round-summary event per abstract
-/// search (Kind == "cegar_round"), rendered with an explicit "kind" tag:
-///
-/// \code
-///   {"kind":"cegar_round","round":1,"abstract_neurons":75,
-///    "original_neurons":300,"spurious":1,"outcome":"spurious",
-///    "seconds":0.014}
-/// \endcode
-///
-/// with `outcome` one of "verified", "falsified" (candidate confirmed on
-/// the original network), "spurious" (refining), "timeout". Node events
-/// keep their tag-free schema, so existing charon-trace/1 consumers are
-/// unaffected unless CEGAR is enabled.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef CHARON_SEARCH_TRACE_H
@@ -49,11 +35,8 @@
 
 namespace charon {
 
-/// One trace event: a node expansion by default, or a CEGAR round summary
-/// when Kind is "cegar_round" (then only Round, AbstractNeurons,
-/// OriginalNeurons, SpuriousCexes, Outcome, and Seconds are meaningful).
+/// One trace event: a node expansion.
 struct TraceEvent {
-  const char *Kind = "node"; ///< "node" | "cegar_round"
   std::string Path;          ///< split bits from the root; "-" for the root
   int Depth = 0;             ///< refinement depth of the node
   double Diameter = 0.0;     ///< L2 diameter of the node's region
@@ -62,14 +45,9 @@ struct TraceEvent {
   DomainSpec Domain;         ///< the chosen abstract domain
   bool MarginKnown = false;  ///< the abstract analysis completed
   double Margin = 0.0;       ///< its robustness margin
-  const char *Outcome = "";  ///< node: "falsified" | "verified" | "split" |
-                             ///< "aborted"; cegar_round: "verified" |
-                             ///< "falsified" | "spurious" | "timeout"
-  double Seconds = 0.0;      ///< wall-clock cost of this expansion/round
-  int Round = 0;             ///< CEGAR round number (from 0)
-  long AbstractNeurons = 0;  ///< hidden neurons of the round's abstract net
-  long OriginalNeurons = 0;  ///< hidden neurons of the original network
-  long SpuriousCexes = 0;    ///< spurious candidates seen so far
+  const char *Outcome = "";  ///< "falsified" | "verified" | "split" |
+                             ///< "aborted"
+  double Seconds = 0.0;      ///< wall-clock cost of this expansion
 };
 
 /// Expansion-event callback. Installed via VerifierConfig::Trace; may be

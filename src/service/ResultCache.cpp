@@ -155,7 +155,8 @@ void ResultCache::clear() {
 //   upper <dim values>
 //   result <outcome> <objective>
 //   cex <m> [<m values>]
-//   stats <12 counters> <seconds>
+//   stats <12 counters> <seconds>   (counters 9-12 always 0: the columns
+//                                     of the removed CEGAR counters)
 //   cert <bytes>\n<raw certificate text>
 //   checkpoint <bytes>\n<raw checkpoint text>
 //   end
@@ -193,9 +194,7 @@ void appendRecord(std::string &Out, const CacheKey &Key, const Box &Region,
   Os << "\nstats " << S.PgdCalls << " " << S.AnalyzeCalls << " " << S.Splits
      << " " << S.MaxDepth << " " << S.IntervalChoices << " "
      << S.ZonotopeChoices << " " << S.DisjunctSum << " " << S.NodesExpanded
-     << " " << S.CegarRounds << " " << S.CegarSpuriousCexes << " "
-     << S.CegarFallbacks << " " << S.CegarAbstractNeurons << " " << S.Seconds
-     << "\n";
+     << " 0 0 0 0 " << S.Seconds << "\n";
   std::string Cert = R.Certificate ? serializeCertificate(*R.Certificate) : "";
   Os << "cert " << Cert.size() << "\n" << Cert;
   std::string Cp = R.Checkpoint ? serializeCheckpoint(*R.Checkpoint) : "";
@@ -213,6 +212,10 @@ struct StoreCursor {
   explicit StoreCursor(const std::string &T) : Text(T) {}
 
   bool atEnd() const { return At >= Text.size(); }
+
+  /// True when \p Count values could still follow: each takes at least one
+  /// byte, so a larger count is damage and must not size an allocation.
+  bool fits(uint64_t Count) const { return Count <= Text.size() - At; }
 
   /// Reads one whitespace-separated token on the current line.
   bool token(std::string &Out) {
@@ -300,7 +303,7 @@ bool parseRecord(StoreCursor &C, StoreRecord &Rec) {
   Rec.TargetClass = static_cast<size_t>(Class);
 
   uint64_t Dim = 0;
-  if (!C.expect("region") || !C.u64(Dim) || !C.newline())
+  if (!C.expect("region") || !C.u64(Dim) || !C.newline() || !C.fits(Dim))
     return false;
   Vector Lo(Dim), Hi(Dim);
   if (!C.expect("lower"))
@@ -335,7 +338,7 @@ bool parseRecord(StoreCursor &C, StoreRecord &Rec) {
     return false;
 
   uint64_t CexSize = 0;
-  if (!C.expect("cex") || !C.u64(CexSize))
+  if (!C.expect("cex") || !C.u64(CexSize) || !C.fits(CexSize))
     return false;
   Rec.Result.Counterexample = Vector(CexSize);
   for (size_t I = 0; I < CexSize; ++I)
@@ -345,14 +348,14 @@ bool parseRecord(StoreCursor &C, StoreRecord &Rec) {
     return false;
 
   VerifyStats &S = Rec.Result.Stats;
+  long Unused = 0; // the removed CEGAR counters' columns, read and dropped
   if (!C.expect("stats") || !C.integer(S.PgdCalls) ||
       !C.integer(S.AnalyzeCalls) || !C.integer(S.Splits) ||
       !C.integer(S.MaxDepth) || !C.integer(S.IntervalChoices) ||
       !C.integer(S.ZonotopeChoices) || !C.integer(S.DisjunctSum) ||
-      !C.integer(S.NodesExpanded) || !C.integer(S.CegarRounds) ||
-      !C.integer(S.CegarSpuriousCexes) || !C.integer(S.CegarFallbacks) ||
-      !C.integer(S.CegarAbstractNeurons) || !C.number(S.Seconds) ||
-      !C.newline())
+      !C.integer(S.NodesExpanded) || !C.integer(Unused) ||
+      !C.integer(Unused) || !C.integer(Unused) || !C.integer(Unused) ||
+      !C.number(S.Seconds) || !C.newline())
     return false;
 
   uint64_t CertBytes = 0;

@@ -9,9 +9,8 @@
 // exercises exactly the code path the verifier uses (including the cached
 // residual plan in the analyzer), not a per-layer shortcut. On top of
 // containment, the end-to-end pieces of the delta-decision procedure are
-// pinned on smooth nets: PGD returns delta-valid counterexamples, and CEGAR
-// (which cannot abstract non-ReLU networks) falls back inline with a
-// verdict bit-identical to the direct search.
+// pinned on smooth nets: PGD returns delta-valid counterexamples, and a
+// robust property verifies through the relaxation transformers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -247,33 +246,6 @@ TEST(SmoothVerifierTest, PgdFindsDeltaValidCounterexamples) {
     EXPECT_LE(F, Config.Delta + 1e-12) << "seed " << Seed;
     EXPECT_NEAR(F, R.ObjectiveAtCex, 1e-12) << "seed " << Seed;
     EXPECT_GE(R.Stats.PgdCalls, 1) << "seed " << Seed;
-  }
-}
-
-TEST(SmoothVerifierTest, CegarFallsBackInlineWithIdenticalVerdict) {
-  // CEGAR's neuron merging only applies to dense-ReLU networks; on a
-  // smooth net it must take the inline fallback and reproduce the direct
-  // verdict bit for bit — outcome, witness, and objective.
-  for (bool Falsifiable : {false, true}) {
-    Network Net = smoothMlp(ActivationKind::Sigmoid, 31);
-    RobustnessProperty Prop =
-        Falsifiable ? falsifiableProperty(Net) : likelyRobustProperty(Net);
-
-    VerifierConfig Direct = smoothConfig();
-    VerifyResult RD = Verifier(Net, VerificationPolicy(), Direct).verify(Prop);
-
-    VerifierConfig Cegar = smoothConfig();
-    Cegar.Cegar.Enabled = true;
-    VerifyResult RC = Verifier(Net, VerificationPolicy(), Cegar).verify(Prop);
-
-    ASSERT_NE(RD.Result, Outcome::Timeout);
-    EXPECT_EQ(RC.Result, RD.Result) << "falsifiable=" << Falsifiable;
-    EXPECT_GE(RC.Stats.CegarFallbacks, 1) << "fallback path not taken";
-    EXPECT_EQ(RC.Stats.CegarRounds, 0) << "smooth net must not be abstracted";
-    ASSERT_EQ(RC.Counterexample.size(), RD.Counterexample.size());
-    for (size_t I = 0; I < RD.Counterexample.size(); ++I)
-      EXPECT_EQ(RC.Counterexample[I], RD.Counterexample[I]) << "cex bit " << I;
-    EXPECT_EQ(RC.ObjectiveAtCex, RD.ObjectiveAtCex);
   }
 }
 

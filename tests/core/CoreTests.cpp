@@ -242,8 +242,7 @@ TEST(VerifierTest, StatsAreCoherent) {
 
 TEST(VerifierTest, StatsAccumulateAcrossEveryField) {
   // Every field gets a distinct value so a += that drops or swaps a counter
-  // cannot cancel out. Additive fields add; MaxDepth and
-  // CegarAbstractNeurons (the widest abstract net seen) merge by max.
+  // cannot cancel out. Additive fields add; MaxDepth merges by max.
   VerifyStats A;
   A.PgdCalls = 1;
   A.AnalyzeCalls = 2;
@@ -253,10 +252,6 @@ TEST(VerifierTest, StatsAccumulateAcrossEveryField) {
   A.ZonotopeChoices = 6;
   A.DisjunctSum = 7;
   A.NodesExpanded = 8;
-  A.CegarRounds = 9;
-  A.CegarSpuriousCexes = 10;
-  A.CegarFallbacks = 11;
-  A.CegarAbstractNeurons = 12;
   A.Seconds = 0.5;
 
   VerifyStats B;
@@ -268,10 +263,6 @@ TEST(VerifierTest, StatsAccumulateAcrossEveryField) {
   B.ZonotopeChoices = 600;
   B.DisjunctSum = 700;
   B.NodesExpanded = 800;
-  B.CegarRounds = 900;
-  B.CegarSpuriousCexes = 1000;
-  B.CegarFallbacks = 1100;
-  B.CegarAbstractNeurons = 1200; // above A's: max must take 1200
   B.Seconds = 0.25;
 
   A += B;
@@ -283,10 +274,6 @@ TEST(VerifierTest, StatsAccumulateAcrossEveryField) {
   EXPECT_EQ(A.ZonotopeChoices, 606);
   EXPECT_EQ(A.DisjunctSum, 707);
   EXPECT_EQ(A.NodesExpanded, 808);
-  EXPECT_EQ(A.CegarRounds, 909);
-  EXPECT_EQ(A.CegarSpuriousCexes, 1010);
-  EXPECT_EQ(A.CegarFallbacks, 1111);
-  EXPECT_EQ(A.CegarAbstractNeurons, 1200);
   EXPECT_DOUBLE_EQ(A.Seconds, 0.75);
 
   // Merging a default-constructed stats object is the identity.
@@ -294,12 +281,11 @@ TEST(VerifierTest, StatsAccumulateAcrossEveryField) {
   A += VerifyStats{};
   EXPECT_EQ(A.PgdCalls, Before.PgdCalls);
   EXPECT_EQ(A.MaxDepth, Before.MaxDepth);
-  EXPECT_EQ(A.CegarAbstractNeurons, Before.CegarAbstractNeurons);
   EXPECT_DOUBLE_EQ(A.Seconds, Before.Seconds);
 
   // Tripwire: adding a field to VerifyStats must come with a += clause and
-  // an update to this test (12 longs + 1 double today).
-  static_assert(sizeof(VerifyStats) == 12 * sizeof(long) + sizeof(double),
+  // an update to this test (8 longs + 1 double today).
+  static_assert(sizeof(VerifyStats) == 8 * sizeof(long) + sizeof(double),
                 "VerifyStats changed shape: update operator+= and this test");
 }
 

@@ -117,7 +117,6 @@ TEST(FleetProtocolTest, DoneEventRoundTrips) {
   Ev.Stats.Splits = 30;
   Ev.Stats.MaxDepth = 4;
   Ev.Stats.NodesExpanded = 31;
-  Ev.Stats.CegarRounds = 0;
   Ev.Stats.Seconds = 0.75;
   Ev.ExpandedHere = 28;
   Ev.CheckpointText = "";
@@ -198,10 +197,6 @@ TEST(FleetProtocolTest, ConfigTransportability) {
     return Outcome::Timeout;
   };
   EXPECT_FALSE(configTransportable(Fallback));
-
-  VerifierConfig Cegar;
-  Cegar.Cegar.Enabled = true;
-  EXPECT_FALSE(configTransportable(Cegar));
 }
 
 //===----------------------------------------------------------------------===//
@@ -441,7 +436,11 @@ TEST_F(FleetIdentityTest, NonTransportableConfigRunsInline) {
   VerifierConfig Config;
   Config.Seed = 7;
   Config.TimeLimitSeconds = BudgetSeconds;
-  Config.Cegar.Enabled = true; // process-local: cannot cross the wire
+  // A process-local callback cannot cross the wire. Returning Timeout
+  // keeps it verdict-neutral: the search just refines on.
+  Config.CompleteFallback = [](const Network &, const Box &, size_t) {
+    return Outcome::Timeout;
+  };
 
   FleetCoordinator Fleet(VerificationPolicy(), fleetConfig(2));
   FleetJobReport Report;

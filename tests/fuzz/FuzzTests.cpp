@@ -11,7 +11,6 @@
 #include "fuzz/Campaign.h"
 
 #include "TestNetworks.h"
-#include "nn/Builder.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -181,64 +180,6 @@ TEST(OracleTest, InjectedBugIsCaught) {
       checkContainment(Net, Region, {BaseDomainKind::Interval, 1}, Buggy, R2);
   ASSERT_FALSE(V.empty());
   EXPECT_EQ(V.front().Oracle, "containment:Interval");
-}
-
-TEST(OracleTest, CegarSoundnessCleanOnDenseNetworks) {
-  OracleConfig Cfg;
-  Rng WeightR(41);
-  struct Case {
-    Network Net;
-    Box Region;
-  };
-  Case Cases[] = {
-      {makeXorNetwork(), Box::uniform(2, 0.0, 0.2)},
-      {makeExample23Network(), Box::uniform(2, 0.0, 1.0)},
-      {makeMlp(4, {12, 10, 8}, 5, WeightR), Box::uniform(4, 0.1, 0.6)},
-  };
-  for (Case &C : Cases) {
-    RobustnessProperty Prop = centerProperty(C.Net, C.Region);
-    for (uint64_t Seed : {3u, 4u}) {
-      Rng R(Seed);
-      std::vector<OracleViolation> V =
-          checkCegarSoundness(C.Net, Prop, VerificationPolicy(), Cfg, R);
-      for (const OracleViolation &X : V)
-        ADD_FAILURE() << X.Oracle << ": " << X.Message;
-    }
-  }
-}
-
-TEST(OracleTest, CegarOraclePassesTriviallyOnNonDenseNetworks) {
-  // Conv networks are outside the abstractor's dense-ReLU fragment; the
-  // oracle must decline (empty result), not fire or crash.
-  Rng WeightR(8);
-  Network Net = makeLeNet(TensorShape{1, 8, 8}, 3, WeightR);
-  RobustnessProperty Prop =
-      centerProperty(Net, Box::uniform(Net.inputSize(), 0.2, 0.4));
-  OracleConfig Cfg;
-  Rng R(5);
-  EXPECT_TRUE(
-      checkCegarSoundness(Net, Prop, VerificationPolicy(), Cfg, R).empty());
-}
-
-TEST(OracleTest, CegarInjectedBugIsCaught) {
-  // Margins on this net move by several units across the region; claiming
-  // the abstract outputs sit 0.5 lower than computed must let the true
-  // margin escape above them at sampled points.
-  Network Net = makeExample23Network();
-  RobustnessProperty Prop = centerProperty(Net, Box::uniform(2, 0.0, 1.0));
-
-  OracleConfig Clean;
-  Rng R1(5);
-  EXPECT_TRUE(
-      checkCegarSoundness(Net, Prop, VerificationPolicy(), Clean, R1).empty());
-
-  OracleConfig Buggy;
-  Buggy.InjectTighten = 0.5;
-  Rng R2(5);
-  std::vector<OracleViolation> V =
-      checkCegarSoundness(Net, Prop, VerificationPolicy(), Buggy, R2);
-  ASSERT_FALSE(V.empty());
-  EXPECT_EQ(V.front().Oracle.substr(0, 6), "cegar:");
 }
 
 TEST(OracleTest, ParseDomainSpec) {

@@ -6,9 +6,9 @@
 // silently repaired checkpoint — on every class of malformed input:
 // truncation at any line boundary, corrupted magic/keywords/digest values,
 // non-numeric doubles, inverted region bounds, warm-start size mismatches,
-// and duplicate node paths (two frontier entries with the same path can
-// never come from the engine, whose paths identify nodes and seed their
-// RNG streams).
+// counts larger than the remaining text, and duplicate node paths (two
+// frontier entries with the same path can never come from the engine,
+// whose paths identify nodes and seed their RNG streams).
 //
 //===----------------------------------------------------------------------===//
 
@@ -147,6 +147,26 @@ TEST(CheckpointNegativeTest, RejectsStructuralDamage) {
   // Open count larger than the node blocks present (a form of truncation).
   EXPECT_FALSE(
       deserializeCheckpoint(replaced(sampleText(), "open 2", "open 3"))
+          .has_value());
+  // A dim or open count larger than the text that follows must be refused
+  // before it sizes an allocation.
+  const std::string Hostile = "charon-checkpoint 1\n"
+                              "order lifo\n"
+                              "network 1 property 2 config 3\n"
+                              "stats 0 0 0 0 0 0 0 0 0\n"
+                              "dim 1\n"
+                              "open 1\n"
+                              "node - 0\n"
+                              "lower 0\n"
+                              "upper 1\n"
+                              "warm 0\n"
+                              "end\n";
+  ASSERT_TRUE(deserializeCheckpoint(Hostile).has_value());
+  EXPECT_FALSE(
+      deserializeCheckpoint(replaced(Hostile, "dim 1", "dim 100000000000000"))
+          .has_value());
+  EXPECT_FALSE(
+      deserializeCheckpoint(replaced(Hostile, "open 1", "open 100000000000000"))
           .has_value());
 }
 

@@ -7,8 +7,9 @@
 // and resume timed-out searches without re-running anything. These tests
 // exercise the attachFile() contract across cache instances: full record
 // round-trips (verdict, counterexample, stats, certificate, checkpoint),
-// replay-in-order semantics, torn-tail recovery, foreign-file refusal, and
-// the single-writer flock.
+// the pinned record bytes, replay-in-order semantics, torn-tail recovery
+// (including an oversized count), foreign-file refusal, and the
+// single-writer flock.
 //
 //===----------------------------------------------------------------------===//
 
@@ -224,33 +225,91 @@ TEST_F(PersistentCacheTest, LaterRecordWinsOnReplay) {
 }
 
 TEST_F(PersistentCacheTest, TornTailIsTruncatedAndAppendsContinue) {
-  {
-    ResultCache Cache(64);
-    ASSERT_TRUE(Cache.attachFile(Path));
-    Cache.insert(key(1, 2, 3), box(0, 1), 0, verified());
-  }
-  size_t GoodSize = fileSize(Path);
-  {
-    // Crash mid-append: half an "entry" line with no record body.
-    std::ofstream Os(Path, std::ios::app);
-    Os << "entry 9 9";
-  }
-  ASSERT_GT(fileSize(Path), GoodSize);
+  // A crash mid-append leaves half an "entry" line with no record body. A
+  // damaged record whose region count is far beyond the bytes that follow
+  // must be refused the same way, before the count sizes an allocation.
+  for (const char *Tail :
+       {"entry 9 9", "entry 1 9 3 0\nregion 100000000000000\nlower 0\n"}) {
+    SCOPED_TRACE(Tail);
+    ::unlink(Path.c_str());
+    {
+      ResultCache Cache(64);
+      ASSERT_TRUE(Cache.attachFile(Path));
+      Cache.insert(key(1, 2, 3), box(0, 1), 0, verified());
+    }
+    size_t GoodSize = fileSize(Path);
+    {
+      std::ofstream Os(Path, std::ios::app);
+      Os << Tail;
+    }
+    ASSERT_GT(fileSize(Path), GoodSize);
 
-  {
-    ResultCache Fresh(64);
-    ASSERT_TRUE(Fresh.attachFile(Path));
-    EXPECT_EQ(Fresh.stats().Loaded, 1) << "records before the tear are kept";
-    EXPECT_EQ(fileSize(Path), GoodSize) << "the torn tail is truncated away";
-    Fresh.insert(key(1, 5, 3), box(0, 1), 0, falsified());
-  }
+    {
+      ResultCache Fresh(64);
+      ASSERT_TRUE(Fresh.attachFile(Path));
+      EXPECT_EQ(Fresh.stats().Loaded, 1) << "records before the tear are kept";
+      EXPECT_EQ(fileSize(Path), GoodSize) << "the torn tail is truncated away";
+      Fresh.insert(key(1, 5, 3), box(0, 1), 0, falsified());
+    }
 
-  // The post-truncation append produced a clean file holding both records.
-  ResultCache Again(64);
-  ASSERT_TRUE(Again.attachFile(Path));
-  EXPECT_EQ(Again.size(), 2u);
-  EXPECT_TRUE(Again.lookup(key(1, 2, 3), box(0, 1), 0).has_value());
-  EXPECT_TRUE(Again.lookup(key(1, 5, 3), box(0, 1), 0).has_value());
+    // The post-truncation append produced a clean file holding both
+    // records.
+    ResultCache Again(64);
+    ASSERT_TRUE(Again.attachFile(Path));
+    EXPECT_EQ(Again.size(), 2u);
+    EXPECT_TRUE(Again.lookup(key(1, 2, 3), box(0, 1), 0).has_value());
+    EXPECT_TRUE(Again.lookup(key(1, 5, 3), box(0, 1), 0).has_value());
+  }
+}
+
+TEST_F(PersistentCacheTest, RecordBytesArePinned) {
+  // One record exactly as earlier builds wrote it, 12-counter stats line
+  // included. Existing logs must keep loading, and re-persisting the entry
+  // must append the very same bytes.
+  const std::string Record =
+      "entry 11 12 13 1\n"
+      "region 2\n"
+      "lower 0 0\n"
+      "upper 1 1\n"
+      "result falsified -0.00125\n"
+      "cex 2 0.25 0.75\n"
+      "stats 1 2 3 4 5 6 7 8 0 0 0 0 0.10000000000000001\n"
+      "cert 180\n"
+      "charon-cert 1\n"
+      "verdict falsified\n"
+      "network 11 property 12 config 13\n"
+      "delta 9.9999999999999995e-07\n"
+      "dim 2 class 1\n"
+      "nodes 1\n"
+      "node - falsified -0.00125\n"
+      "lower 0 0\n"
+      "upper 1 1\n"
+      "cex 0.25 0.75\n"
+      "end\n"
+      "checkpoint 0\n"
+      "end\n";
+  const std::string Magic = "charon-cache 1\n";
+  {
+    std::ofstream Os(Path);
+    Os << Magic << Record;
+  }
+  ResultCache Cache(64);
+  ASSERT_TRUE(Cache.attachFile(Path));
+  EXPECT_EQ(Cache.stats().Loaded, 1);
+  auto Hit = Cache.lookup(key(11, 12, 13), box(0, 1), 1);
+  ASSERT_TRUE(Hit.has_value());
+  EXPECT_EQ(Hit->Result, Outcome::Falsified);
+  EXPECT_EQ(Hit->ObjectiveAtCex, -1.25e-3);
+  EXPECT_EQ(Hit->Stats.DisjunctSum, 7);
+  EXPECT_EQ(Hit->Stats.NodesExpanded, 8);
+  EXPECT_EQ(Hit->Stats.Seconds, 0.1);
+  ASSERT_TRUE(Hit->Certificate != nullptr);
+
+  Cache.insert(key(11, 12, 13), box(0, 1), 1, *Hit);
+  std::ifstream Is(Path);
+  std::stringstream Text;
+  Text << Is.rdbuf();
+  EXPECT_EQ(Text.str(), Magic + Record + Record);
 }
 
 TEST_F(PersistentCacheTest, RefusesForeignFile) {

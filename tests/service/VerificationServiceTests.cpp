@@ -293,7 +293,8 @@ TEST(VerificationServiceTest, PriorityOrdersQueuedJobs) {
 
 TEST(VerificationServiceTest, ResubmittedTimeoutResumesFromCheckpoint) {
   // Interval-only policy on the XOR region: verification needs many splits
-  // (see RefinementTests), so a 2ms budget reliably times out mid-search.
+  // (see RefinementTests), so a slice of the full search's time reliably
+  // times out mid-search.
   Matrix Theta(PolicyNumOutputs, PolicyNumFeatures);
   Theta(0, 4) = -10.0;
   Theta(1, 4) = -10.0;
@@ -312,12 +313,23 @@ TEST(VerificationServiceTest, ResubmittedTimeoutResumesFromCheckpoint) {
   Req.Prop.Region = Box::uniform(2, 0.3, 0.7);
   Req.Prop.TargetClass = 1;
   Req.Prop.Name = "xor-refine";
-  Req.Config.TimeLimitSeconds = 0.002;
+
+  // The uninterrupted verifier gives the verdict the resumed chain must
+  // reach, and its wall time sizes each submission's budget: an eighth of
+  // it gives every build speed (plain, sanitized, forced-threaded kernels)
+  // about the same number of nodes per slice.
+  VerifierConfig Direct = Req.Config;
+  Direct.TimeLimitSeconds = 30.0;
+  VerifyResult Expected =
+      Verifier(Service.registry().network(Net), IntervalOnly, Direct)
+          .verify(Req.Prop);
+  Req.Config.TimeLimitSeconds = Expected.Stats.Seconds / 8.0;
 
   const JobOutcome First = Service.submit(Req).outcome();
   EXPECT_FALSE(First.Resumed);
   if (First.Result.Result != Outcome::Timeout)
-    GTEST_SKIP() << "query decided within 2ms; resume path not exercised";
+    GTEST_SKIP() << "query decided within its slice; resume path not "
+                    "exercised";
   ASSERT_TRUE(First.Result.Checkpoint);
 
   // Each identical resubmission finds the cached Timeout-with-checkpoint
@@ -338,11 +350,6 @@ TEST(VerificationServiceTest, ResubmittedTimeoutResumesFromCheckpoint) {
   // The resumed chain lands on the verdict the uninterrupted verifier
   // reaches, and the completed result replaces the stale Timeout in the
   // cache: one more submission is a plain hit, no resume.
-  VerifierConfig Direct = Req.Config;
-  Direct.TimeLimitSeconds = 30.0;
-  VerifyResult Expected =
-      Verifier(Service.registry().network(Net), IntervalOnly, Direct)
-          .verify(Req.Prop);
   EXPECT_EQ(Last.Result.Result, Expected.Result);
 
   const JobOutcome Hit = Service.submit(Req).outcome();
