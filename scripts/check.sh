@@ -17,11 +17,12 @@
 # property with --trace (validating the charon-trace/1 JSONL schema), and
 # exercises the Timeout -> --checkpoint -> --resume path; the sanitize leg
 # runs it with --parallel and forced-threaded kernels.
-# A hostile-input leg then feeds the three string-backed parsers a count
-# far larger than the file: charon_check (a certificate's dim and nodes)
-# and charon_cli --resume (a checkpoint's open) must exit 2 with their
-# parse/load diagnostic, and charon_serve --cache-file (a cache record's
-# region) must truncate the record and exit 0. A signal fails the leg.
+# A hostile-input leg then feeds the string-backed parsers a count far
+# larger than the file: charon_check (a certificate's dim and nodes) and
+# charon_cli (a property's dim, a network's dense layer size, and
+# --resume with a checkpoint's open) must exit 2 with their parse/load
+# diagnostic, and charon_serve --cache-file (a cache record's region) must
+# truncate the record and exit 0. A signal fails the leg.
 # A certificate smoke then decides an exported ACAS property with --cert,
 # requires charon_check to accept the emitted certificate, and requires it
 # to reject a tampered copy; the sanitize leg runs it forced-threaded.
@@ -50,10 +51,13 @@
 # must agree and the serve response streams must be byte-identical; the
 # sanitize leg runs the importer and the smooth transformers instrumented
 # with forced-threaded kernels.
+# The plain leg ends with the end-to-end benchmark's self-tests
+# (perfbench/tests/test_perfbench.py), which build perfbench against the
+# library's public API on first use.
 # Before any of that, scripts/check_test_registration.sh asserts every
 # tests/*/*Tests.cpp file is registered in the ctest suite.
 # Usage: scripts/check.sh [--sanitize]
-#   --sanitize   build with -DCHARON_SANITIZE=ON (ASan + UBSan)
+#   --sanitize   build with -DCHARON_SANITIZE=ON (ASan + UBSan, asserts on)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -271,6 +275,10 @@ printf '%s\n' "charon-checkpoint 1" "order lifo" \
   > "$HOSTILE_DIR/open.cp"
 printf '%s\n' "charon-cache 1" "entry 1 2 3 0" "region 100000000000000" \
   "lower 0" > "$HOSTILE_DIR/region.db"
+printf '%s\n' "charon-property 1" "name p" "target 0" "dim 100000000000000" \
+  "lower 0" > "$HOSTILE_DIR/huge.prop"
+printf '%s\n' "charon-network 1 1" "dense 100000000000 100000000000" \
+  > "$HOSTILE_DIR/huge.net"
 # Runs a command that must exit with $1 and, when $2 is non-empty, print
 # $2 on stderr.
 expect_exit() {
@@ -294,6 +302,10 @@ done
 expect_exit 2 "cannot load checkpoint" "$BUILD_DIR/examples/charon_cli" \
   "$TRACE_DIR/acas.net" "$TRACE_DIR/acas-1.prop" \
   --resume "$HOSTILE_DIR/open.cp"
+expect_exit 2 "cannot load property" "$BUILD_DIR/examples/charon_cli" \
+  "$TRACE_DIR/acas.net" "$HOSTILE_DIR/huge.prop"
+expect_exit 2 "cannot load network" "$BUILD_DIR/examples/charon_cli" \
+  "$HOSTILE_DIR/huge.net" "$TRACE_DIR/acas-1.prop"
 expect_exit 0 "" "$BUILD_DIR/examples/charon_serve" /dev/null \
   --cache-file "$HOSTILE_DIR/region.db" --workers 1
 if [[ "$(cat "$HOSTILE_DIR/region.db")" != "charon-cache 1" ]]; then
@@ -496,3 +508,12 @@ done
 cmp "$ONNX_DIR/serial.norm" "$ONNX_DIR/fleet.norm"
 grep -q '"outcome":"verified"' "$ONNX_DIR/serial.out"
 echo "onnx smoke: import + verify OK, serial/fleet responses identical"
+
+# perfbench self-tests (plain leg): the end-to-end benchmark compiles
+# against the library's public API (pgdMinimize, the policy calls, every
+# Layer virtual), so a change that breaks it fails here rather than only
+# when the benchmark runs.
+if [[ "$SANITIZE" == 0 ]]; then
+  python3 perfbench/tests/test_perfbench.py
+  echo "perfbench self-tests: OK"
+fi

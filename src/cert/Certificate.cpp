@@ -5,6 +5,7 @@
 #include "core/Digest.h"
 #include "core/Property.h"
 #include "search/ProofTree.h"
+#include "support/TextBounds.h"
 
 #include <array>
 #include <cassert>
@@ -233,12 +234,8 @@ std::optional<ProofCertificate> charon::loadCertificate(std::istream &Is) {
 std::optional<ProofCertificate>
 charon::deserializeCertificate(const std::string &Text) {
   std::istringstream Is(Text);
-  // Each count must fit in the unread text (a value takes at least one
-  // byte), so a damaged count is rejected before it sizes an allocation.
-  auto Fits = [&Is](size_t Count) {
-    std::streamsize Left = Is.rdbuf()->in_avail();
-    return Left >= 0 && Count <= static_cast<size_t>(Left);
-  };
+  // Each count must fit in the unread text (see valuesFit), so a damaged
+  // count is rejected before it sizes an allocation.
   std::string Magic, Key, Token;
   int Version = 0;
   if (!(Is >> Magic >> Version) || Magic != "charon-cert" || Version != 1)
@@ -262,13 +259,13 @@ charon::deserializeCertificate(const std::string &Text) {
     return std::nullopt;
   if (!(Is >> Key >> Cert.Delta) || Key != "delta")
     return std::nullopt;
-  if (!(Is >> Key >> Cert.Dim) || Key != "dim" || !Fits(Cert.Dim))
+  if (!(Is >> Key >> Cert.Dim) || Key != "dim" || !valuesFit(Is, Cert.Dim))
     return std::nullopt;
   if (!(Is >> Key >> Cert.TargetClass) || Key != "class")
     return std::nullopt;
 
   size_t Count = 0;
-  if (!(Is >> Key >> Count) || Key != "nodes" || !Fits(Count))
+  if (!(Is >> Key >> Count) || Key != "nodes" || !valuesFit(Is, Count))
     return std::nullopt;
   if (Count > 0 && Cert.Dim == 0)
     return std::nullopt;

@@ -2,6 +2,8 @@
 
 #include "core/PropertyIo.h"
 
+#include "support/TextBounds.h"
+
 #include <fstream>
 #include <iomanip>
 
@@ -21,7 +23,9 @@ void charon::saveProperty(const RobustnessProperty &Prop, std::ostream &Os) {
   Os << "\n";
 }
 
-std::optional<RobustnessProperty> charon::loadProperty(std::istream &Is) {
+namespace {
+
+std::optional<RobustnessProperty> parseProperty(std::istream &Is) {
   std::string Magic, Key;
   int Version = 0;
   if (!(Is >> Magic >> Version) || Magic != "charon-property" || Version != 1)
@@ -33,7 +37,9 @@ std::optional<RobustnessProperty> charon::loadProperty(std::istream &Is) {
     return std::nullopt;
   if (!(Is >> Key >> Prop.TargetClass) || Key != "target")
     return std::nullopt;
-  if (!(Is >> Key >> Dim) || Key != "dim" || Dim == 0)
+  // Both bound lists must fit in the bytes left.
+  if (!(Is >> Key >> Dim) || Key != "dim" || Dim == 0 ||
+      !valuesFit(Is, 2, Dim))
     return std::nullopt;
 
   Vector Lo(Dim), Hi(Dim);
@@ -52,6 +58,12 @@ std::optional<RobustnessProperty> charon::loadProperty(std::istream &Is) {
       return std::nullopt;
   Prop.Region = Box(std::move(Lo), std::move(Hi));
   return Prop;
+}
+
+} // namespace
+
+std::optional<RobustnessProperty> charon::loadProperty(std::istream &Is) {
+  return parseMeasured(Is, parseProperty);
 }
 
 bool charon::savePropertyFile(const RobustnessProperty &Prop,

@@ -30,6 +30,16 @@ ImageDatasetConfig charon::cifarLikeConfig() {
 
 namespace {
 
+/// Draws a coordinate on a side of \p Side pixels at least \p Margin pixels
+/// in from both borders, or anywhere on the side when it is too short for
+/// that margin. Either way it is one uniform draw, so the RNG stream, and
+/// every image whose sides fit the margin, stay the same.
+double drawCoordinate(Rng &R, double Margin, int Side) {
+  if (Side - 1.0 < 2.0 * Margin)
+    Margin = 0.0;
+  return R.uniform(Margin, Side - 1.0 - Margin);
+}
+
 /// Builds the deterministic prototype image for a class: two Gaussian bumps
 /// plus one oriented stroke, all placed by a class-seeded RNG, per channel.
 Vector makePrototype(const ImageDatasetConfig &Config, int Label) {
@@ -39,8 +49,8 @@ Vector makePrototype(const ImageDatasetConfig &Config, int Label) {
   for (int C = 0; C < S.Channels; ++C) {
     // Two localized bumps.
     for (int Bump = 0; Bump < 2; ++Bump) {
-      double Cy = ProtoRng.uniform(1.0, S.Height - 2.0);
-      double Cx = ProtoRng.uniform(1.0, S.Width - 2.0);
+      double Cy = drawCoordinate(ProtoRng, 1.0, S.Height);
+      double Cx = drawCoordinate(ProtoRng, 1.0, S.Width);
       double Sigma = ProtoRng.uniform(1.0, 2.2);
       double Amp = ProtoRng.uniform(0.5, 0.9);
       for (int Y = 0; Y < S.Height; ++Y) {
@@ -52,8 +62,8 @@ Vector makePrototype(const ImageDatasetConfig &Config, int Label) {
     }
     // One oriented stroke: a line of bright pixels.
     double Angle = ProtoRng.uniform(0.0, M_PI);
-    double Oy = ProtoRng.uniform(2.0, S.Height - 3.0);
-    double Ox = ProtoRng.uniform(2.0, S.Width - 3.0);
+    double Oy = drawCoordinate(ProtoRng, 2.0, S.Height);
+    double Ox = drawCoordinate(ProtoRng, 2.0, S.Width);
     double Dy = std::sin(Angle), Dx = std::cos(Angle);
     for (double T = -4.0; T <= 4.0; T += 0.25) {
       int Y = static_cast<int>(std::lround(Oy + T * Dy));

@@ -11,6 +11,7 @@
 #include "nn/Relu.h"
 #include "nn/Residual.h"
 #include "support/Check.h"
+#include "support/TextBounds.h"
 
 #include <fstream>
 #include <iomanip>
@@ -91,13 +92,15 @@ void saveLayer(const Layer &L, std::ostream &Os) {
   }
 }
 
+/// Parses one layer. Each count must fit in the bytes left (see
+/// valuesFit), so a damaged count is refused before it sizes an allocation.
 std::unique_ptr<Layer> loadLayer(std::istream &Is) {
   std::string Kind;
   if (!(Is >> Kind))
     return nullptr;
   if (Kind == "dense") {
     size_t In = 0, Out = 0;
-    if (!(Is >> In >> Out))
+    if (!(Is >> In >> Out) || !valuesFit(Is, Out, In, Out))
       return nullptr;
     Matrix W(Out, In);
     for (size_t R = 0; R < Out; ++R)
@@ -137,6 +140,12 @@ std::unique_ptr<Layer> loadLayer(std::istream &Is) {
     if (In.Channels <= 0 || In.Height <= 0 || In.Width <= 0 || OutC <= 0 ||
         KH <= 0 || KW <= 0 || S <= 0 || P < 0)
       return nullptr;
+    // The kernel must fit in the padded input (an empty output is not a
+    // layer), and the kernel and bias values in the bytes left.
+    if (In.Height + 2 * int64_t(P) < KH || In.Width + 2 * int64_t(P) < KW ||
+        !valuesFit(Is, uint64_t(OutC) * uint64_t(In.Channels),
+                   uint64_t(KH) * uint64_t(KW), uint64_t(OutC)))
+      return nullptr;
     auto C = std::make_unique<Conv2DLayer>(In, OutC, KH, KW, S, P);
     for (int Oc = 0; Oc < OutC; ++Oc)
       for (int Ic = 0; Ic < In.Channels; ++Ic)
@@ -169,7 +178,7 @@ std::unique_ptr<Layer> loadLayer(std::istream &Is) {
   }
   if (Kind == "residual") {
     size_t BodyLayers = 0;
-    if (!(Is >> BodyLayers) || BodyLayers == 0)
+    if (!(Is >> BodyLayers) || BodyLayers == 0 || !valuesFit(Is, BodyLayers))
       return nullptr;
     Network Body;
     for (size_t I = 0; I < BodyLayers; ++I) {
@@ -192,21 +201,12 @@ std::unique_ptr<Layer> loadLayer(std::istream &Is) {
   return nullptr;
 }
 
-} // namespace
-
-void charon::saveNetwork(const Network &Net, std::ostream &Os) {
-  Os << "charon-network 1 " << Net.numLayers() << "\n";
-  Os << std::setprecision(17);
-  for (size_t I = 0, E = Net.numLayers(); I < E; ++I)
-    saveLayer(Net.layer(I), Os);
-}
-
-std::optional<Network> charon::loadNetwork(std::istream &Is) {
+std::optional<Network> parseNetwork(std::istream &Is) {
   std::string Magic;
   int Version = 0;
   size_t NumLayers = 0;
   if (!(Is >> Magic >> Version >> NumLayers) || Magic != "charon-network" ||
-      Version != 1)
+      Version != 1 || !valuesFit(Is, NumLayers))
     return std::nullopt;
 
   Network Net;
@@ -219,6 +219,19 @@ std::optional<Network> charon::loadNetwork(std::istream &Is) {
     Net.addLayer(std::move(L));
   }
   return Net;
+}
+
+} // namespace
+
+void charon::saveNetwork(const Network &Net, std::ostream &Os) {
+  Os << "charon-network 1 " << Net.numLayers() << "\n";
+  Os << std::setprecision(17);
+  for (size_t I = 0, E = Net.numLayers(); I < E; ++I)
+    saveLayer(Net.layer(I), Os);
+}
+
+std::optional<Network> charon::loadNetwork(std::istream &Is) {
+  return parseMeasured(Is, parseNetwork);
 }
 
 bool charon::saveNetworkFile(const Network &Net, const std::string &Path) {

@@ -95,7 +95,10 @@ Vector Network::objectiveGradient(const Vector &Input, size_t K) const {
 }
 
 Vector Network::objectiveBatch(const Matrix &X, size_t K) const {
-  Matrix Y = evaluateBatch(X);
+  return objectiveOfOutputs(evaluateBatch(X), K);
+}
+
+Vector Network::objectiveOfOutputs(const Matrix &Y, size_t K) {
   assert(K < Y.cols() && "target class out of range");
   Vector F(Y.rows());
   for (size_t I = 0, B = Y.rows(); I < B; ++I) {
@@ -110,7 +113,14 @@ Vector Network::objectiveBatch(const Matrix &X, size_t K) const {
 }
 
 Matrix Network::objectiveGradientBatch(const Matrix &X, size_t K) const {
-  std::vector<Matrix> Acts = evaluateBatchWithActivations(X);
+  return objectiveGradientFromActivations(evaluateBatchWithActivations(X), K);
+}
+
+Matrix
+Network::objectiveGradientFromActivations(const std::vector<Matrix> &Acts,
+                                          size_t K) const {
+  assert(Acts.size() == Layers.size() + 1 &&
+         "activation trace size mismatch");
   const Matrix &Y = Acts.back();
   assert(K < Y.cols() && "target class out of range");
   // Per-row seed for d/dx [ y_K - y_{j*} ], with j* resolved by the same

@@ -71,10 +71,19 @@ public:
   /// forward pass for the whole batch.
   Vector objectiveBatch(const Matrix &X, size_t K) const;
 
+  /// The objective scan of objectiveBatch over an output batch \p Y:
+  /// element i is y_K - max_{j != K} y_j of row i.
+  static Vector objectiveOfOutputs(const Matrix &Y, size_t K);
+
   /// Batched objective gradient: row i is objectiveGradient(row i of \p X,
   /// K) — one forward + one backward pass for the whole batch, with the
   /// competitor argmax resolved per row exactly as the scalar path does.
   Matrix objectiveGradientBatch(const Matrix &X, size_t K) const;
+
+  /// objectiveGradientBatch of the batch whose activations \p Acts an
+  /// earlier evaluateBatchWithActivations() kept: the backward pass only.
+  Matrix objectiveGradientFromActivations(const std::vector<Matrix> &Acts,
+                                          size_t K) const;
 
   /// Deep copy.
   Network clone() const;

@@ -34,34 +34,43 @@ Matrix gatherRows(const Matrix &X, const std::vector<int> &Rows) {
   return Out;
 }
 
-/// Batched engine: one fused forward (+ backward) pass per population.
+/// Batched engine: one fused forward pass scores a population, and its
+/// activations are kept so the gradient of the population last scored
+/// costs one backward pass.
 struct BatchedEval {
   const Network &Net;
   size_t K;
+  std::vector<Matrix> Acts;
 
-  Vector objective(const Matrix &X) const { return Net.objectiveBatch(X, K); }
-  Matrix gradient(const Matrix &X) const {
-    return Net.objectiveGradientBatch(X, K);
+  Vector score(const Matrix &X) {
+    Acts = Net.evaluateBatchWithActivations(X);
+    return Network::objectiveOfOutputs(Acts.back(), K);
+  }
+  Matrix gradientOfScored() const {
+    return Net.objectiveGradientFromActivations(Acts, K);
   }
 };
 
 /// Reference engine: the same population semantics evaluated row by row
-/// through the scalar Network calls. The equivalence tests pin the batched
-/// engine against this oracle bit for bit.
+/// through the scalar Network calls, recomputing everything. The
+/// equivalence tests pin the batched engine against this oracle bit for
+/// bit.
 struct ScalarEval {
   const Network &Net;
   size_t K;
+  Matrix Scored;
 
-  Vector objective(const Matrix &X) const {
+  Vector score(const Matrix &X) {
+    Scored = X;
     Vector F(X.rows());
     for (size_t I = 0, B = X.rows(); I < B; ++I)
       F[I] = Net.objective(rowToVector(X, I), K);
     return F;
   }
-  Matrix gradient(const Matrix &X) const {
-    Matrix G(X.rows(), X.cols());
-    for (size_t I = 0, B = X.rows(); I < B; ++I) {
-      Vector Row = Net.objectiveGradient(rowToVector(X, I), K);
+  Matrix gradientOfScored() const {
+    Matrix G(Scored.rows(), Scored.cols());
+    for (size_t I = 0, B = Scored.rows(); I < B; ++I) {
+      Vector Row = Net.objectiveGradient(rowToVector(Scored, I), K);
       std::copy(Row.data(), Row.data() + Row.size(), G.row(I));
     }
     return G;
@@ -70,9 +79,12 @@ struct ScalarEval {
 
 /// The lock-step population driver shared by both engines: the engines may
 /// only differ in how they evaluate a batch, never in the search semantics.
+/// Each step differentiates exactly the batch scored last (the initial
+/// population, then each step's moved chains), so the engine is asked for
+/// the gradient of that batch rather than handed the rows again.
 template <typename Eval>
 PgdResult pgdDrive(const Box &Region, const PgdConfig &Config, Rng &R,
-                   const Vector *WarmStart, const Eval &E) {
+                   const Vector *WarmStart, Eval E) {
   const size_t N = Region.dim();
   const int Chains = std::max(1, Config.Restarts);
 
@@ -105,20 +117,21 @@ PgdResult pgdDrive(const Box &Region, const PgdConfig &Config, Rng &R,
     return Best.Objective <= Config.EarlyStopObjective;
   };
 
-  if (Update(X, E.objective(X)))
+  if (Update(X, E.score(X)))
     return Best;
 
   const Vector &Lo = Region.lower();
   const Vector &Hi = Region.upper();
 
-  // Chains that still have a descent direction, ascending. A chain whose
-  // signed step moves nothing (dead-ReLU zero gradient) can never move
-  // again and is dropped from the population.
+  // Chains that still have a descent direction, ascending; row A of the
+  // batch scored last is chain Active[A]. A chain whose signed step moves
+  // nothing (dead-ReLU zero gradient) can never move again and is dropped
+  // from the population.
   std::vector<int> Active(static_cast<size_t>(Chains));
   std::iota(Active.begin(), Active.end(), 0);
 
   for (int Step = 0; Step < Config.Steps && !Active.empty(); ++Step) {
-    Matrix G = E.gradient(gatherRows(X, Active));
+    Matrix G = E.gradientOfScored();
     // Signed steps scaled per dimension by the region width (the natural
     // metric for L-infinity style regions), with 1/sqrt(t) decay. Rows are
     // independent, so sharding the sweep cannot affect results.
@@ -154,7 +167,7 @@ PgdResult pgdDrive(const Box &Region, const PgdConfig &Config, Rng &R,
     if (Active.empty())
       break;
     Matrix Xa = gatherRows(X, Active);
-    if (Update(Xa, E.objective(Xa)))
+    if (Update(Xa, E.score(Xa)))
       return Best;
   }
   return Best;
@@ -166,8 +179,8 @@ PgdResult charon::pgdMinimize(const Network &Net, const Box &Region, size_t K,
                               const PgdConfig &Config, Rng &R,
                               const Vector *WarmStart) {
   if (Config.Engine == PgdEngine::Scalar)
-    return pgdDrive(Region, Config, R, WarmStart, ScalarEval{Net, K});
-  return pgdDrive(Region, Config, R, WarmStart, BatchedEval{Net, K});
+    return pgdDrive(Region, Config, R, WarmStart, ScalarEval{Net, K, {}});
+  return pgdDrive(Region, Config, R, WarmStart, BatchedEval{Net, K, {}});
 }
 
 PgdResult charon::fgsmMinimize(const Network &Net, const Box &Region,

@@ -15,10 +15,14 @@
 /// nothing — which is exactly why Algorithm 1 couples them with abstract
 /// interpretation.
 ///
-/// The search runs all restart chains in lock step as one B x N population:
-/// every step costs one batched forward + backward pair for the whole
-/// population instead of Restarts x Steps scalar passes, and the search
-/// returns as soon as any chain crosses the early-stop threshold.
+/// The search runs all restart chains in lock step as one B x N population.
+/// Scoring a population is one batched forward pass whose activations are
+/// kept, so each step costs one backward pass from them plus one forward
+/// pass that scores the stepped rows: a default 25-step search runs 26
+/// forward and 25 backward passes for the whole population instead of
+/// Restarts x Steps scalar passes. The search returns as soon as any chain
+/// crosses the early-stop threshold. The Scalar engine recomputes every
+/// pass row by row and remains the bit-identity oracle.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -2,6 +2,8 @@
 
 #include "search/Checkpoint.h"
 
+#include "support/TextBounds.h"
+
 #include <algorithm>
 #include <fstream>
 #include <iomanip>
@@ -61,12 +63,8 @@ std::optional<SearchCheckpoint> charon::loadCheckpoint(std::istream &Is) {
 std::optional<SearchCheckpoint>
 charon::deserializeCheckpoint(const std::string &Text) {
   std::istringstream Is(Text);
-  // Each count must fit in the unread text (a value takes at least one
-  // byte), so a damaged count is rejected before it sizes an allocation.
-  auto Fits = [&Is](size_t Count) {
-    std::streamsize Left = Is.rdbuf()->in_avail();
-    return Left >= 0 && Count <= static_cast<size_t>(Left);
-  };
+  // Each count must fit in the unread text (see valuesFit), so a damaged
+  // count is rejected before it sizes an allocation.
   std::string Magic, Key, Token;
   int Version = 0;
   if (!(Is >> Magic >> Version) || Magic != "charon-checkpoint" ||
@@ -98,10 +96,10 @@ charon::deserializeCheckpoint(const std::string &Text) {
     return std::nullopt;
 
   size_t Dim = 0;
-  if (!(Is >> Key >> Dim) || Key != "dim" || !Fits(Dim))
+  if (!(Is >> Key >> Dim) || Key != "dim" || !valuesFit(Is, Dim))
     return std::nullopt;
   size_t Count = 0;
-  if (!(Is >> Key >> Count) || Key != "open" || !Fits(Count))
+  if (!(Is >> Key >> Count) || Key != "open" || !valuesFit(Is, Count))
     return std::nullopt;
   if (Count > 0 && Dim == 0)
     return std::nullopt;

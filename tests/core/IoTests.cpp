@@ -179,6 +179,18 @@ TEST(PropertyIoTest, RejectsZeroDim) {
   EXPECT_FALSE(loadProperty(Ss).has_value());
 }
 
+TEST(PropertyIoTest, RejectsDimBeyondText) {
+  // The dim claims far more bounds than the text holds: refused before it
+  // sizes the bound vectors.
+  std::stringstream Ss("charon-property 1\nname p\ntarget 0\n"
+                       "dim 100000000000000\nlower 0\n");
+  EXPECT_FALSE(loadProperty(Ss).has_value());
+  // One bound short of two lists of dim values.
+  std::stringstream Short("charon-property 1\nname p\ntarget 0\ndim 3\n"
+                          "lower 0 0 0\nupper 1 1");
+  EXPECT_FALSE(loadProperty(Short).has_value());
+}
+
 TEST(PropertyIoTest, RejectsGarbage) {
   std::stringstream Ss("hello world");
   EXPECT_FALSE(loadProperty(Ss).has_value());

@@ -5,7 +5,8 @@
 // These tests pin that contract at every level: per-layer forwardBatch /
 // backwardBatch against row-by-row scalar evaluation, the batched Network
 // objective and gradient, and the two PGD engines — under both the serial
-// and the forced-threaded kernel configuration.
+// and the forced-threaded kernel configuration. They also pin the batched
+// PGD engine's pass count: one forward pass per backward pass plus one.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +14,7 @@
 #include "nn/Builder.h"
 #include "nn/Conv2D.h"
 #include "nn/Dense.h"
+#include "nn/Io.h"
 #include "nn/MaxPool2D.h"
 #include "nn/Network.h"
 #include "nn/Relu.h"
@@ -23,6 +25,7 @@
 
 #include <limits>
 #include <memory>
+#include <string>
 
 using namespace charon;
 
@@ -98,6 +101,88 @@ template <typename Fn> void underBothThreadings(Fn Body) {
 
 const size_t BatchSizes[] = {0, 1, 3, 17};
 
+/// Forwards every Layer call to an owned layer, counting the batched
+/// concrete passes.
+class CountingLayer final : public Layer {
+public:
+  explicit CountingLayer(std::unique_ptr<Layer> Inner)
+      : Inner(std::move(Inner)) {}
+
+  LayerKind kind() const override { return Inner->kind(); }
+  size_t inputSize() const override { return Inner->inputSize(); }
+  size_t outputSize() const override { return Inner->outputSize(); }
+  Vector forward(const Vector &Input) const override {
+    return Inner->forward(Input);
+  }
+  Vector backward(const Vector &Input, const Vector &GradOut,
+                  bool AccumulateParams) override {
+    return Inner->backward(Input, GradOut, AccumulateParams);
+  }
+  Matrix forwardBatch(const Matrix &X) const override {
+    ++Forwards;
+    return Inner->forwardBatch(X);
+  }
+  Matrix backwardBatch(const Matrix &X, const Matrix &GradOut) const override {
+    ++Backwards;
+    return Inner->backwardBatch(X, GradOut);
+  }
+  void applyGradients(double LearningRate, double BatchSize) override {
+    Inner->applyGradients(LearningRate, BatchSize);
+  }
+  void zeroGradients() override { Inner->zeroGradients(); }
+  std::optional<AffineView> affineForm() const override {
+    return Inner->affineForm();
+  }
+  std::optional<ActivationKind> activationKind() const override {
+    return Inner->activationKind();
+  }
+  const PoolSpec *poolSpec() const override { return Inner->poolSpec(); }
+  bool isIdentity() const override { return Inner->isIdentity(); }
+  const Network *residualBody() const override {
+    return Inner->residualBody();
+  }
+  std::unique_ptr<Layer> clone() const override { return Inner->clone(); }
+
+  mutable size_t Forwards = 0;
+  mutable size_t Backwards = 0;
+
+private:
+  std::unique_ptr<Layer> Inner;
+};
+
+/// Both PGD engines over a spread of population shapes, every class, cold
+/// and warm-started, under both threadings: results must match bit for bit.
+void checkPgdEngines(const Network &Net, const Box &Region, uint64_t Seed) {
+  Rng WarmRng(Seed);
+  const Vector Warm = Box::uniform(Region.dim(), -2.0, 2.0).sample(WarmRng);
+
+  PgdConfig Variants[4];
+  Variants[1].Restarts = 6;
+  Variants[2].Restarts = 5;
+  Variants[2].EarlyStopObjective = -std::numeric_limits<double>::infinity();
+  Variants[3].Restarts = 1;
+  Variants[3].Steps = 40;
+
+  underBothThreadings([&] {
+    for (PgdConfig Config : Variants) {
+      for (const Vector *WarmStart :
+           {static_cast<const Vector *>(nullptr), &Warm}) {
+        for (size_t K = 0; K < Net.outputSize(); ++K) {
+          PgdConfig Scalar = Config;
+          Scalar.Engine = PgdEngine::Scalar;
+          PgdConfig Batched = Config;
+          Batched.Engine = PgdEngine::Batched;
+          Rng R1(9 + K), R2(9 + K);
+          PgdResult A = pgdMinimize(Net, Region, K, Scalar, R1, WarmStart);
+          PgdResult B = pgdMinimize(Net, Region, K, Batched, R2, WarmStart);
+          ASSERT_EQ(A.Objective, B.Objective) << "class " << K;
+          ASSERT_TRUE(approxEqual(A.X, B.X, 0.0)) << "class " << K;
+        }
+      }
+    }
+  });
+}
+
 void checkLayerBatchIdentity(Layer &L, uint64_t Seed) {
   Rng R(Seed);
   for (size_t B : BatchSizes) {
@@ -163,6 +248,9 @@ TEST(BatchExecTest, NetworkObjectiveBatchMatchesScalarOnMlp) {
         for (size_t I = 0; I < B; ++I)
           ASSERT_EQ(F[I], WantF[I]);
         expectValueEqual(Net.objectiveGradientBatch(X, K), WantG);
+        expectValueEqual(Net.objectiveGradientFromActivations(
+                             Net.evaluateBatchWithActivations(X), K),
+                         WantG);
       });
     }
   }
@@ -186,37 +274,60 @@ TEST(BatchExecTest, NetworkObjectiveBatchMatchesScalarOnLeNet) {
     for (size_t I = 0; I < X.rows(); ++I)
       ASSERT_EQ(F[I], WantF[I]);
     expectValueEqual(Net.objectiveGradientBatch(X, 1), WantG);
+    expectValueEqual(Net.objectiveGradientFromActivations(
+                         Net.evaluateBatchWithActivations(X), 1),
+                     WantG);
   });
 }
 
 TEST(BatchExecTest, PgdEnginesBitIdentical) {
   Rng NetRng(51);
   Network Net = makeMlp(8, {16, 16}, 3, NetRng);
+  checkPgdEngines(Net, Box::uniform(8, -0.7, 0.4), 52);
+}
+
+TEST(BatchExecTest, PgdEnginesBitIdenticalOnLeNet) {
+  // Conv and max-pool layers.
+  Rng NetRng(56);
+  Network Net = makeLeNet(TensorShape{1, 10, 10}, 4, NetRng);
+  checkPgdEngines(Net, Box::uniform(Net.inputSize(), 0.2, 0.7), 57);
+}
+
+TEST(BatchExecTest, PgdEnginesBitIdenticalOnMixedFixture) {
+  // Residual block, sigmoid and avg-pool layers.
+  auto Net =
+      loadNetworkFile(std::string(CHARON_ONNX_FIXTURE_DIR) + "/mixed.net");
+  ASSERT_TRUE(Net.has_value());
+  checkPgdEngines(*Net, Box::uniform(Net->inputSize(), 0.1, 0.6), 58);
+}
+
+TEST(BatchExecTest, PgdRunsOneForwardPassPerBackwardPassPlusOne) {
+  // Each scored population's activations feed the next step's gradient, so
+  // a full search (no early stop) runs Steps backward passes and at most
+  // Steps + 1 forward passes through every layer.
+  Rng NetRng(54);
+  Network Net = makeMlp(8, {16, 16}, 3, NetRng);
+  Network Counted;
+  std::vector<CountingLayer *> Counters;
+  for (size_t I = 0; I < Net.numLayers(); ++I) {
+    auto L = std::make_unique<CountingLayer>(Net.layer(I).clone());
+    Counters.push_back(L.get());
+    Counted.addLayer(std::move(L));
+  }
   Box Region = Box::uniform(8, -0.7, 0.4);
-  Rng WarmRng(52);
-  const Vector Warm = Box::uniform(8, -2.0, 2.0).sample(WarmRng);
-
-  PgdConfig Variants[4];
-  Variants[1].Restarts = 6;
-  Variants[2].Restarts = 5;
-  Variants[2].EarlyStopObjective = -std::numeric_limits<double>::infinity();
-  Variants[3].Restarts = 1;
-  Variants[3].Steps = 40;
-
-  for (PgdConfig Config : Variants) {
-    for (const Vector *WarmStart :
-         {static_cast<const Vector *>(nullptr), &Warm}) {
-      for (size_t K = 0; K < 3; ++K) {
-        PgdConfig Scalar = Config;
-        Scalar.Engine = PgdEngine::Scalar;
-        PgdConfig Batched = Config;
-        Batched.Engine = PgdEngine::Batched;
-        Rng R1(9 + K), R2(9 + K);
-        PgdResult A = pgdMinimize(Net, Region, K, Scalar, R1, WarmStart);
-        PgdResult B = pgdMinimize(Net, Region, K, Batched, R2, WarmStart);
-        ASSERT_EQ(A.Objective, B.Objective);
-        ASSERT_TRUE(approxEqual(A.X, B.X, 0.0));
-      }
+  for (int Restarts : {2, 6}) {
+    for (CountingLayer *L : Counters)
+      L->Forwards = L->Backwards = 0;
+    PgdConfig Config;
+    Config.Restarts = Restarts;
+    Config.EarlyStopObjective = -std::numeric_limits<double>::infinity();
+    Rng R(55);
+    pgdMinimize(Counted, Region, 0, Config, R);
+    for (size_t I = 0; I < Counters.size(); ++I) {
+      EXPECT_EQ(Counters[I]->Backwards, static_cast<size_t>(Config.Steps))
+          << "layer " << I << ", " << Restarts << " restarts";
+      EXPECT_LE(Counters[I]->Forwards, Counters[I]->Backwards + 1)
+          << "layer " << I << ", " << Restarts << " restarts";
     }
   }
 }

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <streambuf>
+#include <string>
 
 using namespace charon;
 
@@ -23,6 +25,18 @@ std::string serialize(const Network &Net) {
   saveNetwork(Net, Ss);
   return Ss.str();
 }
+
+/// A read-only stream buffer that cannot seek, like a pipe's.
+class PipeBuf : public std::streambuf {
+public:
+  explicit PipeBuf(std::string Text) : Text(std::move(Text)) {
+    char *Begin = this->Text.data();
+    setg(Begin, Begin, Begin + this->Text.size());
+  }
+
+private:
+  std::string Text;
+};
 
 /// Tries to load \p Text; on success the result must be a structurally
 /// coherent network (evaluation does not trip assertions).
@@ -77,6 +91,39 @@ TEST(IoFuzzTest, LayerCountMismatchRejected) {
   Text.replace(Pos, 3, " 9\n");
   std::stringstream Ss(Text);
   EXPECT_FALSE(loadNetwork(Ss).has_value());
+}
+
+TEST(IoFuzzTest, OversizedCountsRejected) {
+  // Each count claims far more values than the text holds, or a kernel
+  // larger than its padded input: the loader must refuse it before it
+  // sizes an allocation or builds a layer.
+  const char *Texts[] = {
+      "charon-network 1 1\ndense 100000000000 100000000000\n",
+      "charon-network 1 1\ndense 3 100000000000000\n0 0 0\n",
+      "charon-network 1 100000000000000\nrelu 2\n",
+      "charon-network 1 1\nresidual 100000000000000\nrelu 2\n",
+      "charon-network 1 1\nconv 1 4 4 2000000000 3 3 1 0\n0\n",
+      "charon-network 1 1\nconv 1 4 4 1 9 9 1 0\n0\n",
+  };
+  for (const char *Text : Texts) {
+    std::stringstream Ss(Text);
+    EXPECT_FALSE(loadNetwork(Ss).has_value()) << Text;
+  }
+}
+
+TEST(IoFuzzTest, UnseekableStreamsAreCheckedToo) {
+  // A stream that cannot report the bytes left is parsed from a copy, so
+  // it loads the same networks and refuses the same counts.
+  Rng R(7);
+  std::string Text = serialize(makeMlp(4, {5}, 2, R));
+  PipeBuf Buf(Text);
+  std::istream Is(&Buf);
+  auto Loaded = loadNetwork(Is);
+  ASSERT_TRUE(Loaded.has_value());
+  EXPECT_EQ(serialize(*Loaded), Text);
+  PipeBuf Huge("charon-network 1 1\ndense 100000000000 100000000000\n");
+  std::istream Hs(&Huge);
+  EXPECT_FALSE(loadNetwork(Hs).has_value());
 }
 
 TEST(IoFuzzTest, RandomGarbageRejected) {
