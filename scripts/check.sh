@@ -22,7 +22,9 @@
 # charon_cli (a property's dim, a network's dense layer size, and
 # --resume with a checkpoint's open) must exit 2 with their parse/load
 # diagnostic, and charon_serve --cache-file (a cache record's region) must
-# truncate the record and exit 0. A signal fails the leg.
+# truncate the record and exit 0. charon_cli must also refuse, with exit 2,
+# a residual conv whose values fit but whose lowering would not (the
+# loader's shape check). A signal fails the leg.
 # A certificate smoke then decides an exported ACAS property with --cert,
 # requires charon_check to accept the emitted certificate, and requires it
 # to reject a tampered copy; the sanitize leg runs it forced-threaded.
@@ -279,6 +281,10 @@ printf '%s\n' "charon-property 1" "name p" "target 0" "dim 100000000000000" \
   "lower 0" > "$HOSTILE_DIR/huge.prop"
 printf '%s\n' "charon-network 1 1" "dense 100000000000 100000000000" \
   > "$HOSTILE_DIR/huge.net"
+# Every count fits the bytes, but validating the residual body would build
+# a 9e6 x 9e6 conv lowering: the loader's shape check must refuse it.
+printf '%s\n' "charon-network 1 1" "residual 1" "conv 1 3000 3000 1 1 1 1 0" \
+  "0.5" "0.1" > "$HOSTILE_DIR/resconv.net"
 # Runs a command that must exit with $1 and, when $2 is non-empty, print
 # $2 on stderr.
 expect_exit() {
@@ -304,15 +310,17 @@ expect_exit 2 "cannot load checkpoint" "$BUILD_DIR/examples/charon_cli" \
   --resume "$HOSTILE_DIR/open.cp"
 expect_exit 2 "cannot load property" "$BUILD_DIR/examples/charon_cli" \
   "$TRACE_DIR/acas.net" "$HOSTILE_DIR/huge.prop"
-expect_exit 2 "cannot load network" "$BUILD_DIR/examples/charon_cli" \
-  "$HOSTILE_DIR/huge.net" "$TRACE_DIR/acas-1.prop"
+for NET in huge resconv; do
+  expect_exit 2 "cannot load network" "$BUILD_DIR/examples/charon_cli" \
+    "$HOSTILE_DIR/$NET.net" "$TRACE_DIR/acas-1.prop"
+done
 expect_exit 0 "" "$BUILD_DIR/examples/charon_serve" /dev/null \
   --cache-file "$HOSTILE_DIR/region.db" --workers 1
 if [[ "$(cat "$HOSTILE_DIR/region.db")" != "charon-cache 1" ]]; then
   echo "hostile smoke: the oversized cache record was not truncated" >&2
   exit 1
 fi
-echo "hostile smoke: oversized counts refused, cache record truncated"
+echo "hostile smoke: oversized counts and shapes refused, cache record truncated"
 
 # Certificate smoke: decide an exported ACAS property with --cert, check
 # the certificate with the standalone charon_check (which re-runs the

@@ -43,6 +43,15 @@ public:
   /// Abstract transformer for y = W x + b.
   virtual void applyAffine(const Matrix &W, const Vector &B) = 0;
 
+  /// Abstract transformer for a convolution: \p View has View.Conv set and
+  /// View.W, View.B its dense lowering. The default applies the lowering
+  /// through applyAffine; a domain overrides it when the layer's
+  /// structured kernel (Conv2DLayer::convolveRowsInto) computes the same
+  /// values for less. propagate() sends every convolution here.
+  virtual void applyConv(const AffineView &View) {
+    applyAffine(*View.W, *View.B);
+  }
+
   /// Abstract transformer for an element-wise activation applied to the
   /// coordinate range [\p Begin, \p End); coordinates outside the range pass
   /// through unchanged. ReLU keeps its exact case-split treatment; the

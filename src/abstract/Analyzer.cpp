@@ -69,7 +69,10 @@ bool charon::propagate(const Network &Net, AbstractElement &Elem,
     if (L.isIdentity())
       continue; // Flatten / Reshape: identity on the flat vector.
     if (auto Affine = L.affineForm()) {
-      Elem.applyAffine(*Affine->W, *Affine->B);
+      if (Affine->Conv)
+        Elem.applyConv(*Affine);
+      else
+        Elem.applyAffine(*Affine->W, *Affine->B);
       continue;
     }
     if (auto Act = L.activationKind()) {

@@ -43,6 +43,13 @@ void PowersetElement::applyAffine(const Matrix &W, const Vector &B) {
     Base->applyAffine(W, B);
 }
 
+void PowersetElement::applyConv(const AffineView &View) {
+  for (auto &E : Elems)
+    E->applyConv(View);
+  if (Base)
+    Base->applyConv(View);
+}
+
 void PowersetElement::applyActivation(ActivationKind K, size_t Begin,
                                       size_t End) {
   // Case splits only help where the activation has a kink: ReLU crossing

@@ -49,6 +49,7 @@ public:
   size_t dim() const override;
 
   void applyAffine(const Matrix &W, const Vector &B) override;
+  void applyConv(const AffineView &View) override;
 
   /// ReLU with case splitting: repeatedly splits every disjunct on the
   /// crossing neuron with the widest straddling interval while the result

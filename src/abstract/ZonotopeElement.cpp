@@ -12,6 +12,7 @@
 #include "abstract/ZonotopeElement.h"
 
 #include "nn/Activation.h"
+#include "nn/Conv2D.h"
 
 #include <algorithm>
 #include <cassert>
@@ -84,15 +85,30 @@ void ZonotopeElement::materializeSparsePrefix(size_t Prefix) {
 
 void ZonotopeElement::applyAffine(const Matrix &W, const Vector &B) {
   assert(W.cols() == dim() && "affine shape mismatch");
-  size_t M = W.rows();
-  size_t Gd = Dense.rows();
   // All dense generators go through one blocked W * G^T product; each sparse
   // one-hot mu * e_c densifies to the scaled column mu * W(:, c) without
   // ever materializing the one-hot rows. The two kernels together write
   // every element, so the buffer starts uninitialized.
-  Matrix NewDense = Matrix::uninit(Gd + Sparse.size(), M);
+  Matrix NewDense = Matrix::uninit(Dense.rows() + Sparse.size(), W.rows());
   kernels::matMulTransposedInto(Dense, W, NewDense, 0);
-  kernels::oneHotMatMulInto(Sparse, W, NewDense, Gd);
+  finishAffine(std::move(NewDense), W, B);
+}
+
+void ZonotopeElement::applyConv(const AffineView &View) {
+  assert(View.Conv && View.W->cols() == dim() && "conv shape mismatch");
+  // The convolution kernel writes each dense row with matMulTransposed's
+  // chain over the window taps alone. The center stays a matVec over the
+  // lowering: its dot regroups terms at avx2, which no tap chain
+  // reproduces, and it costs one row.
+  Matrix NewDense =
+      Matrix::uninit(Dense.rows() + Sparse.size(), View.W->rows());
+  View.Conv->convolveRowsInto(Dense, NewDense);
+  finishAffine(std::move(NewDense), *View.W, *View.B);
+}
+
+void ZonotopeElement::finishAffine(Matrix NewDense, const Matrix &W,
+                                   const Vector &B) {
+  kernels::oneHotMatMulInto(Sparse, W, NewDense, Dense.rows());
   Dense = std::move(NewDense);
   Sparse.clear();
 

@@ -22,12 +22,13 @@
 /// (coordinate, magnitude) pairs until the next affine layer densifies them.
 /// All transformers are batched kernels over this layout (linalg/Kernels.h):
 /// applyAffine is one blocked G x N x M product plus one sparse
-/// oneHotMatMulInto pass, activations one fused column-rescale sweep,
-/// applyMaxPool one column gather that materializes only the *prefix* of the
-/// sparse tail feeding overlapping windows (non-overlapping pools never
-/// densify the tail at all). Per-coordinate deviation radii are cached and
-/// invalidated on mutation, making repeated bound queries (the powerset
-/// split search is quadratic in them) O(1) after the first.
+/// oneHotMatMulInto pass (applyConv runs the dense rows through the
+/// convolution's own kernel instead), activations one fused column-rescale
+/// sweep, applyMaxPool one column gather that materializes only the
+/// *prefix* of the sparse tail feeding overlapping windows (non-overlapping
+/// pools never densify the tail at all). Per-coordinate deviation radii are
+/// cached and invalidated on mutation, making repeated bound queries (the
+/// powerset split search is quadratic in them) O(1) after the first.
 ///
 /// Generator ordering contract: dense rows precede sparse entries, oldest
 /// first — the exact order the historical vector-of-generators layout
@@ -68,6 +69,12 @@ public:
   size_t dim() const override { return Center.size(); }
 
   void applyAffine(const Matrix &W, const Vector &B) override;
+
+  /// The affine step with the dense generator rows run through the
+  /// convolution's structured kernel; the center and the sparse tail stay
+  /// on the lowering. Every value equals applyAffine(*View.W, *View.B)'s.
+  void applyConv(const AffineView &View) override;
+
   void applyActivation(ActivationKind K, size_t Begin, size_t End) override;
   void applyMaxPool(const PoolSpec &Spec) override;
 
@@ -105,6 +112,11 @@ private:
   /// until the next mutation.
   const Vector &radii() const;
   void invalidateRadii() { RadiiValid = false; }
+
+  /// Finishes an affine step whose dense rows \p NewDense already hold:
+  /// writes the sparse tail's images below them, installs the block, and
+  /// maps the center through the lowering (W, B).
+  void finishAffine(Matrix NewDense, const Matrix &W, const Vector &B);
 
   /// Densifies the sparse prefix [0, Prefix) into the dense block, leaving
   /// [Prefix, end) in place.

@@ -3,8 +3,7 @@
 // Public kernels shard work with parallelFor and forward each shard to the
 // active SIMD backend (SimdOpsImpl.h). The scalar bodies below are the
 // historical accumulation contracts — they define bit-exactness for every
-// layout/equivalence test and remain the only implementation of kernels
-// whose order is part of a cross-path contract (affineBatch PreInit).
+// layout/equivalence test.
 //
 //===----------------------------------------------------------------------===//
 
@@ -143,15 +142,12 @@ void mmtRowsScalar(const Matrix &A, const Matrix &B, Matrix &C,
 
 /// Row block [Begin, End) of Out(i, j) = dot(X.row(i), W.row(j)) + b_j.
 /// Same structure as mmtRowsScalar (resident X row, 4-wide j-unroll,
-/// ascending-k accumulation); the bias either seeds the accumulators
-/// (PreInit, the Conv2D order) or lands after the full dot (PostAdd, the
-/// Dense order).
+/// ascending-k accumulation); the bias lands after the full dot, the Dense
+/// order.
 void affineRowsScalar(const Matrix &X, const Matrix &W, const double *Bias,
-                      kernels::BiasMode Mode, Matrix &Out, size_t Begin,
-                      size_t End) {
+                      Matrix &Out, size_t Begin, size_t End) {
   const size_t K = X.cols();
   const size_t N = W.rows();
-  const bool Pre = Mode == kernels::BiasMode::PreInit;
   for (size_t I = Begin; I < End; ++I) {
     const double *XRow = X.row(I);
     double *ORow = Out.row(I);
@@ -161,10 +157,7 @@ void affineRowsScalar(const Matrix &X, const Matrix &W, const double *Bias,
       const double *W1 = W.row(J + 1);
       const double *W2 = W.row(J + 2);
       const double *W3 = W.row(J + 3);
-      double S0 = Pre ? Bias[J] : 0.0;
-      double S1 = Pre ? Bias[J + 1] : 0.0;
-      double S2 = Pre ? Bias[J + 2] : 0.0;
-      double S3 = Pre ? Bias[J + 3] : 0.0;
+      double S0 = 0.0, S1 = 0.0, S2 = 0.0, S3 = 0.0;
       for (size_t Kk = 0; Kk < K; ++Kk) {
         double Xv = XRow[Kk];
         S0 += Xv * W0[Kk];
@@ -172,18 +165,13 @@ void affineRowsScalar(const Matrix &X, const Matrix &W, const double *Bias,
         S2 += Xv * W2[Kk];
         S3 += Xv * W3[Kk];
       }
-      ORow[J] = Pre ? S0 : S0 + Bias[J];
-      ORow[J + 1] = Pre ? S1 : S1 + Bias[J + 1];
-      ORow[J + 2] = Pre ? S2 : S2 + Bias[J + 2];
-      ORow[J + 3] = Pre ? S3 : S3 + Bias[J + 3];
+      ORow[J] = S0 + Bias[J];
+      ORow[J + 1] = S1 + Bias[J + 1];
+      ORow[J + 2] = S2 + Bias[J + 2];
+      ORow[J + 3] = S3 + Bias[J + 3];
     }
-    for (; J < N; ++J) {
-      const double *WRow = W.row(J);
-      double Sum = Pre ? Bias[J] : 0.0;
-      for (size_t Kk = 0; Kk < K; ++Kk)
-        Sum += XRow[Kk] * WRow[Kk];
-      ORow[J] = Pre ? Sum : Sum + Bias[J];
-    }
+    for (; J < N; ++J)
+      ORow[J] = dotScalar(XRow, W.row(J), K) + Bias[J];
   }
 }
 
@@ -265,6 +253,26 @@ void absColumnSumsColsScalar(const Matrix &A, double *Out, size_t ColBegin,
   }
 }
 
+/// The scalar convTapBlock: multiply, then add, for both arithmetics (the
+/// scalar saxpy is the same two operations).
+void convBlockScalar(const double *const *X, const size_t *Offsets,
+                     const double *Weights, size_t Taps, size_t Channels,
+                     const double *Init, bool, double *Out) {
+  const size_t Vectors = 8 / Channels;
+  for (size_t J = 0; J < Channels; ++J)
+    for (size_t L = 0; L < Vectors * 4; ++L)
+      Out[J * Vectors * 4 + L] = Init[J];
+  for (size_t T = 0; T < Taps; ++T) {
+    for (size_t J = 0; J < Channels; ++J) {
+      const double W = Weights[T * Channels + J];
+      double *Acc = Out + J * Vectors * 4;
+      for (size_t V = 0; V < Vectors; ++V)
+        for (size_t L = 0; L < 4; ++L)
+          Acc[V * 4 + L] += W * X[V][Offsets[T] + L];
+    }
+  }
+}
+
 const kernels::detail::SimdOps ScalarTable = {
     "scalar",
     mmtRowsScalar,
@@ -277,6 +285,7 @@ const kernels::detail::SimdOps ScalarTable = {
     absColumnSumsColsScalar,
     dotScalar,
     saxpyScalar,
+    convBlockScalar,
 };
 
 } // namespace
@@ -336,21 +345,26 @@ void kernels::scaleColumns(Matrix &A, const Vector &Scale) {
 }
 
 Matrix kernels::affineBatch(const Matrix &X, const Matrix &W,
-                            const Vector &Bias, BiasMode Mode) {
+                            const Vector &Bias) {
   assert(X.cols() == W.cols() && "affineBatch shape mismatch");
   assert(Bias.size() == W.rows() && "affineBatch bias size mismatch");
   Matrix Out(X.rows(), W.rows());
   const double *B = Bias.data();
-  // PreInit is the Conv2D accumulation order, whose bit-identity with the
-  // scalar per-point tap loop is a layer contract — it always runs the
-  // scalar bodies regardless of the selected SIMD level.
-  const detail::SimdOps &Ops =
-      Mode == BiasMode::PreInit ? detail::scalarOps() : detail::activeOps();
+  const detail::SimdOps &Ops = detail::activeOps();
   parallelFor(X.rows(), 2 * X.cols() * W.rows(),
-              [&X, &W, B, Mode, &Out, &Ops](size_t Begin, size_t End) {
-                Ops.AffineRows(X, W, B, Mode, Out, Begin, End);
+              [&X, &W, B, &Out, &Ops](size_t Begin, size_t End) {
+                Ops.AffineRows(X, W, B, Out, Begin, End);
               });
   return Out;
+}
+
+void kernels::convTapBlock(const double *const *X, const size_t *Offsets,
+                           const double *Weights, size_t Taps,
+                           size_t Channels, const double *Init, TapArith Arith,
+                           double *Out) {
+  assert((Channels == 2 || Channels == 4) && "convTapBlock channel count");
+  detail::activeOps().ConvBlock(X, Offsets, Weights, Taps, Channels, Init,
+                                Arith == TapArith::Dispatched, Out);
 }
 
 Matrix kernels::reluBatch(const Matrix &X) {

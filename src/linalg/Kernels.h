@@ -94,9 +94,8 @@ void gatherColumns(const Matrix &A, const std::vector<int> &SrcCol,
                    Matrix &Out);
 
 /// Y[i] += A * X[i] through the active dispatch table's saxpy — the same
-/// elementwise accumulation matTVec and matMul are built from. Per-point
-/// code (e.g. Conv2D's scalar backward) uses this so its accumulation stays
-/// bit-identical to the batched matMul path at every SIMD level.
+/// elementwise accumulation matTVec and matMul are built from, so a caller
+/// that uses it stays bit-identical to them at every SIMD level.
 void axpy(double *Y, const double *X, double A, size_t N);
 
 //===----------------------------------------------------------------------===//
@@ -129,23 +128,34 @@ void oneHotRowSumsInto(const std::vector<OneHot> &Sparse, Vector &Out,
 // Batched concrete execution (rows = batch points)
 //===----------------------------------------------------------------------===//
 
-/// Where the bias enters the per-element accumulation of affineBatch. The
-/// two concrete layer flavors sum in different orders, and bit-identity with
-/// the per-point pass requires matching each one exactly:
-///  - PostAdd: Dense computes the full dot product first, then adds the bias
-///    in a separate pass (matVec then Y += B).
-///  - PreInit: Conv2D seeds the accumulator with the bias and then adds the
-///    window taps (Sum = B[oc]; Sum += ...).
-enum class BiasMode { PostAdd, PreInit };
-
 /// Batched affine layer application: Out(i, j) = dot(X.row(i), W.row(j)) + b_j
-/// with the bias folded in per \p Mode. X is B x K (one input point per row),
-/// W is N x K, Out is B x N. Each dot accumulates in ascending-k order with
-/// the same 4-wide output unroll as matMulTransposed, so every output element
-/// is bit-identical to the per-point matVec (up to signed-zero terms that a
-/// sparsity-skipping scalar path never adds). Sharded by batch rows.
-Matrix affineBatch(const Matrix &X, const Matrix &W, const Vector &Bias,
-                   BiasMode Mode);
+/// with the bias added after the full dot — the Dense order (matVec, then
+/// Y += B). X is B x K (one input point per row), W is N x K, Out is B x N.
+/// Each dot accumulates in the active level's dot scheme (the one matVec
+/// uses), so every output element is bit-identical to the per-point pass.
+/// Sharded by batch rows.
+Matrix affineBatch(const Matrix &X, const Matrix &W, const Vector &Bias);
+
+/// How one convolution tap meets its accumulator in convTapBlock.
+enum class TapArith {
+  /// A separately rounded multiply, then an add, at every SIMD level: the
+  /// arithmetic of the per-point Conv2D tap loop.
+  Separate,
+  /// The active level's saxpy update: one fma at avx2, multiply then add at
+  /// scalar. matMul and matMulTransposed accumulate every term this way.
+  Dispatched,
+};
+
+/// The direct-convolution microkernel: \p Channels (2 or 4) output
+/// channels by V = 8 / Channels 4-lane vectors, vector v read from X[v].
+/// For channel j, vector v and lane l, Out[(j * V + v) * 4 + l] starts at
+/// Init[j] and then takes, for T = 0 .. Taps-1 in order, the term
+/// Weights[T * Channels + j] * X[v][Offsets[T] + l]. Every lane is one
+/// sequential chain, so a value depends only on its own terms, never on
+/// the lanes or channels beside it.
+void convTapBlock(const double *const *X, const size_t *Offsets,
+                  const double *Weights, size_t Taps, size_t Channels,
+                  const double *Init, TapArith Arith, double *Out);
 
 /// Batched ReLU forward: Out(i, j) = X(i, j) > 0 ? X(i, j) : 0, replicating
 /// the scalar tie-break at exactly zero.

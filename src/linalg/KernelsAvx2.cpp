@@ -26,6 +26,11 @@
 //    bitwise equal to scalar: vector mul/max/and/add perform the same
 //    single IEEE operation per element, and _mm256_max_pd(x, 0) returns
 //    +0.0 for x in {-0.0, NaN} exactly like `x > 0.0 ? x : 0.0`.
+//  - convBlockAvx2 without Fused is a vector multiply then a vector add,
+//    bitwise equal to the scalar body. GCC fuses a multiply feeding an add
+//    into an fma by default, intrinsics included, so this file is built with
+//    -ffp-contract=off (src/linalg/CMakeLists.txt); every fma here is
+//    written out.
 //
 //===----------------------------------------------------------------------===//
 
@@ -281,12 +286,10 @@ void mmtRowsAvx2(const Matrix &A, const Matrix &B, Matrix &C, size_t RowOffset,
     _mm_sfence();
 }
 
-/// PostAdd affine rows: every output element is dotAvx2 + bias, so the
-/// batched path matches the per-point matVec at this level bit-for-bit.
-/// (PreInit never reaches this body — the dispatcher routes it to scalar.)
+/// Affine rows: every output element is dotAvx2 + bias, so the batched
+/// path matches the per-point matVec at this level bit-for-bit.
 void affineRowsAvx2(const Matrix &X, const Matrix &W, const double *Bias,
-                    BiasMode Mode, Matrix &Out, size_t Begin, size_t End) {
-  (void)Mode;
+                    Matrix &Out, size_t Begin, size_t End) {
   const size_t K = X.cols();
   const size_t N = W.rows();
   for (size_t I = Begin; I < End; ++I) {
@@ -408,6 +411,63 @@ void absColumnSumsColsAvx2(const Matrix &A, double *Out, size_t ColBegin,
   }
 }
 
+/// The convTapBlock microkernel: eight accumulators (Ch channels by
+/// V = 8 / Ch lane vectors); per tap, V vector loads and Ch weight
+/// broadcasts. Fused runs each term as one fma, the saxpyAvx2 arithmetic;
+/// otherwise a vector multiply then a vector add, the same two IEEE
+/// operations per lane as the scalar body (this file is built with
+/// -ffp-contract=off, so the compiler cannot fuse them).
+template <size_t Ch, bool Fused>
+void convBlockAvx2T(const double *const *X, const size_t *Offsets,
+                    const double *Weights, size_t Taps, const double *Init,
+                    double *Out) {
+  constexpr size_t V = 8 / Ch;
+  const double *Xv[V];
+  __m256d Acc[Ch][V];
+#pragma GCC unroll 4
+  for (size_t Vi = 0; Vi < V; ++Vi)
+    Xv[Vi] = X[Vi];
+#pragma GCC unroll 4
+  for (size_t J = 0; J < Ch; ++J)
+#pragma GCC unroll 4
+    for (size_t Vi = 0; Vi < V; ++Vi)
+      Acc[J][Vi] = _mm256_set1_pd(Init[J]);
+  for (size_t T = 0; T < Taps; ++T) {
+    __m256d P[V];
+#pragma GCC unroll 4
+    for (size_t Vi = 0; Vi < V; ++Vi)
+      P[Vi] = _mm256_loadu_pd(Xv[Vi] + Offsets[T]);
+#pragma GCC unroll 4
+    for (size_t J = 0; J < Ch; ++J) {
+      __m256d Wj = _mm256_broadcast_sd(Weights + T * Ch + J);
+#pragma GCC unroll 4
+      for (size_t Vi = 0; Vi < V; ++Vi)
+        Acc[J][Vi] = Fused ? _mm256_fmadd_pd(Wj, P[Vi], Acc[J][Vi])
+                           : _mm256_add_pd(Acc[J][Vi], _mm256_mul_pd(Wj, P[Vi]));
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t J = 0; J < Ch; ++J)
+#pragma GCC unroll 4
+    for (size_t Vi = 0; Vi < V; ++Vi)
+      _mm256_storeu_pd(Out + (J * V + Vi) * 4, Acc[J][Vi]);
+}
+
+void convBlockAvx2(const double *const *X, const size_t *Offsets,
+                   const double *Weights, size_t Taps, size_t Channels,
+                   const double *Init, bool Fused, double *Out) {
+  if (Channels == 4) {
+    if (Fused)
+      convBlockAvx2T<4, true>(X, Offsets, Weights, Taps, Init, Out);
+    else
+      convBlockAvx2T<4, false>(X, Offsets, Weights, Taps, Init, Out);
+  } else if (Fused) {
+    convBlockAvx2T<2, true>(X, Offsets, Weights, Taps, Init, Out);
+  } else {
+    convBlockAvx2T<2, false>(X, Offsets, Weights, Taps, Init, Out);
+  }
+}
+
 const detail::SimdOps Avx2Table = {
     "avx2",
     mmtRowsAvx2,
@@ -420,6 +480,7 @@ const detail::SimdOps Avx2Table = {
     absColumnSumsColsAvx2,
     dotAvx2,
     saxpyAvx2,
+    convBlockAvx2,
 };
 
 } // namespace

@@ -71,6 +71,10 @@ public:
     return Data.data() + R * NumCols;
   }
 
+  /// Pointer to the row-major storage (rows() * cols() entries).
+  const double *data() const { return Data.data(); }
+  double *data() { return Data.data(); }
+
   /// Returns the N x N identity.
   static Matrix identity(size_t N);
 

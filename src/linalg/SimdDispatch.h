@@ -20,12 +20,16 @@
 ///    and saxpy-style products (matTVec, matMul) change their accumulation
 ///    grouping under AVX2/FMA, so results are bit-identical only *within* a
 ///    level. Within a level the pair contracts still hold exactly: one dot
-///    scheme is shared by matVec / affineBatch(PostAdd) / matMulTransposed
-///    and one saxpy scheme by matTVec / matMul, so the per-point and batched
-///    execution paths agree bit-for-bit at any level.
-///  - affineBatch with BiasMode::PreInit (the Conv2D order) always runs the
-///    scalar bodies: the per-point Conv2D tap loop is scalar, and its
-///    bit-identity with the batched path is part of the layer contract.
+///    scheme is shared by matVec / affineBatch and one saxpy scheme by
+///    matTVec / matMul, so the per-point and batched execution paths agree
+///    bit-for-bit at any level.
+///  - The convolution microkernel convTapBlock runs one chain per lane in
+///    tap order. With TapArith::Separate (the Conv2D forward) each term is
+///    a multiply then an add at every level, bitwise equal across levels
+///    and to the per-point tap loop. With TapArith::Dispatched (the input
+///    gradient and the zonotope's generator rows) each term is the level's
+///    saxpy update, fma at avx2, matching matMul and matMulTransposed
+///    within the level.
 ///
 /// The level is process-global: CHARON_SIMD=auto|avx2|scalar initializes it
 /// (auto picks the best available backend), setSimdLevel() overrides it at

@@ -16,11 +16,9 @@
 ///
 /// Contract notes for backend authors (see SimdDispatch.h for the
 /// user-facing statement):
-///  - Dot is shared by matVec, affineBatch(PostAdd) and any backend body
-///    that wants matVec-identical dots, so the per-point and batched
-///    concrete paths agree bit-for-bit within the level. AffineRows with
-///    BiasMode::PreInit is never dispatched here — the caller routes it to
-///    the scalar table (Conv2D per-point bit-identity).
+///  - Dot is shared by matVec, affineBatch and any backend body that wants
+///    matVec-identical dots, so the per-point and batched concrete paths
+///    agree bit-for-bit within the level.
 ///  - Saxpy is shared by matTVec and matMul. It must be elementwise
 ///    position-independent (each Y[i] receives exactly one rounding per
 ///    call regardless of where the vector/tail boundary falls), because
@@ -32,6 +30,9 @@
 ///    (vector max/and/mul are exact matches; no FMA allowed in them).
 ///  - MmtRows and AbsRowSumsRows may regroup accumulation freely; they are
 ///    only required to be deterministic per (shape, level).
+///  - ConvBlock runs one sequential chain per lane. With Fused false it
+///    multiplies, then adds, and must match the scalar body bitwise; with
+///    Fused true it uses the level's Saxpy arithmetic (fma at avx2).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,11 +56,10 @@ struct SimdOps {
   void (*MmtRows)(const Matrix &A, const Matrix &B, Matrix &C,
                   size_t RowOffset, size_t Begin, size_t End);
 
-  /// Rows [Begin, End): Out(i, j) = dot(X.row(i), W.row(j)) + Bias[j],
-  /// PostAdd order only (PreInit is routed to the scalar table by the
-  /// caller).
+  /// Rows [Begin, End): Out(i, j) = dot(X.row(i), W.row(j)) + Bias[j], the
+  /// bias added after the full dot.
   void (*AffineRows)(const Matrix &X, const Matrix &W, const double *Bias,
-                     BiasMode Mode, Matrix &Out, size_t Begin, size_t End);
+                     Matrix &Out, size_t Begin, size_t End);
 
   /// Rows [Begin, End) of C += A * B in i-k-j order (C pre-zeroed), built
   /// on Saxpy semantics with the Aik == 0.0 skip.
@@ -91,6 +91,12 @@ struct SimdOps {
 
   /// Y[i] += A * X[i] over N entries — the matTVec/matMul update.
   void (*Saxpy)(double *Y, const double *X, double A, size_t N);
+
+  /// The convTapBlock microkernel (Kernels.h); Fused selects
+  /// TapArith::Dispatched.
+  void (*ConvBlock)(const double *const *X, const size_t *Offsets,
+                    const double *Weights, size_t Taps, size_t Channels,
+                    const double *Init, bool Fused, double *Out);
 };
 
 /// The portable scalar backend (always available; the historical

@@ -51,8 +51,9 @@ Vector DenseLayer::backward(const Vector &Input, const Vector &GradOut,
 
 Matrix DenseLayer::forwardBatch(const Matrix &X) const {
   assert(X.cols() == W.cols() && "batched input size mismatch");
-  // PostAdd: forward() runs the full dot first and adds the bias after.
-  return kernels::affineBatch(X, W, B, kernels::BiasMode::PostAdd);
+  // forward() runs the full dot first and adds the bias after, as does
+  // affineBatch.
+  return kernels::affineBatch(X, W, B);
 }
 
 Matrix DenseLayer::backwardBatch(const Matrix &X, const Matrix &GradOut) const {

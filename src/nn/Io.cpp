@@ -137,12 +137,9 @@ std::unique_ptr<Layer> loadLayer(std::istream &Is) {
     if (!(Is >> In.Channels >> In.Height >> In.Width >> OutC >> KH >> KW >>
           S >> P))
       return nullptr;
-    if (In.Channels <= 0 || In.Height <= 0 || In.Width <= 0 || OutC <= 0 ||
-        KH <= 0 || KW <= 0 || S <= 0 || P < 0)
-      return nullptr;
-    // The kernel must fit in the padded input (an empty output is not a
-    // layer), and the kernel and bias values in the bytes left.
-    if (In.Height + 2 * int64_t(P) < KH || In.Width + 2 * int64_t(P) < KW ||
+    // The shape must be buildable (windowShapeFits), and the kernel and
+    // bias values must fit in the bytes left.
+    if (!windowShapeFits(WindowKind::Conv, In, OutC, KH, KW, S, P) ||
         !valuesFit(Is, uint64_t(OutC) * uint64_t(In.Channels),
                    uint64_t(KH) * uint64_t(KW), uint64_t(OutC)))
       return nullptr;
@@ -163,10 +160,11 @@ std::unique_ptr<Layer> loadLayer(std::istream &Is) {
     int PH = 0, PW = 0, S = 0;
     if (!(Is >> In.Channels >> In.Height >> In.Width >> PH >> PW >> S))
       return nullptr;
-    if (In.Channels <= 0 || In.Height <= 0 || In.Width <= 0 || PH <= 0 ||
-        PW <= 0 || S <= 0 || In.Height < PH || In.Width < PW)
+    const WindowKind Window =
+        Kind == "maxpool" ? WindowKind::MaxPool : WindowKind::AvgPool;
+    if (!windowShapeFits(Window, In, In.Channels, PH, PW, S, /*Pad=*/0))
       return nullptr;
-    if (Kind == "maxpool")
+    if (Window == WindowKind::MaxPool)
       return std::make_unique<MaxPool2DLayer>(In, PH, PW, S);
     return std::make_unique<AvgPool2DLayer>(In, PH, PW, S);
   }

@@ -51,11 +51,17 @@ enum class LayerKind {
 /// and sound transformers use a linear relaxation instead (no splits).
 enum class ActivationKind { Relu, Sigmoid, Tanh };
 
+class Conv2DLayer;
+
 /// View of a layer as the affine map y = W x + b (Sec. 2.1). The pointers
 /// stay valid until the layer's parameters change.
 struct AffineView {
   const Matrix *W;
   const Vector *B;
+  /// Set when the map is a convolution: the layer, which carries the
+  /// geometry and kernel tensor its structured kernel runs on
+  /// (Conv2DLayer::convolveRowsInto). W is then its dense lowering.
+  const Conv2DLayer *Conv = nullptr;
 };
 
 /// Pooling structure: for each output coordinate, the input coordinates it
@@ -110,7 +116,9 @@ public:
 
   /// If this layer is an affine map, returns its (W, b) view. Dense layers
   /// return their parameters directly; Conv2D and AvgPool2D return the
-  /// lowered matrix (cached, rebuilt after weight updates).
+  /// lowered matrix (cached, rebuilt after weight updates). A Conv2D view
+  /// also names the layer, so the analyzer can hand it to
+  /// AbstractElement::applyConv instead of multiplying by the lowering.
   virtual std::optional<AffineView> affineForm() const { return std::nullopt; }
 
   /// The element-wise activation this layer applies, if it is an activation

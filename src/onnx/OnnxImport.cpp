@@ -12,6 +12,8 @@
 #include "nn/Residual.h"
 #include "onnx/OnnxProto.h"
 
+#include <algorithm>
+#include <climits>
 #include <cmath>
 #include <fstream>
 #include <map>
@@ -441,8 +443,13 @@ bool Lowering::lowerConv(const Node &N, ValueShape &VS,
     return fail("Conv with asymmetric padding is unsupported");
   if (S <= 0 || P < 0 || KH <= 0 || KW <= 0 || OutC <= 0)
     return fail("Conv has non-positive kernel/stride dimensions");
-  if (VS.Spatial->Height + 2 * P < KH || VS.Spatial->Width + 2 * P < KW)
+  if (VS.Spatial->Height + 2 * int64_t(P) < KH ||
+      VS.Spatial->Width + 2 * int64_t(P) < KW)
     return fail("Conv kernel larger than padded input");
+  if (!windowShapeFits(WindowKind::Conv, *VS.Spatial, OutC, KH, KW, S, P))
+    return fail("Conv shape is too large: a flat size exceeds int or a "
+                "derived table exceeds " +
+                std::to_string(MaxShapeTableEntries) + " entries");
 
   auto Conv =
       std::make_unique<Conv2DLayer>(*VS.Spatial, OutC, KH, KW, S, P);
@@ -495,6 +502,12 @@ bool Lowering::lowerPool(const Node &N, ValueShape &VS,
     return fail(N.OpType + " has non-positive kernel/stride dimensions");
   if (VS.Spatial->Height < PH || VS.Spatial->Width < PW)
     return fail(N.OpType + " window larger than input");
+  if (!windowShapeFits(N.OpType == "MaxPool" ? WindowKind::MaxPool
+                                             : WindowKind::AvgPool,
+                       *VS.Spatial, VS.Spatial->Channels, PH, PW, S, 0))
+    return fail(N.OpType + " shape is too large: a flat size exceeds int or "
+                           "a derived table exceeds " +
+                std::to_string(MaxShapeTableEntries) + " entries");
 
   if (N.OpType == "MaxPool") {
     auto Pool = std::make_unique<MaxPool2DLayer>(*VS.Spatial, PH, PW, S);
@@ -687,6 +700,17 @@ std::optional<Network> Lowering::run() {
   ValueShape VS;
   const std::vector<int64_t> &D = Input->Dims;
   auto positive = [](int64_t X) { return X > 0; };
+  // A spatial (C, H, W) input becomes a TensorShape, whose flat size is an
+  // int.
+  auto flatFitsInt = [](int64_t C, int64_t H, int64_t W) {
+    return C <= INT_MAX && H <= INT_MAX / C && W <= INT_MAX / (C * H);
+  };
+  if (D.size() >= 3 && std::all_of(D.end() - 3, D.end(), positive) &&
+      !flatFitsInt(D[D.size() - 3], D[D.size() - 2], D[D.size() - 1])) {
+    fail("graph input '" + Input->Name + "' shape " + describeDims(D) +
+         " has more than INT_MAX elements");
+    return std::nullopt;
+  }
   if (D.size() == 4 && (D[0] == 1 || D[0] == 0) && positive(D[1]) &&
       positive(D[2]) && positive(D[3])) {
     VS.Spatial = TensorShape{static_cast<int>(D[1]), static_cast<int>(D[2]),

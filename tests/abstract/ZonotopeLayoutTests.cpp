@@ -9,12 +9,18 @@
 // rounding of its incremental running sum). Every comparison runs at every
 // SIMD level the build + host support, and a separate test checks that
 // forcing every kernel onto the thread pool is bit-identical to the serial
-// path at each level.
+// path at each level. The convolution step (applyConv, the structured
+// kernel) is pinned against applyAffine over the dense lowering, value for
+// value, on the shared geometry table, and through a powerset on LeNet.
 //
 //===----------------------------------------------------------------------===//
 
+#include "ConvGeometries.h"
+#include "abstract/Analyzer.h"
+#include "abstract/PowersetElement.h"
 #include "abstract/ZonotopeElement.h"
 #include "linalg/Kernels.h"
+#include "nn/Builder.h"
 #include "linalg/SimdDispatch.h"
 #include "support/Random.h"
 
@@ -491,5 +497,112 @@ TEST(ZonotopeLayoutTest, ForcedThreadingIsBitIdentical) {
 
     for (size_t I = 0; I < Serial.size(); ++I)
       ASSERT_EQ(Serial[I], Threaded[I]) << "entry " << I;
+  });
+}
+
+namespace {
+
+/// propagate() with every affine layer, convolutions included, applied
+/// through its dense lowering.
+void propagateLowered(const Network &Net, AbstractElement &Elem) {
+  for (size_t I = 0, E = Net.numLayers(); I < E; ++I) {
+    const Layer &L = Net.layer(I);
+    if (auto Affine = L.affineForm())
+      Elem.applyAffine(*Affine->W, *Affine->B);
+    else if (auto Act = L.activationKind())
+      Elem.applyActivation(*Act, 0, Elem.dim());
+    else
+      Elem.applyMaxPool(*L.poolSpec());
+  }
+}
+
+} // namespace
+
+// The conv step runs the dense generator rows through the structured
+// kernel. On an element with dense rows (a third of their entries zero, as
+// after a ReLU) and a sparse one-hot tail, it must equal applyAffine over
+// the lowering in the center, every generator and every bound, under ==.
+// 1 and 2 dense rows take the kernel's narrow packings, 17 its wide one.
+TEST(ZonotopeLayoutTest, ConvStepEqualsLowering) {
+  auto Check = [](const Conv2DLayer &L, const ZonotopeElement &Start) {
+    const AffineView View = *L.affineForm();
+    ASSERT_EQ(View.Conv, &L);
+    auto Want = Start.clone();
+    Want->applyAffine(*View.W, *View.B);
+    const auto &WantZ = static_cast<const ZonotopeElement &>(*Want);
+    for (size_t Threshold : {size_t(1) << 40, size_t(0)}) {
+      size_t Saved = kernels::parallelThreshold();
+      kernels::setParallelThreshold(Threshold);
+      ZonotopeElement Got = Start;
+      Got.applyConv(View);
+      kernels::setParallelThreshold(Saved);
+
+      ASSERT_EQ(Got.numGenerators(), WantZ.numGenerators());
+      const size_t M = Got.dim();
+      ASSERT_EQ(M, WantZ.dim());
+      for (size_t I = 0; I < M; ++I) {
+        ASSERT_EQ(Got.center()[I], WantZ.center()[I]) << "dim " << I;
+        ASSERT_EQ(Got.lowerBound(I), WantZ.lowerBound(I)) << "dim " << I;
+        ASSERT_EQ(Got.upperBound(I), WantZ.upperBound(I)) << "dim " << I;
+      }
+      for (size_t E = 0; E < Got.numGenerators(); ++E) {
+        Vector Gr = Got.generatorRow(E), Wr = WantZ.generatorRow(E);
+        for (size_t I = 0; I < M; ++I)
+          ASSERT_EQ(Gr[I], Wr[I]) << "generator " << E << " dim " << I;
+      }
+      for (size_t K = 0; K < M; K += 1 + M / 16)
+        for (size_t J = 0; J < M; ++J)
+          ASSERT_EQ(Got.lowerBoundDiff(K, J), WantZ.lowerBoundDiff(K, J))
+              << "pair (" << K << ", " << J << ")";
+    }
+  };
+  forEachSimdLevel([&] {
+    Rng R(97);
+    for (const testing_nets::ConvGeometry &G : testing_nets::ConvGeometries) {
+      SCOPED_TRACE(G.Name);
+      std::unique_ptr<Conv2DLayer> L = testing_nets::makeConv(G, R);
+      const size_t N = L->inputSize();
+      for (size_t Rows : {1, 2, 17}) {
+        SCOPED_TRACE(std::to_string(Rows) + " dense rows");
+        Vector C(N);
+        for (size_t I = 0; I < N; ++I)
+          C[I] = R.uniform(-1.0, 1.0);
+        Matrix Dense(Rows, N);
+        for (size_t E = 0; E < Rows; ++E)
+          for (size_t I = 0; I < N; ++I)
+            Dense(E, I) = (E + I) % 3 == 0 ? 0.0 : R.uniform(-0.2, 0.2);
+        std::vector<ZonotopeElement::SparseGenerator> Sparse;
+        for (size_t S = 0; S < 11; ++S)
+          Sparse.push_back({R.uniformInt(N), R.uniform(-0.1, 0.1)});
+        Check(*L, ZonotopeElement(C, Dense, Sparse));
+      }
+    }
+  });
+}
+
+// A powerset forwards the conv step to every disjunct and its baseline, so
+// Zonotope^4 on LeNet, with splits at every ReLU, must reach the margins
+// the lowering reaches.
+TEST(ZonotopeLayoutTest, PowersetConvStepEqualsLowering) {
+  forEachSimdLevel([&] {
+    Rng NetRng(101);
+    Network Net = makeLeNet(TensorShape{1, 10, 10}, 4, NetRng);
+    Rng R(103);
+    Vector Center(Net.inputSize());
+    for (size_t I = 0; I < Center.size(); ++I)
+      Center[I] = R.uniform(0.2, 0.8);
+    Box Region = Box::linfBall(Center, 0.02, 0.0, 1.0);
+    const DomainSpec Spec{BaseDomainKind::Zonotope, 4};
+
+    auto Got = makeElement(Region, Spec);
+    ASSERT_TRUE(propagate(Net, *Got));
+    auto Want = makeElement(Region, Spec);
+    propagateLowered(Net, *Want);
+    EXPECT_GT(static_cast<const PowersetElement &>(*Got).numDisjuncts(), 1u);
+    for (size_t K = 0; K < Net.outputSize(); ++K)
+      for (size_t J = 0; J < Net.outputSize(); ++J)
+        if (J != K)
+          ASSERT_EQ(Got->lowerBoundDiff(K, J), Want->lowerBoundDiff(K, J))
+              << "classes (" << K << ", " << J << ")";
   });
 }

@@ -408,6 +408,49 @@ TEST(KernelTest, AxpyIsPositionIndependentWithinALevel) {
   });
 }
 
+// The convolution microkernel, both shapes: each lane is one chain over
+// the taps from its channel's init. Separate arithmetic (multiply, then
+// add) must match the plain scalar loop at every level; Dispatched must
+// match the level's saxpy, one call per tap.
+TEST(KernelTest, ConvTapBlockRunsOneChainPerLane) {
+  Rng R(909);
+  const size_t Taps = 13;
+  Matrix Src = randomMatrix(1, 64, R, 0.2);
+  Matrix Weights = randomMatrix(1, Taps * 4, R, 0.2);
+  std::vector<size_t> Offsets(Taps);
+  for (size_t T = 0; T < Taps; ++T)
+    Offsets[T] = R.uniformInt(44);
+  const double Init[4] = {0.5, -0.25, 0.0, 1.5};
+  const double *X[4] = {Src.row(0), Src.row(0) + 5, Src.row(0) + 11,
+                        Src.row(0) + 16};
+  for (size_t Channels : {size_t(2), size_t(4)}) {
+    const size_t Vectors = 8 / Channels;
+    forEachSimdLevel([&](kernels::SimdLevel) {
+      for (auto Arith :
+           {kernels::TapArith::Separate, kernels::TapArith::Dispatched}) {
+        double Out[32];
+        kernels::convTapBlock(X, Offsets.data(), Weights.row(0), Taps,
+                              Channels, Init, Arith, Out);
+        for (size_t J = 0; J < Channels; ++J)
+          for (size_t V = 0; V < Vectors; ++V)
+            for (size_t L = 0; L < 4; ++L) {
+              double Want = Init[J];
+              for (size_t T = 0; T < Taps; ++T) {
+                double W = Weights(0, T * Channels + J);
+                double Xv = X[V][Offsets[T] + L];
+                if (Arith == kernels::TapArith::Separate)
+                  Want += W * Xv;
+                else
+                  kernels::axpy(&Want, &Xv, W, 1);
+              }
+              ASSERT_EQ(Out[(J * Vectors + V) * 4 + L], Want)
+                  << "channel " << J << " vector " << V << " lane " << L;
+            }
+      }
+    });
+  }
+}
+
 TEST(KernelTest, ParallelForPartitionsExactly) {
   ThresholdGuard G;
   kernels::setParallelThreshold(0);

@@ -3,13 +3,15 @@
 // The batched concrete execution engine promises results bit-identical to
 // the per-point scalar path (DESIGN.md, "Batched concrete execution").
 // These tests pin that contract at every level: per-layer forwardBatch /
-// backwardBatch against row-by-row scalar evaluation, the batched Network
-// objective and gradient, and the two PGD engines — under both the serial
-// and the forced-threaded kernel configuration. They also pin the batched
+// backwardBatch against row-by-row scalar evaluation (for convolutions,
+// also against the dense lowering on every shared geometry), the batched
+// Network objective and gradient, and the two PGD engines — under both the
+// serial and the forced-threaded kernel configuration. They also pin the batched
 // PGD engine's pass count: one forward pass per backward pass plus one.
 //
 //===----------------------------------------------------------------------===//
 
+#include "ConvGeometries.h"
 #include "linalg/Kernels.h"
 #include "nn/Builder.h"
 #include "nn/Conv2D.h"
@@ -99,7 +101,9 @@ template <typename Fn> void underBothThreadings(Fn Body) {
   Body();
 }
 
-const size_t BatchSizes[] = {0, 1, 3, 17};
+// 2 is PGD's restart count, and the batch the conv kernel packs two output
+// positions per vector for.
+const size_t BatchSizes[] = {0, 1, 2, 3, 17};
 
 /// Forwards every Layer call to an owned layer, counting the batched
 /// concrete passes.
@@ -219,6 +223,34 @@ TEST(BatchExecTest, Conv2DMatchesScalarRows) {
   Rng R(44);
   L.initHe(R);
   checkLayerBatchIdentity(L, 45);
+}
+
+// The structured convolution kernel against its oracles on every shared
+// geometry: forwardBatch against the naive per-point tap loop, and both
+// input gradients (batched and per-point) against matMul over the lowering.
+// A third of the output gradients are zero, as after a ReLU, so matMul's
+// zero skip is exercised too.
+TEST(BatchExecTest, Conv2DKernelEqualsLoweringOnEveryGeometry) {
+  Rng R(61);
+  for (const testing_nets::ConvGeometry &G : testing_nets::ConvGeometries) {
+    SCOPED_TRACE(G.Name);
+    std::unique_ptr<Conv2DLayer> L = testing_nets::makeConv(G, R);
+    const Matrix &W = *L->affineForm()->W;
+    for (size_t B : BatchSizes) {
+      Matrix X = randomMatrix(B, L->inputSize(), R);
+      Matrix GradOut = randomMatrix(B, L->outputSize(), R);
+      for (size_t I = 0; I < B; ++I)
+        for (size_t J = I % 3; J < GradOut.cols(); J += 3)
+          GradOut(I, J) = 0.0;
+      Matrix WantFwd = forwardRows(*L, X);
+      Matrix WantBwd = matMul(GradOut, W);
+      underBothThreadings([&] {
+        expectValueEqual(L->forwardBatch(X), WantFwd);
+        expectValueEqual(L->backwardBatch(X, GradOut), WantBwd);
+        expectValueEqual(backwardRows(*L, X, GradOut), WantBwd);
+      });
+    }
+  }
 }
 
 TEST(BatchExecTest, MaxPool2DMatchesScalarRows) {

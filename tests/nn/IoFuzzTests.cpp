@@ -7,11 +7,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "nn/Builder.h"
+#include "nn/Conv2D.h"
 #include "nn/Io.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -104,11 +106,46 @@ TEST(IoFuzzTest, OversizedCountsRejected) {
       "charon-network 1 1\nresidual 100000000000000\nrelu 2\n",
       "charon-network 1 1\nconv 1 4 4 2000000000 3 3 1 0\n0\n",
       "charon-network 1 1\nconv 1 4 4 1 9 9 1 0\n0\n",
+      // Shapes the values fit but memory does not (windowShapeFits): a
+      // residual body whose validation builds a 9e6 x 9e6 lowering, a flat
+      // input above INT_MAX, and a max-pool with a 1e10-entry window table.
+      "charon-network 1 1\nresidual 1\nconv 1 3000 3000 1 1 1 1 0\n0.5\n0.1\n",
+      "charon-network 1 1\nconv 1 50000 50000 1 1 1 1 0\n0.5\n0.1\n",
+      "charon-network 1 1\nmaxpool 1 100000 100000 1 1 1\n",
+      "charon-network 1 1\navgpool 1 100000 100000 1 1 1\n",
   };
   for (const char *Text : Texts) {
     std::stringstream Ss(Text);
     EXPECT_FALSE(loadNetwork(Ss).has_value()) << Text;
   }
+}
+
+TEST(IoFuzzTest, WindowShapeFitsBoundsEveryDerivedTable) {
+  // Decided from the shape alone: nothing here is constructed, so a wrong
+  // answer cannot allocate.
+  using WK = WindowKind;
+  // mnist_conv's largest convolution and its pool are far inside the limit.
+  EXPECT_TRUE(windowShapeFits(WK::Conv, {8, 10, 10}, 8, 3, 3, 1, 1));
+  EXPECT_TRUE(windowShapeFits(WK::MaxPool, {8, 10, 10}, 8, 2, 2, 2, 0));
+  // A max-pool's window table at the limit, and one input column past it.
+  EXPECT_TRUE(windowShapeFits(WK::MaxPool, {1, 4096, 8192}, 1, 1, 1, 1, 0));
+  EXPECT_FALSE(windowShapeFits(WK::MaxPool, {1, 4096, 8193}, 1, 1, 1, 1, 0));
+  // A conv lowering at the limit (2^12 outputs x 2^13 inputs), one output
+  // channel past it, and an avgpool lowering inside it.
+  EXPECT_TRUE(windowShapeFits(WK::Conv, {2, 64, 64}, 4, 2, 2, 2, 0));
+  EXPECT_FALSE(windowShapeFits(WK::Conv, {2, 64, 64}, 5, 2, 2, 2, 0));
+  EXPECT_TRUE(windowShapeFits(WK::AvgPool, {2, 64, 64}, 2, 2, 2, 2, 0));
+  // A tiny lowering over an ~2^26-position padded input plane.
+  EXPECT_FALSE(windowShapeFits(WK::Conv, {1, 1, 1}, 1, 1, 1, 8192, 4096));
+  // Flat sizes beyond int, on either side.
+  EXPECT_FALSE(windowShapeFits(WK::MaxPool, {2, 32768, 32768}, 2, 32768,
+                               32768, 1, 0));
+  EXPECT_FALSE(windowShapeFits(WK::Conv, {1, 1, 1}, INT_MAX, 1, 1, 1, 1));
+  // Degenerate shapes.
+  EXPECT_FALSE(windowShapeFits(WK::Conv, {1, 4, 4}, 1, 9, 9, 1, 0));
+  EXPECT_FALSE(windowShapeFits(WK::Conv, {1, 4, 4}, 1, 3, 3, 0, 0));
+  EXPECT_FALSE(windowShapeFits(WK::Conv, {1, 4, 4}, 1, 3, 3, 1, -1));
+  EXPECT_FALSE(windowShapeFits(WK::MaxPool, {0, 4, 4}, 0, 2, 2, 2, 0));
 }
 
 TEST(IoFuzzTest, UnseekableStreamsAreCheckedToo) {

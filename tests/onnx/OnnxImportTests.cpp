@@ -305,6 +305,38 @@ TEST(OnnxEndToEndTest, MixedFixtureDecidesBothWays) {
             Config.Delta + 1e-12);
 }
 
+TEST(OnnxNegativeTest, OversizedShapesAreRejected) {
+  // The ONNX twin of a 5-line .net: a residual block around a 1x1 conv on
+  // a 3000x3000 plane. Validating the body would build a 9e6 x 9e6
+  // lowering; the importer must refuse the conv before it exists.
+  ModelBuilder B;
+  B.setInput("x", {1, 1, 3000, 3000});
+  B.addInitializer("w", {1, 1, 1, 1}, {0.5});
+  B.addInitializer("b", {1}, {0.1});
+  B.addNode("Conv", {"x", "w", "b"}, {"c"},
+            {ModelBuilder::Attr::ofInts("kernel_shape", {1, 1})});
+  B.addNode("Add", {"x", "c"}, {"y"});
+  B.setOutput("y", {1, 1, 3000, 3000});
+  expectDiagnostic(importBytes(B.finish()), "Conv shape is too large",
+                   "residual conv with a 9e6-wide lowering");
+
+  // A max-pool whose window table would hold 2^26 indices.
+  ModelBuilder P;
+  P.setInput("x", {1, 1, 8192, 8192});
+  P.addNode("MaxPool", {"x"}, {"y"},
+            {ModelBuilder::Attr::ofInts("kernel_shape", {1, 1})});
+  P.setOutput("y", {1, 1, 8192, 8192});
+  expectDiagnostic(importBytes(P.finish()), "MaxPool shape is too large",
+                   "max-pool with a 2^26-entry window table");
+
+  // A spatial input with more than INT_MAX elements.
+  ModelBuilder F;
+  F.setInput("x", {1, 2, 50000, 50000});
+  F.addNode("Relu", {"x"}, {"y"});
+  F.setOutput("y", {1, 2, 50000, 50000});
+  expectDiagnostic(importBytes(F.finish()), "INT_MAX", "huge flat input");
+}
+
 TEST(OnnxNegativeTest, DanglingGraphsAreRejected) {
   // Output name never produced by any node.
   ModelBuilder B;
