@@ -534,12 +534,11 @@ bool charon::bench::updateCexSearchJsonFile(
 }
 
 std::string charon::bench::scalingJson(
-    const std::string &Mode, const std::vector<std::string> &Instances,
-    double SerialSeconds, long SerialNodes,
-    const std::vector<ScalingPoint> &Points) {
+    const std::vector<std::string> &Instances, double SerialSeconds,
+    long SerialNodes, const std::vector<ScalingPoint> &Points) {
   std::ostringstream Os;
-  Os << "{\n  \"schema\": \"charon-bench-scaling/1\",\n  \"mode\": \"" << Mode
-     << "\",\n  \"host_cores\": " << std::thread::hardware_concurrency()
+  Os << "{\n  \"schema\": \"charon-bench-scaling/2\",\n  \"host_cores\": "
+     << std::thread::hardware_concurrency()
      << ",\n  \"instances\": [";
   for (size_t I = 0; I < Instances.size(); ++I)
     Os << (I == 0 ? "" : ", ") << "\"" << Instances[I] << "\"";
@@ -555,8 +554,6 @@ std::string charon::bench::scalingJson(
     Os << ", \"speedup\": ";
     appendJsonDouble(Os, P.Speedup);
     Os << ", \"nodes_expanded\": " << P.NodesExpanded
-       << ", \"steals\": " << P.Steals
-       << ", \"worker_restarts\": " << P.WorkerRestarts
        << ", \"per_worker_expanded\": [";
     for (size_t J = 0; J < P.PerWorkerExpanded.size(); ++J)
       Os << (J == 0 ? "" : ", ") << P.PerWorkerExpanded[J];
@@ -568,13 +565,13 @@ std::string charon::bench::scalingJson(
 }
 
 bool charon::bench::writeScalingJsonFile(
-    const std::string &Path, const std::string &Mode,
-    const std::vector<std::string> &Instances, double SerialSeconds,
-    long SerialNodes, const std::vector<ScalingPoint> &Points) {
+    const std::string &Path, const std::vector<std::string> &Instances,
+    double SerialSeconds, long SerialNodes,
+    const std::vector<ScalingPoint> &Points) {
   std::ofstream Out(Path);
   if (!Out)
     return false;
-  Out << scalingJson(Mode, Instances, SerialSeconds, SerialNodes, Points);
+  Out << scalingJson(Instances, SerialSeconds, SerialNodes, Points);
   return static_cast<bool>(Out);
 }
 

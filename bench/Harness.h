@@ -229,21 +229,18 @@ bool updateCexSearchJsonFile(const std::string &Path,
                              const std::vector<CexSearchResult> &Results);
 
 //===----------------------------------------------------------------------===//
-// Scaling benchmark series (BENCH_fleet.json / thread scaling)
+// Thread scaling series (bench_parallel_scaling)
 //===----------------------------------------------------------------------===//
 
-/// One point of a scaling series: the same instance set executed at a
-/// given parallelism, either in thread mode (verifyParallel) or in process
-/// mode (the fleet coordinator's charon_worker children).
+/// One point of a scaling series: the same instance set decided by
+/// verifyParallel on a pool of the given size.
 struct ScalingPoint {
   int Workers = 0;
   double WallSeconds = 0.0;
-  double Speedup = 1.0;    ///< serial-baseline seconds / WallSeconds
-  long NodesExpanded = 0;  ///< committed expansions, summed over instances
-  long Steals = 0;         ///< shards migrated (process mode; 0 in threads)
-  long WorkerRestarts = 0; ///< dead workers replaced (process mode only)
-  /// Committed expansions by worker slot (process mode) or thread (thread
-  /// mode) — the work-distribution picture behind the wall-clock number.
+  double Speedup = 1.0;   ///< serial-baseline seconds / WallSeconds
+  long NodesExpanded = 0; ///< committed expansions, summed over instances
+  /// Committed expansions by thread — the work-distribution picture behind
+  /// the wall-clock number.
   std::vector<long> PerWorkerExpanded;
   /// Verdict/counterexample/objective bit-identical to the serial baseline
   /// on every instance. The runners abort on a mismatch, so a false here
@@ -251,20 +248,17 @@ struct ScalingPoint {
   bool VerdictsIdentical = true;
 };
 
-/// Serializes a scaling document (schema "charon-bench-scaling/1"): the
-/// execution mode ("threads" or "processes"), the host core count — the
-/// reader needs it to judge wall-clock numbers, since a 1-core host cannot
-/// show wall speedup however well the work is distributed — the serial
-/// baseline, and one entry per worker count. bench_parallel_scaling and
-/// bench_fleet_scaling share this schema so thread and process scaling
-/// stay directly comparable.
-std::string scalingJson(const std::string &Mode,
-                        const std::vector<std::string> &Instances,
+/// Serializes a scaling document (schema "charon-bench-scaling/2",
+/// written by bench_parallel_scaling): the host core count — the reader
+/// needs it to judge wall-clock numbers, since a 1-core host cannot show
+/// wall speedup however well the work is distributed — the serial
+/// baseline, and one entry per thread count.
+std::string scalingJson(const std::vector<std::string> &Instances,
                         double SerialSeconds, long SerialNodes,
                         const std::vector<ScalingPoint> &Points);
 
 /// Writes scalingJson to \p Path; returns false on I/O failure.
-bool writeScalingJsonFile(const std::string &Path, const std::string &Mode,
+bool writeScalingJsonFile(const std::string &Path,
                           const std::vector<std::string> &Instances,
                           double SerialSeconds, long SerialNodes,
                           const std::vector<ScalingPoint> &Points);

@@ -7,9 +7,7 @@
 // provide", Sec. 6) and reports CPU time precisely because of this. This
 // harness measures the wall-clock speedup of verifyParallel() over the
 // sequential verifier on refinement-heavy properties, across thread
-// counts, and emits the same "charon-bench-scaling/1" JSON document as
-// bench_fleet_scaling (mode "threads" here, "processes" there) so thread
-// and process scaling plot on one chart.
+// counts, and emits a "charon-bench-scaling/2" JSON document.
 //
 //   --scaling-out=PATH   output JSON path (default BENCH_parallel_scaling.json)
 //
@@ -107,8 +105,8 @@ int main(int argc, char **argv) {
     // Count every node expansion through the trace sink (the structured
     // observability channel) and cross-check against NodesExpanded — the
     // engine must emit exactly one event per expansion, from any thread.
-    // Attributing committed expansions to the emitting thread gives the
-    // same work-distribution picture the fleet bench reports per worker.
+    // Attributing committed expansions to the emitting thread shows how
+    // the work spread over the pool.
     std::mutex CountMutex;
     std::map<std::thread::id, long> CommittedByThread;
     long SplitEvents = 0, AbortedEvents = 0, OtherEvents = 0;
@@ -151,8 +149,6 @@ int main(int argc, char **argv) {
     P.WallSeconds = Elapsed;
     P.Speedup = Elapsed > 0.0 ? SerialSeconds / Elapsed : 1.0;
     P.NodesExpanded = Aggregate.NodesExpanded;
-    P.Steals = 0; // thread mode shares one frontier; nothing migrates
-    P.WorkerRestarts = 0;
     for (const auto &Entry : CommittedByThread)
       P.PerWorkerExpanded.push_back(Entry.second);
     // Verified at every thread count and the per-event identity held.
@@ -160,8 +156,8 @@ int main(int argc, char **argv) {
                           Committed == Aggregate.NodesExpanded;
     Points.push_back(std::move(P));
   }
-  if (!writeScalingJsonFile(OutPath, "threads", Names, SerialSeconds,
-                            SerialNodes, Points)) {
+  if (!writeScalingJsonFile(OutPath, Names, SerialSeconds, SerialNodes,
+                            Points)) {
     std::fprintf(stderr, "failed to write %s\n", OutPath.c_str());
     return 1;
   }

@@ -13,7 +13,8 @@
 //   charon_serve [requests.jsonl] [options]
 //
 // Options:
-//   --workers <n>        worker threads (default: hardware concurrency)
+//   --workers <n>        worker threads, 0 to 256 (default 0: hardware
+//                        concurrency)
 //   --cache <n>          result-cache capacity in entries (default 4096)
 //   --no-cache           disable the result cache
 //   --cache-file <f>     persist the result cache to <f>: entries (verdicts,
@@ -23,19 +24,16 @@
 //   --certify            emit proof certificates with decided verdicts (what
 //                        makes cross-config CertifiedHits possible)
 //   --policy <file>      learned policy (default: built-in policy)
-//   --fleet-workers <n>  dispatch jobs to <n> charon_worker *processes* via
-//                        the fleet coordinator (sharded proof search with
-//                        work stealing); 0 = in-process verifier (default)
-//   --worker-bin <path>  fleet worker binary (default: charon_worker next to
-//                        this executable)
-//   --fleet-chaos-kill <n>  test hook: kill a worker after <n> dispatches
-//                        (also via env CHARON_FLEET_CHAOS_KILL)
 //   --quiet              suppress the stderr summary
+//
+// A count that is not a whole decimal in range prints the usage text and
+// exits 2 before any worker starts. Each job runs on one worker thread; to
+// spread one heavy query over every core, run it with charon_cli
+// --parallel.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/PolicyIo.h"
-#include "fleet/FleetCoordinator.h"
 #include "service/RequestIo.h"
 #include "service/VerificationService.h"
 
@@ -44,7 +42,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -56,18 +54,32 @@ namespace {
   std::fprintf(stderr,
                "usage: %s [requests.jsonl] [--workers N] [--cache N] "
                "[--no-cache] [--cache-file F] [--certify] [--policy F] "
-               "[--fleet-workers N] [--worker-bin PATH] "
-               "[--fleet-chaos-kill N] [--quiet]\n",
+               "[--quiet]\n",
                Argv0);
   std::exit(2);
 }
 
-std::string siblingWorkerBinary(const char *Argv0) {
-  std::string Self(Argv0);
-  size_t Slash = Self.rfind('/');
-  if (Slash == std::string::npos)
-    return "charon_worker"; // bare invocation: let execvp search PATH
-  return Self.substr(0, Slash + 1) + "charon_worker";
+/// The most worker threads --workers may ask for.
+constexpr unsigned long long MaxWorkers = 256;
+
+/// Reads the count after flag \p I: a whole decimal from 0 to \p Max,
+/// digits only, with no sign, space or overflow. Anything else prints the
+/// usage text and exits 2.
+unsigned long long countArg(int Argc, char **Argv, int &I,
+                            unsigned long long Max) {
+  const char *S = I + 1 < Argc ? Argv[++I] : "";
+  if (!*S)
+    usage(Argv[0]);
+  unsigned long long V = 0;
+  for (; *S; ++S) {
+    if (*S < '0' || *S > '9')
+      usage(Argv[0]);
+    unsigned long long D = static_cast<unsigned long long>(*S - '0');
+    if (D > Max || V > (Max - D) / 10)
+      usage(Argv[0]);
+    V = V * 10 + D;
+  }
+  return V;
 }
 
 } // namespace
@@ -76,19 +88,15 @@ int main(int Argc, char **Argv) {
   std::string RequestPath;
   std::string PolicyPath;
   std::string CacheFile;
-  std::string WorkerBin = siblingWorkerBinary(Argv[0]);
   ServiceConfig SC;
-  unsigned FleetWorkers = 0;
-  int ChaosKill = -1;
   bool Certify = false;
   bool Quiet = false;
-  if (const char *Env = std::getenv("CHARON_FLEET_CHAOS_KILL"))
-    ChaosKill = std::atoi(Env);
   for (int I = 1; I < Argc; ++I) {
-    if (!std::strcmp(Argv[I], "--workers") && I + 1 < Argc)
-      SC.Workers = static_cast<unsigned>(std::atoi(Argv[++I]));
-    else if (!std::strcmp(Argv[I], "--cache") && I + 1 < Argc)
-      SC.CacheCapacity = static_cast<size_t>(std::atol(Argv[++I]));
+    if (!std::strcmp(Argv[I], "--workers"))
+      SC.Workers = static_cast<unsigned>(countArg(Argc, Argv, I, MaxWorkers));
+    else if (!std::strcmp(Argv[I], "--cache"))
+      SC.CacheCapacity = static_cast<size_t>(
+          countArg(Argc, Argv, I, std::numeric_limits<size_t>::max()));
     else if (!std::strcmp(Argv[I], "--no-cache"))
       SC.EnableCache = false;
     else if (!std::strcmp(Argv[I], "--cache-file") && I + 1 < Argc)
@@ -97,12 +105,6 @@ int main(int Argc, char **Argv) {
       Certify = true;
     else if (!std::strcmp(Argv[I], "--policy") && I + 1 < Argc)
       PolicyPath = Argv[++I];
-    else if (!std::strcmp(Argv[I], "--fleet-workers") && I + 1 < Argc)
-      FleetWorkers = static_cast<unsigned>(std::atoi(Argv[++I]));
-    else if (!std::strcmp(Argv[I], "--worker-bin") && I + 1 < Argc)
-      WorkerBin = Argv[++I];
-    else if (!std::strcmp(Argv[I], "--fleet-chaos-kill") && I + 1 < Argc)
-      ChaosKill = std::atoi(Argv[++I]);
     else if (!std::strcmp(Argv[I], "--quiet"))
       Quiet = true;
     else if (Argv[I][0] != '-' && RequestPath.empty())
@@ -129,23 +131,6 @@ int main(int Argc, char **Argv) {
       return 2;
     }
     In = &File;
-  }
-
-  // The fleet (when enabled) must outlive the service that dispatches
-  // into it.
-  std::unique_ptr<FleetCoordinator> Fleet;
-  if (FleetWorkers > 0) {
-    FleetConfig FC;
-    FC.WorkerBinary = WorkerBin;
-    FC.Workers = FleetWorkers;
-    FC.PolicyPath = PolicyPath;
-    FC.ChaosKillAfterDispatches = ChaosKill;
-    Fleet = std::make_unique<FleetCoordinator>(Policy, FC);
-    SC.Executor = [&Fleet](const Network &Net, const RobustnessProperty &Prop,
-                           const VerifierConfig &Config,
-                           const SearchCheckpoint *Resume) {
-      return Fleet->verify(Net, Prop, Config, Resume);
-    };
   }
 
   VerificationService Service(Policy, SC);
@@ -244,14 +229,6 @@ int main(int Argc, char **Argv) {
                  Report.jobsPerSecond(), Service.workers(), Report.Verified,
                  Report.Falsified, Report.Timeout, CS.hits(), CS.ExactHits,
                  CS.SubsumptionHits, CS.CertifiedHits, CS.Misses, CS.Loaded);
-    if (Fleet) {
-      FleetStats FS = Fleet->stats();
-      std::fprintf(stderr,
-                   "fleet: %u workers, %ld jobs (%ld inline), %ld shards "
-                   "dispatched, %ld steals, %ld worker restarts\n",
-                   Fleet->workers(), FS.Jobs, FS.InlineFallbacks,
-                   FS.ShardsDispatched, FS.Steals, FS.WorkerRestarts);
-    }
   }
   return BadLines ? 2 : (Report.Timeout ? 1 : 0);
 }

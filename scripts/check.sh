@@ -24,20 +24,16 @@
 # diagnostic, and charon_serve --cache-file (a cache record's region) must
 # truncate the record and exit 0. charon_cli must also refuse, with exit 2,
 # a residual conv whose values fit but whose lowering would not (the
-# loader's shape check). A signal fails the leg.
+# loader's shape check), and charon_serve must refuse a --workers count
+# that is negative, not a number, or above 256 with its usage text and
+# exit 2. A signal fails the leg.
 # A certificate smoke then decides an exported ACAS property with --cert,
 # requires charon_check to accept the emitted certificate, and requires it
 # to reject a tampered copy; the sanitize leg runs it forced-threaded.
-# A fleet smoke then serves a hard ACAS batch three ways — in-process,
-# through a 2-worker process fleet, and through a fleet whose first
-# dispatched worker is chaos-killed mid-run — and requires all three
-# response streams to be byte-identical after zeroing the timing field
-# (the chaos run must also report a worker restart). A persistent-cache
-# smoke follows: a --certify --cache-file server decides the batch, a
-# relaunched server re-answers it under a different delta, and the second
-# summary must show the answers came from disk-loaded certificates.
-# (The fleet unit/identity suites themselves run inside ctest on both
-# legs, including under the sanitizers.)
+# A persistent-cache smoke follows: a --certify --cache-file server decides
+# a hard ACAS batch, a relaunched server re-answers it under a different
+# delta, and the second summary must show the answers came from
+# disk-loaded certificates.
 # A dispatch-matrix leg re-runs the kernel, zonotope-layout, and batched
 # execution suites under every CHARON_SIMD level the host supports
 # (scalar always; avx2 when /proc/cpuinfo advertises it), so the suites'
@@ -49,10 +45,9 @@
 # An ONNX smoke then generates the deterministic mixed fixture (conv +
 # batch-norm + avg-pool + sigmoid residual), imports it, and decides the
 # same property from the .net, straight from the .onnx, and through
-# charon_serve with and without a 2-worker process fleet — all verdicts
-# must agree and the serve response streams must be byte-identical; the
-# sanitize leg runs the importer and the smooth transformers instrumented
-# with forced-threaded kernels.
+# charon_serve — all three must verify it; the sanitize leg runs the
+# importer and the smooth transformers instrumented with forced-threaded
+# kernels.
 # The plain leg ends with the end-to-end benchmark's self-tests
 # (perfbench/tests/test_perfbench.py), which build perfbench against the
 # library's public API on first use.
@@ -320,7 +315,13 @@ if [[ "$(cat "$HOSTILE_DIR/region.db")" != "charon-cache 1" ]]; then
   echo "hostile smoke: the oversized cache record was not truncated" >&2
   exit 1
 fi
-echo "hostile smoke: oversized counts and shapes refused, cache record truncated"
+# A worker count the service must not try to start.
+for WORKERS in -1 abc 257; do
+  expect_exit 2 "usage:" "$BUILD_DIR/examples/charon_serve" /dev/null \
+    --workers "$WORKERS"
+done
+echo "hostile smoke: oversized counts and shapes refused, cache record" \
+     "truncated, bad worker counts refused"
 
 # Certificate smoke: decide an exported ACAS property with --cert, check
 # the certificate with the standalone charon_check (which re-runs the
@@ -368,86 +369,54 @@ if [[ "$TAMPER_RC" == 0 ]]; then
 fi
 echo "cert smoke: tampered certificate rejected (rc=$TAMPER_RC)"
 
-# Fleet smoke: the same request batch must produce identical responses
-# from the in-process service, a 2-worker process fleet, and a fleet whose
-# first-dispatched worker is killed mid-run (which must also restart a
-# worker). The suite is exported into its own cache dir with enough
-# properties to include a refinement-heavy verified one (p2, ~270 nodes)
-# and a falsified one (p3, exercising counterexample bit-identity).
-FLEET_DIR="$BUILD_DIR/fleet-smoke"
-rm -rf "$FLEET_DIR"
-"$BUILD_DIR/examples/acas_export" "$FLEET_DIR" --count 6 \
-  --cache "$FLEET_DIR" >/dev/null
-FLEET_REQ="$FLEET_DIR/requests.jsonl"
-: > "$FLEET_REQ"
+# Persistent-cache smoke: a --certify server fills the on-disk cache, a
+# restarted server re-answers the same queries under a different delta —
+# exact lookups must miss, so the hits can only come from disk-loaded
+# certificates re-checked against the new config. The suite is exported
+# into its own cache dir with enough properties to include a
+# refinement-heavy verified one (p2) and a falsified one (p3).
+CACHE_DIR="$BUILD_DIR/cache-smoke"
+rm -rf "$CACHE_DIR"
+"$BUILD_DIR/examples/acas_export" "$CACHE_DIR" --count 6 \
+  --cache "$CACHE_DIR" >/dev/null
+CACHE_REQ="$CACHE_DIR/requests.jsonl"
+: > "$CACHE_REQ"
 for PROP in 2 3; do
-  awk -v net="$FLEET_DIR/acas.net" '
+  awk -v net="$CACHE_DIR/acas.net" '
     /^name /  {name=$2}
     /^target /{label=$2}
     /^lower / {lo=""; for(i=2;i<=NF;i++) lo=lo (i>2?",":"") $i}
     /^upper / {up=""; for(i=2;i<=NF;i++) up=up (i>2?",":"") $i}
     END {printf "{\"network\":\"%s\",\"name\":\"%s\",\"label\":%s,\
 \"lower\":[%s],\"upper\":[%s],\"budget\":30}\n", net, name, label, lo, up}
-  ' "$FLEET_DIR/acas-$PROP.prop" >> "$FLEET_REQ"
+  ' "$CACHE_DIR/acas-$PROP.prop" >> "$CACHE_REQ"
 done
-WORKER_BIN="$BUILD_DIR/examples/charon_worker"
-env "${TRACE_ENV[@]}" "$BUILD_DIR/examples/charon_serve" "$FLEET_REQ" \
-  --no-cache --workers 1 --quiet > "$FLEET_DIR/serial.out"
-env "${TRACE_ENV[@]}" "$BUILD_DIR/examples/charon_serve" "$FLEET_REQ" \
-  --no-cache --workers 1 --fleet-workers 2 --worker-bin "$WORKER_BIN" \
-  --quiet > "$FLEET_DIR/fleet.out"
-env "${TRACE_ENV[@]}" "$BUILD_DIR/examples/charon_serve" "$FLEET_REQ" \
-  --no-cache --workers 1 --fleet-workers 2 --worker-bin "$WORKER_BIN" \
-  --fleet-chaos-kill 0 > "$FLEET_DIR/chaos.out" 2> "$FLEET_DIR/chaos.err"
-for OUT in serial fleet chaos; do
-  sed 's/"seconds":[0-9.eE+-]*/"seconds":0/' "$FLEET_DIR/$OUT.out" \
-    > "$FLEET_DIR/$OUT.norm"
-done
-cmp "$FLEET_DIR/serial.norm" "$FLEET_DIR/fleet.norm"
-cmp "$FLEET_DIR/serial.norm" "$FLEET_DIR/chaos.norm"
-RESTARTS=$(sed -n 's/.* \([0-9][0-9]*\) worker restarts.*/\1/p' \
-  "$FLEET_DIR/chaos.err")
-if [[ -z "$RESTARTS" || "$RESTARTS" == 0 ]]; then
-  echo "fleet smoke: chaos kill did not restart a worker" >&2
-  cat "$FLEET_DIR/chaos.err" >&2
-  exit 1
-fi
-echo "fleet smoke: serial/fleet/chaos responses identical," \
-     "$RESTARTS worker restart(s)"
-
-# Persistent-cache smoke: a --certify server fills the on-disk cache, a
-# restarted server re-answers the same queries under a different delta —
-# exact lookups must miss, so the hits can only come from disk-loaded
-# certificates re-checked against the new config.
-CACHE_DB="$FLEET_DIR/serve-cache.db"
-rm -f "$CACHE_DB"
-env "${TRACE_ENV[@]}" "$BUILD_DIR/examples/charon_serve" "$FLEET_REQ" \
+CACHE_DB="$CACHE_DIR/serve-cache.db"
+env "${TRACE_ENV[@]}" "$BUILD_DIR/examples/charon_serve" "$CACHE_REQ" \
   --certify --cache-file "$CACHE_DB" --workers 1 --quiet >/dev/null
-sed 's/"budget":30/"budget":30,"delta":1e-7/' "$FLEET_REQ" \
-  > "$FLEET_DIR/requests-redelta.jsonl"
+sed 's/"budget":30/"budget":30,"delta":1e-7/' "$CACHE_REQ" \
+  > "$CACHE_DIR/requests-redelta.jsonl"
 env "${TRACE_ENV[@]}" "$BUILD_DIR/examples/charon_serve" \
-  "$FLEET_DIR/requests-redelta.jsonl" \
+  "$CACHE_DIR/requests-redelta.jsonl" \
   --certify --cache-file "$CACHE_DB" --workers 1 \
-  >/dev/null 2> "$FLEET_DIR/cache-restart.err"
+  >/dev/null 2> "$CACHE_DIR/cache-restart.err"
 CERTIFIED=$(sed -n 's/.*, \([0-9][0-9]*\) certified).*/\1/p' \
-  "$FLEET_DIR/cache-restart.err")
+  "$CACHE_DIR/cache-restart.err")
 LOADED=$(sed -n 's/.* \([0-9][0-9]*\) loaded from disk.*/\1/p' \
-  "$FLEET_DIR/cache-restart.err")
+  "$CACHE_DIR/cache-restart.err")
 if [[ -z "$CERTIFIED" || "$CERTIFIED" == 0 || -z "$LOADED" \
       || "$LOADED" == 0 ]]; then
   echo "cache restart smoke: no certified hits from the reloaded cache" >&2
-  cat "$FLEET_DIR/cache-restart.err" >&2
+  cat "$CACHE_DIR/cache-restart.err" >&2
   exit 1
 fi
 echo "cache restart smoke: $CERTIFIED certified hit(s) from $LOADED" \
      "disk-loaded entries"
 
 # ONNX smoke: generate the deterministic mixed fixture, import it, and
-# decide the same robust property four ways — from the imported .net, from
+# decide the same robust property three ways — from the imported .net, from
 # the .onnx directly (exercising registry ingestion in charon_cli), and
-# through charon_serve serially and with a 2-worker process fleet. The two
-# CLI verdicts must match, and the two serve response streams must be
-# byte-identical after zeroing the timing field. The sanitize leg reuses
+# through charon_serve. All three must verify it. The sanitize leg reuses
 # TRACE_ENV/TRACE_FLAGS, so the wire parser, the lowering, and the smooth
 # relaxation transformers all run under ASan + UBSan with forced-threaded
 # kernels.
@@ -502,20 +471,11 @@ awk -v net="$ONNX_DIR/mixed.onnx" '
   END {printf "{\"network\":\"%s\",\"name\":\"%s\",\"label\":%s,\
 \"lower\":[%s],\"upper\":[%s],\"budget\":60}\n", net, name, label, lo, up}
 ' "$ONNX_DIR/mixed.prop" > "$ONNX_DIR/requests.jsonl"
-WORKER_BIN="$BUILD_DIR/examples/charon_worker"
 env "${TRACE_ENV[@]}" "$BUILD_DIR/examples/charon_serve" \
   "$ONNX_DIR/requests.jsonl" --no-cache --workers 1 --quiet \
-  > "$ONNX_DIR/serial.out"
-env "${TRACE_ENV[@]}" "$BUILD_DIR/examples/charon_serve" \
-  "$ONNX_DIR/requests.jsonl" --no-cache --workers 1 --fleet-workers 2 \
-  --worker-bin "$WORKER_BIN" --quiet > "$ONNX_DIR/fleet.out"
-for OUT in serial fleet; do
-  sed 's/"seconds":[0-9.eE+-]*/"seconds":0/' "$ONNX_DIR/$OUT.out" \
-    > "$ONNX_DIR/$OUT.norm"
-done
-cmp "$ONNX_DIR/serial.norm" "$ONNX_DIR/fleet.norm"
-grep -q '"outcome":"verified"' "$ONNX_DIR/serial.out"
-echo "onnx smoke: import + verify OK, serial/fleet responses identical"
+  > "$ONNX_DIR/serve.out"
+grep -q '"outcome":"verified"' "$ONNX_DIR/serve.out"
+echo "onnx smoke: import + verify OK through charon_cli and charon_serve"
 
 # perfbench self-tests (plain leg): the end-to-end benchmark compiles
 # against the library's public API (pgdMinimize, the policy calls, every

@@ -4,7 +4,6 @@
 
 #include "support/TextBounds.h"
 
-#include <algorithm>
 #include <fstream>
 #include <iomanip>
 #include <iterator>
@@ -173,61 +172,4 @@ charon::loadCheckpointFile(const std::string &Path) {
   if (!Is)
     return std::nullopt;
   return loadCheckpoint(Is);
-}
-
-bool charon::dfsPathPrecedes(const std::vector<uint8_t> &A,
-                             const std::vector<uint8_t> &B) {
-  size_t N = A.size() < B.size() ? A.size() : B.size();
-  for (size_t I = 0; I < N; ++I)
-    if (A[I] != B[I])
-      return A[I] < B[I];
-  // Shared prefix: the ancestor (shorter path) is expanded first.
-  return A.size() < B.size();
-}
-
-std::vector<SearchCheckpoint> charon::splitCheckpoint(const SearchCheckpoint &Cp,
-                                                      size_t K) {
-  if (K == 0)
-    K = 1;
-  std::vector<SearchCheckpoint> Shards(K);
-  size_t N = Cp.Open.size();
-  size_t Base = N / K, Rem = N % K;
-  size_t At = 0;
-  for (size_t I = 0; I < K; ++I) {
-    SearchCheckpoint &S = Shards[I];
-    S.Order = Cp.Order;
-    S.NetworkFingerprint = Cp.NetworkFingerprint;
-    S.PropertyDigest = Cp.PropertyDigest;
-    S.ConfigDigest = Cp.ConfigDigest;
-    if (I == 0)
-      S.Stats = Cp.Stats;
-    size_t Take = Base + (I < Rem ? 1 : 0);
-    S.Open.assign(Cp.Open.begin() + At, Cp.Open.begin() + At + Take);
-    At += Take;
-  }
-  return Shards;
-}
-
-SearchCheckpoint
-charon::mergeCheckpoints(const std::vector<SearchCheckpoint> &Shards) {
-  SearchCheckpoint Out;
-  if (Shards.empty())
-    return Out;
-  Out.Order = Shards.front().Order;
-  Out.NetworkFingerprint = Shards.front().NetworkFingerprint;
-  Out.PropertyDigest = Shards.front().PropertyDigest;
-  Out.ConfigDigest = Shards.front().ConfigDigest;
-  size_t Total = 0;
-  for (const SearchCheckpoint &S : Shards)
-    Total += S.Open.size();
-  Out.Open.reserve(Total);
-  for (const SearchCheckpoint &S : Shards) {
-    Out.Stats += S.Stats;
-    Out.Open.insert(Out.Open.end(), S.Open.begin(), S.Open.end());
-  }
-  std::sort(Out.Open.begin(), Out.Open.end(),
-            [](const CheckpointNode &A, const CheckpointNode &B) {
-              return dfsPathPrecedes(A.Path, B.Path);
-            });
-  return Out;
 }

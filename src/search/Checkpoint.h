@@ -94,33 +94,6 @@ std::optional<SearchCheckpoint> deserializeCheckpoint(const std::string &Text);
 bool saveCheckpointFile(const SearchCheckpoint &Cp, const std::string &Path);
 std::optional<SearchCheckpoint> loadCheckpointFile(const std::string &Path);
 
-/// Strict DFS ("expand leftmost subtree first") order on split paths: the
-/// first diverging bit decides (0 before 1), and a proper prefix precedes
-/// its extensions (a node is expanded before its descendants). This is the
-/// order the sequential driver expands nodes in, and the order checkpoint
-/// frontiers are stored in.
-bool dfsPathPrecedes(const std::vector<uint8_t> &A,
-                     const std::vector<uint8_t> &B);
-
-/// Splits \p Cp into exactly \p K shards (K >= 1): contiguous runs of the
-/// DFS-ordered frontier, sized as evenly as possible, shards possibly
-/// empty when the frontier has fewer than K nodes. Because no open node is
-/// an ancestor of another, every descendant of shard i's nodes is
-/// DFS-before every descendant of shard i+1's nodes — so shards are
-/// totally DFS-ordered units of work and the DFS-earliest-falsified-shard
-/// rule reproduces the serial verdict (see fleet/FleetCoordinator.h).
-/// The accumulated stats ride on shard 0 alone so that merging (or
-/// summing terminal shard stats) never double-counts.
-std::vector<SearchCheckpoint> splitCheckpoint(const SearchCheckpoint &Cp,
-                                              size_t K);
-
-/// Inverse of splitCheckpoint: concatenates the shards' frontiers, sorts
-/// them back into DFS order, and sums their stats. Header fields (order
-/// and digests) are taken from the first shard; callers must only merge
-/// shards of the same original checkpoint. mergeCheckpoints(
-/// splitCheckpoint(Cp, K)) round-trips byte-identically for every K.
-SearchCheckpoint mergeCheckpoints(const std::vector<SearchCheckpoint> &Shards);
-
 } // namespace charon
 
 #endif // CHARON_SEARCH_CHECKPOINT_H

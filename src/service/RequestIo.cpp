@@ -5,7 +5,9 @@
 #include "linalg/Box.h"
 #include "support/JsonLine.h"
 
+#include <cmath>
 #include <istream>
+#include <limits>
 
 using namespace charon;
 using json::appendEscaped;
@@ -34,6 +36,12 @@ Vector toVector(const std::vector<double> &A) {
   return Vector(std::vector<double>(A));
 }
 
+/// True when \p X is a whole number from \p Lo to INT_MAX, so the cast to
+/// the int or size_t field it fills is defined and exact.
+bool wholeInIntRange(double X, double Lo) {
+  return X >= Lo && X <= std::numeric_limits<int>::max() && X == std::trunc(X);
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -52,9 +60,14 @@ charon::parseRequestLine(const std::string &Line, std::string *Error) {
       Req.Network = V.S;
     else if (Key == "name" && V.K == Value::Str)
       Req.Name = V.S;
-    else if (Key == "label" && V.K == Value::Num && V.N >= 0)
+    else if (Key == "label" && V.K == Value::Num) {
+      if (!wholeInIntRange(V.N, 0)) {
+        setError(Error, "\"label\" must be a whole number from 0 to "
+                        "2147483647");
+        return std::nullopt;
+      }
       Req.Label = static_cast<size_t>(V.N);
-    else if (Key == "epsilon" && V.K == Value::Num)
+    } else if (Key == "epsilon" && V.K == Value::Num)
       Req.Epsilon = V.N;
     else if (Key == "center" && V.K == Value::NumArray)
       Req.Center = toVector(V.A);
@@ -66,9 +79,14 @@ charon::parseRequestLine(const std::string &Line, std::string *Error) {
       Req.BudgetSeconds = V.N;
     else if (Key == "delta" && V.K == Value::Num)
       Req.Delta = V.N;
-    else if (Key == "priority" && V.K == Value::Num)
+    else if (Key == "priority" && V.K == Value::Num) {
+      if (!wholeInIntRange(V.N, std::numeric_limits<int>::min())) {
+        setError(Error, "\"priority\" must be a whole number from "
+                        "-2147483648 to 2147483647");
+        return std::nullopt;
+      }
       Req.Priority = static_cast<int>(V.N);
-    else {
+    } else {
       setError(Error, "unknown or mistyped key: " + Key);
       return std::nullopt;
     }

@@ -26,6 +26,8 @@
 /// The parser accepts only this subset of JSON (flat objects of strings,
 /// numbers, booleans, and arrays of numbers) and rejects everything else
 /// with a diagnostic; unknown keys are an error so typos fail loudly.
+/// "label" and "priority" must be whole numbers in int range, the label
+/// non-negative.
 ///
 //===----------------------------------------------------------------------===//
 

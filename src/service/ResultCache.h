@@ -77,11 +77,11 @@ struct CacheStats {
 /// an on-disk store, and attaching an existing store replays its records
 /// (later records win, capacity bounds apply) and rebuilds the in-memory
 /// index — including the subsumption scan set and the certificates that
-/// lookupCertified serves — so verified facts survive process restarts
-/// and are shared across coordinator/worker fleets. The store is a plain
-/// append-only text file guarded by an exclusive flock (one writer per
-/// file; a second attach fails cleanly). A torn final record (crash mid-
-/// append) is truncated away on attach; anything before it is kept.
+/// lookupCertified serves — so verified facts survive process restarts.
+/// The store is a plain append-only text file guarded by an exclusive
+/// flock (one writer per file; a second attach fails cleanly). A torn
+/// final record (crash mid-append) is truncated away on attach; anything
+/// before it is kept.
 class ResultCache {
 public:
   /// Creates a cache holding at most \p Capacity entries (at least 1).

@@ -135,11 +135,22 @@ struct ServiceConfig {
   /// jobs call this instead of Verifier::verify. The callable must honor
   /// the same contract (bit-identical verdict/counterexample/objective,
   /// cooperative cancellation via the config's CancelRequested, resumable
-  /// Timeout checkpoints) — the fleet coordinator (src/fleet/) satisfies
-  /// it, which is how `charon_serve --fleet-workers=N` dispatches whole
-  /// jobs and their subtree shards to worker processes. Cache lookups,
-  /// certificate re-checks, and cache fills stay in this service either
-  /// way.
+  /// Timeout checkpoints). perfbench's traced serve workload sets it to
+  /// time each cache-miss job. An embedder that wants one job spread over
+  /// cores sets it to a verifyParallel call on a pool of its own (a task
+  /// may not block on the pool it runs on), with Workers = 1 so that no
+  /// two jobs wait on that pool at once:
+  /// \code
+  ///   SC.Executor = [&Policy, &Pool](const Network &Net,
+  ///                                  const RobustnessProperty &Prop,
+  ///                                  const VerifierConfig &Config,
+  ///                                  const SearchCheckpoint *Resume) {
+  ///     return Verifier(Net, Policy, Config).verifyParallel(Prop, Pool,
+  ///                                                         Resume);
+  ///   };
+  /// \endcode
+  /// Cache lookups, certificate re-checks, and cache fills stay in this
+  /// service either way.
   std::function<VerifyResult(const Network &, const RobustnessProperty &,
                              const VerifierConfig &, const SearchCheckpoint *)>
       Executor;

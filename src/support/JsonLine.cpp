@@ -3,7 +3,6 @@
 #include "support/JsonLine.h"
 
 #include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -219,33 +218,4 @@ void charon::json::appendNumber(std::string &Out, double X) {
   // %.17g round-trips every finite double exactly.
   std::snprintf(Buf, sizeof(Buf), "%.17g", X);
   Out += Buf;
-}
-
-void charon::json::appendNumberArray(std::string &Out,
-                                     const std::vector<double> &A) {
-  Out.push_back('[');
-  for (size_t I = 0; I < A.size(); ++I) {
-    if (I)
-      Out.push_back(',');
-    appendNumber(Out, A[I]);
-  }
-  Out.push_back(']');
-}
-
-std::string charon::json::formatU64(uint64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%llu", static_cast<unsigned long long>(V));
-  return Buf;
-}
-
-bool charon::json::parseU64(const std::string &S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S.c_str(), &End, 10);
-  if (errno != 0 || End != S.c_str() + S.size() || S[0] == '-')
-    return false;
-  Out = static_cast<uint64_t>(V);
-  return true;
 }

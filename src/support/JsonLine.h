@@ -5,24 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one JSON dialect every Charon wire protocol speaks: a single flat
-/// object per line whose values are strings, numbers, booleans, or arrays
-/// of numbers. Hand-rolled because the protocols need nothing more and the
-/// project takes no external dependencies. Shared by the service batch
-/// protocol (service/RequestIo.h) and the fleet control channel
-/// (fleet/FleetProtocol.h) so both sides agree on escaping and number
-/// round-tripping.
+/// The JSON dialect of the service batch protocol (service/RequestIo.h): a
+/// single flat object per line whose values are strings, numbers,
+/// booleans, or arrays of numbers. Hand-rolled because the protocol needs
+/// nothing more and the project takes no external dependencies.
 ///
 /// Numbers print with %.17g, which round-trips every finite double
-/// exactly. 64-bit digests do NOT fit in a double, so protocols carry them
-/// as decimal strings (formatU64/parseU64).
+/// exactly.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CHARON_SUPPORT_JSONLINE_H
 #define CHARON_SUPPORT_JSONLINE_H
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -54,17 +49,6 @@ void appendEscaped(std::string &Out, const std::string &S);
 
 /// Appends \p X with round-trip (%.17g) precision.
 void appendNumber(std::string &Out, double X);
-
-/// Appends \p A as a JSON array of round-trip numbers.
-void appendNumberArray(std::string &Out, const std::vector<double> &A);
-
-/// Decimal rendering of a 64-bit value (digests don't fit in a double, so
-/// the protocols quote them as strings).
-std::string formatU64(uint64_t V);
-
-/// Parses the decimal rendering back; false on non-numeric or overflowing
-/// input.
-bool parseU64(const std::string &S, uint64_t &Out);
 
 } // namespace json
 } // namespace charon

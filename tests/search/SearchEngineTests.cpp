@@ -222,26 +222,64 @@ TEST(SearchEngineTest, MidSearchCancelResumesToTheUninterruptedRun) {
   }
   ASSERT_NE(Prop, nullptr) << "suite has no multi-node decided property";
 
-  VerifierConfig Cancelling = baseConfig();
-  auto Polls = std::make_shared<std::atomic<long>>(0);
-  Cancelling.CancelRequested = [Polls] { return Polls->fetch_add(1) >= 3; };
-  Verifier Interrupted(Suite.Net, Policy, Cancelling);
+  // Both drivers stop once their scheduler has polled three times.
+  auto Cancelling = [] {
+    VerifierConfig Config = baseConfig();
+    auto Polls = std::make_shared<std::atomic<long>>(0);
+    Config.CancelRequested = [Polls] { return Polls->fetch_add(1) >= 3; };
+    return Config;
+  };
 
-  VerifyResult Step = Interrupted.verify(*Prop);
+  // Resuming (without the cancel hook) replays exactly the expansions the
+  // uninterrupted run would have made: the verdict, counterexample,
+  // objective, and (when \p SameStats) stats modulo wall-clock are
+  // bit-identical.
+  auto ExpectResumesToFull = [&](const VerifyResult &Step, bool SameStats) {
+    VerifyResult Resumed = resumeToCompletion(Reference, *Prop, Step);
+    ASSERT_NE(Resumed.Result, Outcome::Timeout);
+    EXPECT_EQ(Resumed.Result, Full.Result);
+    EXPECT_EQ(Resumed.ObjectiveAtCex, Full.ObjectiveAtCex);
+    EXPECT_TRUE(sameVector(Resumed.Counterexample, Full.Counterexample));
+    if (SameStats) {
+      EXPECT_TRUE(sameStatsIgnoringTime(Resumed.Stats, Full.Stats));
+    }
+  };
+
+  VerifierConfig SerialConfig = Cancelling();
+  VerifyResult Step = Verifier(Suite.Net, Policy, SerialConfig).verify(*Prop);
   ASSERT_EQ(Step.Result, Outcome::Timeout); // cancelled mid-search
   ASSERT_TRUE(Step.Checkpoint);
   EXPECT_FALSE(Step.Checkpoint->Open.empty());
   EXPECT_LT(Step.Stats.NodesExpanded, Full.Stats.NodesExpanded);
+  {
+    SCOPED_TRACE("serial driver");
+    // The serial driver's expansions are a prefix of the uninterrupted
+    // run's, so even a falsified property's stats come out identical.
+    ExpectResumesToFull(Step, /*SameStats=*/true);
+  }
 
-  // Resuming (without the cancel hook) replays exactly the expansions the
-  // uninterrupted run would have made: the verdict, counterexample,
-  // objective, and stats modulo wall-clock are bit-identical.
-  VerifyResult Resumed = resumeToCompletion(Reference, *Prop, Step);
-  ASSERT_NE(Resumed.Result, Outcome::Timeout);
-  EXPECT_EQ(Resumed.Result, Full.Result);
-  EXPECT_EQ(Resumed.ObjectiveAtCex, Full.ObjectiveAtCex);
-  EXPECT_TRUE(sameVector(Resumed.Counterexample, Full.Counterexample));
-  EXPECT_TRUE(sameStatsIgnoringTime(Resumed.Stats, Full.Stats));
+  // The thread driver's workers poll concurrently, so where it stops varies
+  // from run to run, and it may have expanded nodes that the serial run
+  // never reaches; each resumable stop must still lead to the same verdict,
+  // and to the same stats when every node had to be expanded anyway.
+  SCOPED_TRACE("thread driver");
+  ThreadPool Pool(4);
+  VerifierConfig ParallelConfig = Cancelling();
+  VerifyResult ParStep =
+      Verifier(Suite.Net, Policy, ParallelConfig).verifyParallel(*Prop, Pool);
+  if (ParStep.Result == Outcome::Falsified) {
+    // A falsification always wins, even when an interrupted run has not yet
+    // confirmed it DFS-earliest; the witness must still be sound.
+    EXPECT_EQ(Full.Result, Outcome::Falsified);
+    EXPECT_TRUE(Prop->Region.contains(ParStep.Counterexample));
+    EXPECT_LE(Suite.Net.objective(ParStep.Counterexample, Prop->TargetClass),
+              ParallelConfig.Delta);
+    return;
+  }
+  ASSERT_EQ(ParStep.Result, Outcome::Timeout);
+  ASSERT_TRUE(ParStep.Checkpoint);
+  EXPECT_FALSE(ParStep.Checkpoint->Open.empty());
+  ExpectResumesToFull(ParStep, Full.Result == Outcome::Verified);
 }
 
 TEST(SearchEngineTest, DeadlineExpiryCarriesAResumableCheckpoint) {

@@ -2,14 +2,13 @@
 //
 // Part of the Charon reproduction of "Optimization and Abstraction" (PLDI'19).
 //
-// The persistent result cache is what lets a restarted charon_serve (or a
-// fresh fleet coordinator) answer repeats, serve re-checkable certificates,
-// and resume timed-out searches without re-running anything. These tests
-// exercise the attachFile() contract across cache instances: full record
-// round-trips (verdict, counterexample, stats, certificate, checkpoint),
-// the pinned record bytes, replay-in-order semantics, torn-tail recovery
-// (including an oversized count), foreign-file refusal, and the
-// single-writer flock.
+// The persistent result cache is what lets a restarted charon_serve answer
+// repeats, serve re-checkable certificates, and resume timed-out searches
+// without re-running anything. These tests exercise the attachFile()
+// contract across cache instances: full record round-trips (verdict,
+// counterexample, stats, certificate, checkpoint), the pinned record bytes,
+// replay-in-order semantics, torn-tail recovery (including an oversized
+// count), foreign-file refusal, and the single-writer flock.
 //
 //===----------------------------------------------------------------------===//
 

@@ -128,6 +128,16 @@ TEST(RequestIoTest, RejectsMalformedLines) {
       parseRequestLine(
           R"({"network":"n","network":"m","lower":[0],"upper":[1]})")
           .has_value());
+  // A label or priority that is not a whole number in range: casting it to
+  // the integer field would be undefined or would silently round.
+  for (const char *Line :
+       {R"({"network":"n","label":1e300,"lower":[0],"upper":[1]})",
+        R"({"network":"n","priority":1e300,"lower":[0],"upper":[1]})",
+        R"({"network":"n","label":1.5,"lower":[0],"upper":[1]})"}) {
+    Error.clear();
+    EXPECT_FALSE(parseRequestLine(Line, &Error).has_value()) << Line;
+    EXPECT_FALSE(Error.empty()) << Line;
+  }
 }
 
 TEST(RequestIoTest, ResponseRoundTripsBitExactly) {
