@@ -177,8 +177,9 @@ int main(int Argc, char **Argv) {
       ++BadLines;
       continue;
     }
-    if (Prop->Region.dim() != Service.registry().network(*Net).inputSize() ||
-        Req.Label >= Service.registry().network(*Net).outputSize()) {
+    const Network &Loaded = Service.registry().network(*Net);
+    if (Prop->Region.dim() != Loaded.inputSize() || Loaded.outputSize() < 2 ||
+        Req.Label >= Loaded.outputSize()) {
       E.Error = "query does not match network";
       Entries.push_back(std::move(E));
       ++BadLines;

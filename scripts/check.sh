@@ -26,7 +26,11 @@
 # a residual conv whose values fit but whose lowering would not (the
 # loader's shape check), and charon_serve must refuse a --workers count
 # that is negative, not a number, or above 256 with its usage text and
-# exit 2. A signal fails the leg.
+# exit 2. Two networks no query can use come last: one with a single
+# output (the objective has no competing class) and one with no layers.
+# charon_cli must refuse the first with its shape diagnostic and the
+# second with its load diagnostic, and charon_serve must report a bad
+# request line for each (exit 2). A signal fails the leg.
 # A certificate smoke then decides an exported ACAS property with --cert,
 # requires charon_check to accept the emitted certificate, and requires it
 # to reject a tampered copy; the sanitize leg runs it forced-threaded.
@@ -320,8 +324,29 @@ for WORKERS in -1 abc 257; do
   expect_exit 2 "usage:" "$BUILD_DIR/examples/charon_serve" /dev/null \
     --workers "$WORKERS"
 done
+# A network with one output, a property over its two inputs, and a
+# network with no layers.
+printf '%s\n' "charon-network 1 1" "dense 2 1" "0.5 -0.25" "0.1" \
+  > "$HOSTILE_DIR/one-output.net"
+printf '%s\n' "charon-property 1" "name p" "target 0" "dim 2" "lower 0 0" \
+  "upper 1 1" > "$HOSTILE_DIR/two-inputs.prop"
+printf '%s\n' "charon-network 1 0" > "$HOSTILE_DIR/no-layers.net"
+expect_exit 2 "property does not match network shape" \
+  "$BUILD_DIR/examples/charon_cli" "$HOSTILE_DIR/one-output.net" \
+  "$HOSTILE_DIR/two-inputs.prop"
+expect_exit 2 "cannot load network" "$BUILD_DIR/examples/charon_cli" \
+  "$HOSTILE_DIR/no-layers.net" "$HOSTILE_DIR/two-inputs.prop"
+for CASE in "one-output:query does not match network" \
+            "no-layers:cannot load network"; do
+  NET="${CASE%%:*}"
+  printf '{"network":"%s","label":0,"lower":[0,0],"upper":[1,1]}\n' \
+    "$HOSTILE_DIR/$NET.net" > "$HOSTILE_DIR/$NET.jsonl"
+  expect_exit 2 "${CASE#*:}" "$BUILD_DIR/examples/charon_serve" \
+    "$HOSTILE_DIR/$NET.jsonl" --workers 1
+done
 echo "hostile smoke: oversized counts and shapes refused, cache record" \
-     "truncated, bad worker counts refused"
+     "truncated, bad worker counts refused, one-output and zero-layer" \
+     "networks refused"
 
 # Certificate smoke: decide an exported ACAS property with --cert, check
 # the certificate with the standalone charon_check (which re-runs the

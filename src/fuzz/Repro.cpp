@@ -107,7 +107,10 @@ std::optional<FuzzRepro> charon::loadRepro(std::istream &Is) {
     return std::nullopt;
   Repro.Prop = std::move(*Prop);
 
+  // The objective needs a class besides the target, so the network needs
+  // two outputs.
   if (Repro.Prop.Region.dim() != specInputSize(Repro.Net) ||
+      specOutputSize(Repro.Net) < 2 ||
       Repro.Prop.TargetClass >= specOutputSize(Repro.Net))
     return std::nullopt;
   return Repro;

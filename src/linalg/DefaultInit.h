@@ -18,7 +18,12 @@
 #ifndef CHARON_LINALG_DEFAULTINIT_H
 #define CHARON_LINALG_DEFAULTINIT_H
 
+#include <sanitizer/asan_interface.h>
+
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <new>
 #include <utility>
@@ -30,20 +35,48 @@ namespace charon {
 /// value-initialize, so the zero-matrix constructors keep their meaning.
 /// The cache-line alignment makes whole matrix rows eligible for aligned
 /// vector stores whenever the row stride is a multiple of the line size.
+///
+/// The aligned block is carved out of a plain `operator new` of
+/// Alignment extra bytes, with the raw pointer kept in the word just before
+/// the block. glibc serves plain `new` from its per-thread cache, while
+/// `new(align_val_t)` takes the slower memalign path, and small matrices
+/// are allocated on every layer call. Under AddressSanitizer the pad on
+/// both sides of the block is poisoned (all but the header word), so a
+/// write one past the data is still reported.
 template <typename T> struct DefaultInitAlloc {
   using value_type = T;
   static constexpr std::size_t Alignment = 64;
+  // Plain new returns at least this alignment, so the block starts at least
+  // one pointer past the raw address and the header word always fits.
+  static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= sizeof(void *));
 
   DefaultInitAlloc() = default;
   template <typename U>
   DefaultInitAlloc(const DefaultInitAlloc<U> &) noexcept {}
 
-  T *allocate(std::size_t N) {
-    return static_cast<T *>(
-        ::operator new(N * sizeof(T), std::align_val_t(Alignment)));
+  std::size_t max_size() const noexcept {
+    return (std::numeric_limits<std::size_t>::max() - Alignment) / sizeof(T);
   }
-  void deallocate(T *P, std::size_t) noexcept {
-    ::operator delete(P, std::align_val_t(Alignment));
+
+  T *allocate(std::size_t N) {
+    if (N > max_size())
+      throw std::bad_array_new_length();
+    const std::size_t Bytes = N * sizeof(T);
+    char *Raw = static_cast<char *>(::operator new(Bytes + Alignment));
+    char *Data =
+        Raw + Alignment - reinterpret_cast<std::uintptr_t>(Raw) % Alignment;
+    char *Header = Data - sizeof(void *);
+    std::memcpy(Header, &Raw, sizeof(void *));
+    ASAN_POISON_MEMORY_REGION(Raw, Header - Raw);
+    ASAN_POISON_MEMORY_REGION(Data + Bytes, Raw + Alignment - Data);
+    return reinterpret_cast<T *>(Data);
+  }
+  void deallocate(T *P, std::size_t N) noexcept {
+    char *Raw = nullptr;
+    std::memcpy(&Raw, reinterpret_cast<char *>(P) - sizeof(void *),
+                sizeof(void *));
+    ASAN_UNPOISON_MEMORY_REGION(Raw, N * sizeof(T) + Alignment);
+    ::operator delete(Raw);
   }
 
   template <typename U> void construct(U *P) {

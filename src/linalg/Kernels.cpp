@@ -64,17 +64,9 @@ unsigned kernels::kernelThreads() {
   return Count;
 }
 
-void kernels::parallelFor(size_t N, size_t CostPerItem,
-                          const std::function<void(size_t, size_t)> &Body) {
-  if (N == 0)
-    return;
-  unsigned Threads = kernelThreads();
-  size_t Cost = N * std::max<size_t>(1, CostPerItem);
-  if (Threads <= 1 || Cost < parallelThreshold()) {
-    Body(0, N);
-    return;
-  }
-  size_t Shards = std::min<size_t>(Threads, N);
+void kernels::parallelForSharded(
+    size_t N, const std::function<void(size_t, size_t)> &Body) {
+  size_t Shards = std::min<size_t>(kernelThreads(), N);
   kernelPool().parallelShards(Shards, [&Body, N, Shards](size_t S) {
     size_t Begin = N * S / Shards;
     size_t End = N * (S + 1) / Shards;

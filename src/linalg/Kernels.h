@@ -21,9 +21,12 @@
 /// Threshold model: a kernel runs single-threaded when its approximate flop
 /// count is below parallelThreshold(), so ACAS-scale analyses (tens of
 /// dimensions) never pay pool latency; large Dense+ReLU stacks shard across
-/// the process-wide kernel ThreadPool. Both knobs have env overrides
-/// (CHARON_KERNEL_THRESHOLD, CHARON_KERNEL_THREADS) so the sanitizer build
-/// can force the threaded paths on small fuzz networks.
+/// the process-wide kernel ThreadPool. parallelFor is a template, so the
+/// single-threaded case, which small networks take on every layer call,
+/// runs the kernel body inline with no type-erased wrapper to allocate;
+/// only the sharded case builds a std::function. Both knobs have env
+/// overrides (CHARON_KERNEL_THRESHOLD, CHARON_KERNEL_THREADS) so the
+/// sanitizer build can force the threaded paths on small fuzz networks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +35,7 @@
 
 #include "linalg/Matrix.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <vector>
@@ -50,12 +54,26 @@ void setParallelThreshold(size_t Flops);
 /// concurrency. 1 disables threading entirely.
 unsigned kernelThreads();
 
-/// Runs Body(Begin, End) over a partition of [0, N). Single-threaded when
-/// N * CostPerItem < parallelThreshold(); otherwise shards contiguously
-/// across the kernel pool (the shard layout depends only on N and the pool
-/// size, keeping runs deterministic).
-void parallelFor(size_t N, size_t CostPerItem,
-                 const std::function<void(size_t, size_t)> &Body);
+/// The sharded case of parallelFor: runs Body over min(kernelThreads(), N)
+/// contiguous shards of [0, N) on the kernel pool (the shard layout depends
+/// only on N and the pool size, keeping runs deterministic).
+void parallelForSharded(size_t N,
+                        const std::function<void(size_t, size_t)> &Body);
+
+/// Runs Body(Begin, End) over a partition of [0, N). Calls Body(0, N) on the
+/// calling thread when N * CostPerItem < parallelThreshold() or the pool has
+/// one thread; otherwise shards through parallelForSharded.
+template <typename Fn>
+void parallelFor(size_t N, size_t CostPerItem, Fn &&Body) {
+  if (N == 0)
+    return;
+  if (kernelThreads() <= 1 ||
+      N * std::max<size_t>(1, CostPerItem) < parallelThreshold()) {
+    Body(size_t{0}, N);
+    return;
+  }
+  parallelForSharded(N, Body);
+}
 
 /// C = A * B^T without materializing the transpose: A is M x K, B is N x K,
 /// C is M x N with C(i,j) = dot(A.row(i), B.row(j)). This is the zonotope

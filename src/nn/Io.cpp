@@ -204,7 +204,7 @@ std::optional<Network> parseNetwork(std::istream &Is) {
   int Version = 0;
   size_t NumLayers = 0;
   if (!(Is >> Magic >> Version >> NumLayers) || Magic != "charon-network" ||
-      Version != 1 || !valuesFit(Is, NumLayers))
+      Version != 1 || NumLayers == 0 || !valuesFit(Is, NumLayers))
     return std::nullopt;
 
   Network Net;

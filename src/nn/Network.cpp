@@ -83,6 +83,7 @@ double Network::objective(const Vector &Input, size_t K) const {
 Vector Network::objectiveGradient(const Vector &Input, size_t K) const {
   Vector Y = evaluate(Input);
   assert(K < Y.size() && "target class out of range");
+  assert(outputSize() >= 2 && "the objective needs a competing class");
   size_t BestJ = K == 0 ? 1 : 0;
   for (size_t J = 0, E = Y.size(); J < E; ++J)
     if (J != K && Y[J] > Y[BestJ])
@@ -123,6 +124,7 @@ Network::objectiveGradientFromActivations(const std::vector<Matrix> &Acts,
          "activation trace size mismatch");
   const Matrix &Y = Acts.back();
   assert(K < Y.cols() && "target class out of range");
+  assert(outputSize() >= 2 && "the objective needs a competing class");
   // Per-row seed for d/dx [ y_K - y_{j*} ], with j* resolved by the same
   // first-strictly-greater scan the scalar objectiveGradient uses.
   Matrix Grad(Y.rows(), Y.cols());

@@ -294,6 +294,15 @@ TEST(ReproTest, RejectsMalformedInput) {
     Mutated.replace(Pos, 8, "target 9");
     Rejects(Mutated);
   }
+  {
+    // A one-output network: the objective has no class to compare with.
+    FuzzRepro OneOutput = sampleRepro();
+    OneOutput.Net.Outputs = 1;
+    OneOutput.Prop.TargetClass = 0;
+    std::ostringstream Ss;
+    saveRepro(OneOutput, Ss);
+    Rejects(Ss.str());
+  }
 }
 
 TEST(ReproTest, ReplayOfInjectedFaultReproduces) {

@@ -27,7 +27,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace charon;
@@ -464,6 +466,22 @@ TEST(KernelTest, ParallelForPartitionsExactly) {
     });
     for (size_t I = 0; I < N; ++I)
       ASSERT_EQ(Hits[I].load(), 1) << "index " << I;
+  }
+}
+
+TEST(KernelTest, ParallelForRunsTheSerialBodyInline) {
+  ThresholdGuard G;
+  kernels::setParallelThreshold(std::numeric_limits<size_t>::max());
+  const std::thread::id Caller = std::this_thread::get_id();
+  for (size_t N : {size_t(0), size_t(1), size_t(7), size_t(1000)}) {
+    int Calls = 0;
+    kernels::parallelFor(N, 1, [&](size_t Begin, size_t End) {
+      ++Calls;
+      EXPECT_EQ(std::this_thread::get_id(), Caller);
+      EXPECT_EQ(Begin, 0u);
+      EXPECT_EQ(End, N);
+    });
+    EXPECT_EQ(Calls, N == 0 ? 0 : 1) << "N = " << N;
   }
 }
 

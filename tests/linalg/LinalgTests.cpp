@@ -2,6 +2,7 @@
 
 #include "linalg/Box.h"
 #include "linalg/Cholesky.h"
+#include "linalg/DefaultInit.h"
 #include "linalg/Matrix.h"
 #include "linalg/Vector.h"
 #include "support/Random.h"
@@ -9,6 +10,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <new>
+#include <string>
+#include <utility>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define CHARON_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CHARON_TEST_ASAN 1
+#endif
+#endif
 
 using namespace charon;
 
@@ -131,6 +145,61 @@ TEST(MatrixTest, MatMulIdentity) {
   EXPECT_TRUE(approxEqual(matMul(M, Matrix::identity(3)), M, 1e-12));
   EXPECT_TRUE(approxEqual(matMul(Matrix::identity(3), M), M, 1e-12));
 }
+
+namespace {
+bool cacheLineAligned(const Matrix &M) {
+  return reinterpret_cast<std::uintptr_t>(M.data()) % 64 == 0;
+}
+} // namespace
+
+TEST(MatrixTest, StorageIsCacheLineAligned) {
+  // 1 x 65537 doubles is one element over 512 KiB, the size from which
+  // the AVX2 product streams non-temporal stores into aligned rows.
+  const std::pair<size_t, size_t> Shapes[] = {
+      {1, 1}, {1, 2}, {1, 3}, {2, 5}, {3, 7}, {7, 9}, {50, 50}, {1, 65537}};
+  for (auto [Rows, Cols] : Shapes) {
+    SCOPED_TRACE(std::to_string(Rows) + " x " + std::to_string(Cols));
+    Matrix M(Rows, Cols);
+    EXPECT_TRUE(cacheLineAligned(M));
+    Matrix Copy = M;
+    EXPECT_TRUE(cacheLineAligned(Copy));
+    Matrix Moved = std::move(Copy);
+    EXPECT_TRUE(cacheLineAligned(Moved));
+    Moved.resizeRows(2 * Rows + 1);
+    EXPECT_TRUE(cacheLineAligned(Moved));
+    EXPECT_EQ(Moved(2 * Rows, Cols - 1), 0.0);
+    EXPECT_TRUE(cacheLineAligned(Matrix::uninit(Rows, Cols)));
+  }
+
+  // A count whose bytes plus the alignment pad overflow size_t is refused
+  // before anything is allocated.
+  DefaultInitAlloc<double> Alloc;
+  const size_t Max = std::numeric_limits<size_t>::max();
+  EXPECT_LE(Alloc.max_size(), (Max - 64) / sizeof(double));
+  EXPECT_THROW((void)Alloc.allocate(Alloc.max_size() + 1),
+               std::bad_array_new_length);
+  EXPECT_THROW((void)Alloc.allocate(Max / sizeof(double)),
+               std::bad_array_new_length);
+}
+
+#ifdef CHARON_TEST_ASAN
+// The allocator carves each block out of a larger raw allocation, so a
+// write one past the data can land in the pad rather than past the raw
+// block. The pad is poisoned, so AddressSanitizer must still report it.
+TEST(MatrixDeathTest, WriteOnePastTheEndIsReported) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (size_t Cols : {size_t(1), size_t(2), size_t(3), size_t(5), size_t(8)}) {
+    SCOPED_TRACE(Cols);
+    EXPECT_DEATH(
+        {
+          Matrix M(1, Cols);
+          double *volatile End = M.data() + Cols;
+          *End = 1.0;
+        },
+        "AddressSanitizer");
+  }
+}
+#endif
 
 //===----------------------------------------------------------------------===//
 // Cholesky

@@ -95,6 +95,16 @@ TEST(IoFuzzTest, LayerCountMismatchRejected) {
   EXPECT_FALSE(loadNetwork(Ss).has_value());
 }
 
+TEST(IoFuzzTest, ZeroLayerNetworksRejected) {
+  // A network without layers has no input or output size, which every tool
+  // asks for before it reads the property.
+  for (const std::string &Text :
+       {serialize(Network()), std::string("charon-network 1 0\nrelu 2\n")}) {
+    std::stringstream Ss(Text);
+    EXPECT_FALSE(loadNetwork(Ss).has_value()) << Text;
+  }
+}
+
 TEST(IoFuzzTest, OversizedCountsRejected) {
   // Each count claims far more values than the text holds, or a kernel
   // larger than its padded input: the loader must refuse it before it

@@ -337,6 +337,14 @@ TEST(OnnxNegativeTest, OversizedShapesAreRejected) {
   expectDiagnostic(importBytes(F.finish()), "INT_MAX", "huge flat input");
 }
 
+TEST(OnnxNegativeTest, GraphsWithoutLayersAreRejected) {
+  // The output is the input itself, so the graph lowers to no layer.
+  ModelBuilder B;
+  B.setInput("x", {1, 4});
+  B.setOutput("x", {1, 4});
+  expectDiagnostic(importBytes(B.finish()), "empty network", "identity graph");
+}
+
 TEST(OnnxNegativeTest, DanglingGraphsAreRejected) {
   // Output name never produced by any node.
   ModelBuilder B;
