@@ -151,10 +151,7 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "error: cannot load property from %s\n", Argv[2]);
     return 2;
   }
-  // The objective compares the target with a competing class, so a network
-  // needs at least two outputs.
-  if (Prop->Region.dim() != Net->inputSize() || Net->outputSize() < 2 ||
-      Prop->TargetClass >= Net->outputSize()) {
+  if (!propertyFitsNetwork(*Prop, *Net)) {
     std::fprintf(stderr, "error: property does not match network shape\n");
     return 2;
   }

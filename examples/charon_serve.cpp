@@ -178,8 +178,7 @@ int main(int Argc, char **Argv) {
       continue;
     }
     const Network &Loaded = Service.registry().network(*Net);
-    if (Prop->Region.dim() != Loaded.inputSize() || Loaded.outputSize() < 2 ||
-        Req.Label >= Loaded.outputSize()) {
+    if (!propertyFitsNetwork(*Prop, Loaded)) {
       E.Error = "query does not match network";
       Entries.push_back(std::move(E));
       ++BadLines;

@@ -30,7 +30,12 @@
 # output (the objective has no competing class) and one with no layers.
 # charon_cli must refuse the first with its shape diagnostic and the
 # second with its load diagnostic, and charon_serve must report a bad
-# request line for each (exit 2). A signal fails the leg.
+# request line for each (exit 2). Then every format a tool reads gets one
+# non-finite value, which the shared number grammar refuses: a .net weight,
+# a .prop bound, a checkpoint priority and a certificate margin must exit 2
+# with their load/parse diagnostic; a --policy file must fall back to the
+# default policy with a warning (exit 0); and a cache record with a nan
+# region bound must be truncated (exit 0). A signal fails the leg.
 # A certificate smoke then decides an exported ACAS property with --cert,
 # requires charon_check to accept the emitted certificate, and requires it
 # to reject a tampered copy; the sanitize leg runs it forced-threaded.
@@ -344,9 +349,49 @@ for CASE in "one-output:query does not match network" \
   expect_exit 2 "${CASE#*:}" "$BUILD_DIR/examples/charon_serve" \
     "$HOSTILE_DIR/$NET.jsonl" --workers 1
 done
+# One non-finite value in each format a tool reads.
+printf '%s\n' "charon-network 1 1" "dense 2 2" "0.5 inf" "0 1" "0 0" \
+  > "$HOSTILE_DIR/nonfinite.net"
+printf '%s\n' "charon-property 1" "name p" "target 0" "dim 5" \
+  "lower 0 0 0 0 0" "upper 1 1 1 1 nan" > "$HOSTILE_DIR/nonfinite.prop"
+printf '%s\n' "charon-checkpoint 1" "order lifo" \
+  "network 1 property 2 config 3" "stats 0 0 0 0 0 0 0 0 0" "dim 1" \
+  "open 1" "node - inf" "lower 0" "upper 1" "warm 0" "end" \
+  > "$HOSTILE_DIR/nonfinite.cp"
+hostile_cert 1 1 | sed 's/zonotope 1 0.5/zonotope 1 inf/' \
+  > "$HOSTILE_DIR/nonfinite.cert"
+{ printf 'charon-policy 1 5 5\nnan'; printf ' 0.5%.0s' $(seq 24); echo; } \
+  > "$HOSTILE_DIR/nonfinite.policy"
+printf '%s\n' "charon-cache 1" "entry 1 2 3 0" "region 1" "lower 0" \
+  "upper nan" "result verified 0" "cex 0" \
+  "stats 0 0 0 0 0 0 0 0 0 0 0 0 0" "cert 0" "checkpoint 0" "end" \
+  > "$HOSTILE_DIR/nonfinite.db"
+# The identity on two inputs: class 0 wins wherever x0 > x1.
+printf '%s\n' "charon-network 1 1" "dense 2 2" "1 0" "0 1" "0 0" \
+  > "$HOSTILE_DIR/identity.net"
+printf '%s\n' "charon-property 1" "name p" "target 0" "dim 2" \
+  "lower 0.6 0" "upper 1 0.4" > "$HOSTILE_DIR/identity.prop"
+expect_exit 2 "cannot load network" "$BUILD_DIR/examples/charon_cli" \
+  "$HOSTILE_DIR/nonfinite.net" "$TRACE_DIR/acas-1.prop"
+expect_exit 2 "cannot load property" "$BUILD_DIR/examples/charon_cli" \
+  "$TRACE_DIR/acas.net" "$HOSTILE_DIR/nonfinite.prop"
+expect_exit 2 "cannot load checkpoint" "$BUILD_DIR/examples/charon_cli" \
+  "$TRACE_DIR/acas.net" "$TRACE_DIR/acas-1.prop" \
+  --resume "$HOSTILE_DIR/nonfinite.cp"
+expect_exit 2 "cannot parse certificate" "$BUILD_DIR/examples/charon_check" \
+  "$TRACE_DIR/acas.net" "$TRACE_DIR/acas-1.prop" "$HOSTILE_DIR/nonfinite.cert"
+expect_exit 0 "bad policy file" "$BUILD_DIR/examples/charon_cli" \
+  "$HOSTILE_DIR/identity.net" "$HOSTILE_DIR/identity.prop" \
+  --policy "$HOSTILE_DIR/nonfinite.policy"
+expect_exit 0 "" "$BUILD_DIR/examples/charon_serve" /dev/null \
+  --cache-file "$HOSTILE_DIR/nonfinite.db" --workers 1
+if [[ "$(cat "$HOSTILE_DIR/nonfinite.db")" != "charon-cache 1" ]]; then
+  echo "hostile smoke: the cache record with a nan bound was not truncated" >&2
+  exit 1
+fi
 echo "hostile smoke: oversized counts and shapes refused, cache record" \
      "truncated, bad worker counts refused, one-output and zero-layer" \
-     "networks refused"
+     "networks refused, non-finite values refused in every format"
 
 # Certificate smoke: decide an exported ACAS property with --cert, check
 # the certificate with the standalone charon_check (which re-runs the

@@ -278,8 +278,8 @@ size_t countRelus(const Network &Net) {
 
 /// True when every layer fits the LP encoding: affine or ReLU (identity
 /// layers pass through). Smooth activations, pooling, and residual blocks
-/// do not — callers get a sound Timeout instead of an abort, so the
-/// CompleteFallback path stays safe on the expanded layer zoo.
+/// do not — callers get a sound Timeout instead of an abort on the expanded
+/// layer zoo.
 bool encodable(const Network &Net) {
   for (size_t I = 0, E = Net.numLayers(); I < E; ++I) {
     const Layer &L = Net.layer(I);

@@ -5,13 +5,10 @@
 #include "core/Digest.h"
 #include "core/Property.h"
 #include "search/ProofTree.h"
-#include "support/TextBounds.h"
+#include "support/TextFormat.h"
 
 #include <array>
 #include <cassert>
-#include <fstream>
-#include <iomanip>
-#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -50,27 +47,15 @@ const char *domainKeyword(BaseDomainKind B) {
   return "?";
 }
 
-bool parseDomainKeyword(const std::string &Token, BaseDomainKind &Out) {
-  if (Token == "interval")
-    Out = BaseDomainKind::Interval;
-  else if (Token == "zonotope")
-    Out = BaseDomainKind::Zonotope;
-  else if (Token == "symbolic-interval")
-    Out = BaseDomainKind::SymbolicInterval;
-  else if (Token == "polyhedra")
-    Out = BaseDomainKind::Polyhedra;
-  else
-    return false;
-  return true;
-}
-
-void writePath(std::ostream &Os, const std::vector<uint8_t> &Path) {
-  if (Path.empty()) {
-    Os << "-";
-    return;
-  }
-  for (uint8_t Bit : Path)
-    Os << (Bit ? '1' : '0');
+bool parseDomainKeyword(std::string_view Token, BaseDomainKind &Out) {
+  for (BaseDomainKind B :
+       {BaseDomainKind::Interval, BaseDomainKind::Zonotope,
+        BaseDomainKind::SymbolicInterval, BaseDomainKind::Polyhedra})
+    if (Token == domainKeyword(B)) {
+      Out = B;
+      return true;
+    }
+  return false;
 }
 
 ProofCertificate certificateShell(const Network &Net,
@@ -90,7 +75,7 @@ ProofCertificate certificateShell(const Network &Net,
 
 } // namespace
 
-std::optional<ProofCertificate>
+ProofCertificate
 charon::buildTreeCertificate(const Network &Net, const RobustnessProperty &Prop,
                              const VerifierConfig &Config, Outcome Verdict,
                              const ProofTree &Tree) {
@@ -129,18 +114,11 @@ charon::buildTreeCertificate(const Network &Net, const RobustnessProperty &Prop,
       Stack.push_back(Kids[Id][0]);
       break;
     case NodeStatus::Verified:
-      if (N.MarginKnown && N.Margin > 0.0) {
-        Node.Kind = CertNodeKind::Verified;
-        Node.Domain = N.Domain;
-        Node.Margin = N.Margin;
-      } else if (Verdict == Outcome::Falsified) {
-        // A CompleteFallback solver call proved this leaf; that cannot be
-        // re-derived by abstract replay, but under a Falsified verdict the
-        // leaf carries no evidentiary weight — record it unjustified.
-        Node.Kind = CertNodeKind::Pruned;
-      } else {
-        return std::nullopt;
-      }
+      assert(N.MarginKnown && N.Margin > 0.0 &&
+             "every verified leaf rests on an analysis margin");
+      Node.Kind = CertNodeKind::Verified;
+      Node.Domain = N.Domain;
+      Node.Margin = N.Margin;
       break;
     case NodeStatus::Falsified:
       if (!N.Cex.empty()) {
@@ -176,10 +154,8 @@ ProofCertificate charon::buildFalsifiedCertificate(
 }
 
 void charon::saveCertificate(const ProofCertificate &Cert, std::ostream &Os) {
-  Os << std::setprecision(17);
-  Os << "charon-cert 1\n";
-  Os << "verdict "
-     << (Cert.Verdict == Outcome::Verified ? "verified" : "falsified") << "\n";
+  writeHeader(Os, "charon-cert", 1);
+  Os << "\nverdict " << toString(Cert.Verdict) << "\n";
   Os << "network " << Cert.NetworkFingerprint << " property "
      << Cert.PropertyDigest << " config " << Cert.ConfigDigest << "\n";
   Os << "delta " << Cert.Delta << "\n";
@@ -203,17 +179,11 @@ void charon::saveCertificate(const ProofCertificate &Cert, std::ostream &Os) {
     case CertNodeKind::Pruned:
       break;
     }
-    Os << "\nlower";
-    for (size_t I = 0; I < N.Region.dim(); ++I)
-      Os << " " << N.Region.lower()[I];
-    Os << "\nupper";
-    for (size_t I = 0; I < N.Region.dim(); ++I)
-      Os << " " << N.Region.upper()[I];
     Os << "\n";
+    writeBox(Os, N.Region);
     if (N.Kind == CertNodeKind::Falsified) {
       Os << "cex";
-      for (size_t I = 0; I < N.Cex.size(); ++I)
-        Os << " " << N.Cex[I];
+      writeValues(Os, N.Cex.data(), N.Cex.size());
       Os << "\n";
     }
   }
@@ -226,140 +196,86 @@ std::string charon::serializeCertificate(const ProofCertificate &Cert) {
   return Os.str();
 }
 
-std::optional<ProofCertificate> charon::loadCertificate(std::istream &Is) {
-  return deserializeCertificate(std::string(
-      std::istreambuf_iterator<char>(Is), std::istreambuf_iterator<char>()));
+namespace {
+
+/// Parses one node's kind and justification.
+bool readJustification(TextReader &R, size_t Dim, CertNode &Node) {
+  std::string_view Domain;
+  if (!R.oneOf({CertNodeKind::Split, CertNodeKind::Verified,
+                CertNodeKind::Falsified, CertNodeKind::Pruned},
+               Node.Kind))
+    return false;
+  switch (Node.Kind) {
+  case CertNodeKind::Split:
+    return R.integer(Node.SplitDim) && Node.SplitDim < Dim &&
+           R.number(Node.SplitCut);
+  case CertNodeKind::Verified:
+    return R.token(Domain) && parseDomainKeyword(Domain, Node.Domain.Base) &&
+           R.integer(Node.Domain.Disjuncts) && Node.Domain.Disjuncts >= 1 &&
+           R.number(Node.Margin);
+  case CertNodeKind::Falsified:
+    return R.number(Node.CexObjective);
+  case CertNodeKind::Pruned:
+    break;
+  }
+  return true;
 }
 
-std::optional<ProofCertificate>
-charon::deserializeCertificate(const std::string &Text) {
-  std::istringstream Is(Text);
-  // Each count must fit in the unread text (see valuesFit), so a damaged
-  // count is rejected before it sizes an allocation.
-  std::string Magic, Key, Token;
-  int Version = 0;
-  if (!(Is >> Magic >> Version) || Magic != "charon-cert" || Version != 1)
-    return std::nullopt;
-
+std::optional<ProofCertificate> readCertificate(TextReader &R) {
   ProofCertificate Cert;
-  if (!(Is >> Key >> Token) || Key != "verdict")
-    return std::nullopt;
-  if (Token == "verified")
-    Cert.Verdict = Outcome::Verified;
-  else if (Token == "falsified")
-    Cert.Verdict = Outcome::Falsified;
-  else
-    return std::nullopt;
-
-  if (!(Is >> Key >> Cert.NetworkFingerprint) || Key != "network")
-    return std::nullopt;
-  if (!(Is >> Key >> Cert.PropertyDigest) || Key != "property")
-    return std::nullopt;
-  if (!(Is >> Key >> Cert.ConfigDigest) || Key != "config")
-    return std::nullopt;
-  if (!(Is >> Key >> Cert.Delta) || Key != "delta")
-    return std::nullopt;
-  if (!(Is >> Key >> Cert.Dim) || Key != "dim" || !valuesFit(Is, Cert.Dim))
-    return std::nullopt;
-  if (!(Is >> Key >> Cert.TargetClass) || Key != "class")
-    return std::nullopt;
-
   size_t Count = 0;
-  if (!(Is >> Key >> Count) || Key != "nodes" || !valuesFit(Is, Count))
-    return std::nullopt;
-  if (Count > 0 && Cert.Dim == 0)
+  if (!R.header("charon-cert", 1) || !R.keyword("verdict") ||
+      !R.oneOf({Outcome::Verified, Outcome::Falsified}, Cert.Verdict) ||
+      !R.keyword("network") || !R.integer(Cert.NetworkFingerprint) ||
+      !R.keyword("property") || !R.integer(Cert.PropertyDigest) ||
+      !R.keyword("config") || !R.integer(Cert.ConfigDigest) ||
+      !R.keyword("delta") || !R.number(Cert.Delta) || !R.keyword("dim") ||
+      !R.count(Cert.Dim) || !R.keyword("class") ||
+      !R.integer(Cert.TargetClass) || !R.keyword("nodes") ||
+      !R.count(Count) || (Count > 0 && Cert.Dim == 0))
     return std::nullopt;
 
   std::set<std::vector<uint8_t>> Seen;
   Cert.Nodes.reserve(Count);
   for (size_t N = 0; N < Count; ++N) {
     CertNode Node;
-    if (!(Is >> Key >> Token) || Key != "node")
-      return std::nullopt;
-    if (Token != "-") {
-      Node.Path.reserve(Token.size());
-      for (char C : Token) {
-        if (C != '0' && C != '1')
-          return std::nullopt;
-        Node.Path.push_back(C == '1' ? 1 : 0);
-      }
-    }
     // Two justifications for the same subregion make the certificate
     // ambiguous; reject rather than pick one.
-    if (!Seen.insert(Node.Path).second)
+    if (!R.keyword("node") || !R.path(Node.Path) ||
+        !Seen.insert(Node.Path).second ||
+        !readJustification(R, Cert.Dim, Node) || !R.box(Cert.Dim, Node.Region))
       return std::nullopt;
-
-    if (!(Is >> Token))
-      return std::nullopt;
-    if (Token == "split") {
-      Node.Kind = CertNodeKind::Split;
-      if (!(Is >> Node.SplitDim >> Node.SplitCut))
-        return std::nullopt;
-      if (Node.SplitDim >= Cert.Dim)
-        return std::nullopt;
-    } else if (Token == "verified") {
-      Node.Kind = CertNodeKind::Verified;
-      std::string DomainTok;
-      if (!(Is >> DomainTok) || !parseDomainKeyword(DomainTok, Node.Domain.Base))
-        return std::nullopt;
-      if (!(Is >> Node.Domain.Disjuncts >> Node.Margin))
-        return std::nullopt;
-      if (Node.Domain.Disjuncts < 1)
-        return std::nullopt;
-    } else if (Token == "falsified") {
-      Node.Kind = CertNodeKind::Falsified;
-      if (!(Is >> Node.CexObjective))
-        return std::nullopt;
-    } else if (Token == "pruned") {
-      Node.Kind = CertNodeKind::Pruned;
-    } else {
-      return std::nullopt;
-    }
-
-    Vector Lo(Cert.Dim), Hi(Cert.Dim);
-    if (!(Is >> Key) || Key != "lower")
-      return std::nullopt;
-    for (size_t I = 0; I < Cert.Dim; ++I)
-      if (!(Is >> Lo[I]))
-        return std::nullopt;
-    if (!(Is >> Key) || Key != "upper")
-      return std::nullopt;
-    for (size_t I = 0; I < Cert.Dim; ++I)
-      if (!(Is >> Hi[I]))
-        return std::nullopt;
-    for (size_t I = 0; I < Cert.Dim; ++I)
-      if (Lo[I] > Hi[I])
-        return std::nullopt;
-    Node.Region = Box(std::move(Lo), std::move(Hi));
-
     if (Node.Kind == CertNodeKind::Falsified) {
       Node.Cex = Vector(Cert.Dim);
-      if (!(Is >> Key) || Key != "cex")
+      if (!R.keyword("cex") || !R.numbers(Node.Cex.data(), Cert.Dim))
         return std::nullopt;
-      for (size_t I = 0; I < Cert.Dim; ++I)
-        if (!(Is >> Node.Cex[I]))
-          return std::nullopt;
     }
     Cert.Nodes.push_back(std::move(Node));
   }
-  if (!(Is >> Key) || Key != "end")
+  if (!R.keyword("end"))
     return std::nullopt;
   return Cert;
 }
 
+} // namespace
+
+std::optional<ProofCertificate> charon::loadCertificate(std::istream &Is) {
+  TextReader R(Is);
+  return readCertificate(R);
+}
+
+std::optional<ProofCertificate>
+charon::deserializeCertificate(const std::string &Text) {
+  TextReader R(Text);
+  return readCertificate(R);
+}
+
 bool charon::saveCertificateFile(const ProofCertificate &Cert,
                                  const std::string &Path) {
-  std::ofstream Os(Path);
-  if (!Os)
-    return false;
-  saveCertificate(Cert, Os);
-  return static_cast<bool>(Os);
+  return saveTextFile(Cert, Path, saveCertificate);
 }
 
 std::optional<ProofCertificate>
 charon::loadCertificateFile(const std::string &Path) {
-  std::ifstream Is(Path);
-  if (!Is)
-    return std::nullopt;
-  return loadCertificate(Is);
+  return loadTextFile(Path, loadCertificate);
 }

@@ -26,11 +26,11 @@
 ///    run, or left open by it) carry no justification and are only legal
 ///    under a Falsified verdict.
 ///
-/// The text format (`charon-cert 1`) follows the SearchCheckpoint
-/// conventions: doubles at 17 significant digits, nodes in DFS order,
-/// byte-identical serialize -> deserialize -> serialize round-trip, and
-/// digest guards (network fingerprint, property digest, budget-free config
-/// digest) binding the certificate to the query it proves.
+/// The text format (`charon-cert 1`) follows the shared text conventions
+/// (support/TextFormat.h): nodes in DFS order, byte-identical serialize ->
+/// deserialize -> serialize round-trip, and digest guards (network
+/// fingerprint, property digest, budget-free config digest) binding the
+/// certificate to the query it proves.
 ///
 /// \code
 ///   charon-cert 1
@@ -124,11 +124,8 @@ struct ProofCertificate {
 /// ProofTree in DFS order with per-node justifications. \p Verdict must be
 /// Verified or Falsified. Open tree nodes (possible only under Falsified,
 /// where a confirmed DFS-earlier counterexample ends the run) are recorded
-/// as Pruned. Returns nullopt when a Verified verdict rests on a leaf with
-/// no analysis-backed justification (a CompleteFallback solver call proved
-/// it): such a verdict is sound but not checkable by abstract replay, so no
-/// certificate is emitted rather than one the checker must reject.
-std::optional<ProofCertificate>
+/// as Pruned.
+ProofCertificate
 buildTreeCertificate(const Network &Net, const RobustnessProperty &Prop,
                      const VerifierConfig &Config, Outcome Verdict,
                      const ProofTree &Tree);

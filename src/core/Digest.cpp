@@ -98,8 +98,10 @@ uint64_t charon::digestVerifierConfigSemantics(const VerifierConfig &Config) {
   H.u64(Config.UseCounterexampleSearch ? 1 : 0);
   H.u64(Config.Seed);
   H.u64(static_cast<uint64_t>(Config.SearchOrder));
-  H.u64(Config.CompleteFallback ? 1 : 0);
-  H.f64(Config.CompleteFallbackDiameter);
+  // The removed complete-fallback hook (installed, diameter) is hashed at
+  // its former default, like the CEGAR settings below.
+  H.u64(0);
+  H.f64(0.05);
   // Kernel precision has one value, but stays hashed so digests computed
   // before the float32 mode was removed still match. The SIMD level is
   // deliberately NOT digested: per-level accumulation differences are

@@ -65,10 +65,7 @@ uint64_t digestProperty(const RobustnessProperty &Prop);
 
 /// Digest of every VerifierConfig field that can influence the verdict or
 /// the counterexample (delta, budget, depth cap, optimizer kind and
-/// hyperparameters, seed, frontier order). A config with a CompleteFallback
-/// installed is marked distinct from one without, but two different
-/// fallback callbacks are indistinguishable — callers who vary the fallback
-/// should not share a result cache across them. CancelRequested, the trace
+/// hyperparameters, seed, frontier order). CancelRequested, the trace
 /// sink, and EmitCertificate are excluded entirely: the first can only
 /// truncate a run to Timeout and the others only observe it; none changes
 /// a verdict.

@@ -2,52 +2,37 @@
 
 #include "core/PolicyIo.h"
 
-#include <fstream>
-#include <iomanip>
+#include "support/TextFormat.h"
 
 using namespace charon;
 
 void charon::savePolicy(const VerificationPolicy &Policy, std::ostream &Os) {
-  Os << "charon-policy 1 " << PolicyNumOutputs << " " << PolicyNumFeatures
-     << "\n"
-     << std::setprecision(17);
+  writeHeader(Os, "charon-policy", 1);
+  Os << " " << PolicyNumOutputs << " " << PolicyNumFeatures << "\n";
   const Matrix &Theta = Policy.parameters();
-  for (size_t R = 0; R < Theta.rows(); ++R) {
-    for (size_t C = 0; C < Theta.cols(); ++C)
-      Os << Theta(R, C) << " ";
-    Os << "\n";
-  }
+  for (size_t R = 0; R < Theta.rows(); ++R)
+    writeRow(Os, Theta.row(R), Theta.cols());
 }
 
 std::optional<VerificationPolicy> charon::loadPolicy(std::istream &Is) {
-  std::string Magic;
-  int Version = 0;
+  TextReader R(Is);
   size_t Rows = 0, Cols = 0;
-  if (!(Is >> Magic >> Version >> Rows >> Cols) ||
-      Magic != "charon-policy" || Version != 1 || Rows != PolicyNumOutputs ||
-      Cols != PolicyNumFeatures)
+  if (!R.header("charon-policy", 1) || !R.integer(Rows) || !R.integer(Cols) ||
+      Rows != PolicyNumOutputs || Cols != PolicyNumFeatures)
     return std::nullopt;
   Matrix Theta(Rows, Cols);
-  for (size_t R = 0; R < Rows; ++R)
-    for (size_t C = 0; C < Cols; ++C)
-      if (!(Is >> Theta(R, C)))
-        return std::nullopt;
+  for (size_t Row = 0; Row < Rows; ++Row)
+    if (!R.numbers(Theta.row(Row), Cols))
+      return std::nullopt;
   return VerificationPolicy(std::move(Theta));
 }
 
 bool charon::savePolicyFile(const VerificationPolicy &Policy,
                             const std::string &Path) {
-  std::ofstream Os(Path);
-  if (!Os)
-    return false;
-  savePolicy(Policy, Os);
-  return static_cast<bool>(Os);
+  return saveTextFile(Policy, Path, savePolicy);
 }
 
 std::optional<VerificationPolicy>
 charon::loadPolicyFile(const std::string &Path) {
-  std::ifstream Is(Path);
-  if (!Is)
-    return std::nullopt;
-  return loadPolicy(Is);
+  return loadTextFile(Path, loadPolicy);
 }

@@ -15,6 +15,7 @@
 #define CHARON_CORE_PROPERTY_H
 
 #include "linalg/Box.h"
+#include "nn/Network.h"
 
 #include <string>
 
@@ -26,6 +27,15 @@ struct RobustnessProperty {
   size_t TargetClass = 0;
   std::string Name;
 };
+
+/// True when \p Prop can be asked of \p Net: the region has the network's
+/// input dimension, and the target is one of at least two outputs (the
+/// objective compares it with a competing class).
+inline bool propertyFitsNetwork(const RobustnessProperty &Prop,
+                                const Network &Net) {
+  return Prop.Region.dim() == Net.inputSize() && Net.outputSize() >= 2 &&
+         Prop.TargetClass < Net.outputSize();
+}
 
 } // namespace charon
 

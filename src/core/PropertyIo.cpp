@@ -2,83 +2,45 @@
 
 #include "core/PropertyIo.h"
 
-#include "support/TextBounds.h"
-
-#include <fstream>
-#include <iomanip>
+#include "support/TextFormat.h"
 
 using namespace charon;
 
 void charon::saveProperty(const RobustnessProperty &Prop, std::ostream &Os) {
-  Os << "charon-property 1\n";
-  Os << "name " << (Prop.Name.empty() ? "unnamed" : Prop.Name) << "\n";
+  writeHeader(Os, "charon-property", 1);
+  Os << "\nname " << (Prop.Name.empty() ? "unnamed" : Prop.Name) << "\n";
   Os << "target " << Prop.TargetClass << "\n";
-  Os << "dim " << Prop.Region.dim() << "\n" << std::setprecision(17);
-  Os << "lower";
-  for (size_t I = 0, E = Prop.Region.dim(); I < E; ++I)
-    Os << " " << Prop.Region.lower()[I];
-  Os << "\nupper";
-  for (size_t I = 0, E = Prop.Region.dim(); I < E; ++I)
-    Os << " " << Prop.Region.upper()[I];
-  Os << "\n";
+  Os << "dim " << Prop.Region.dim() << "\n";
+  writeBox(Os, Prop.Region);
 }
 
-namespace {
-
-std::optional<RobustnessProperty> parseProperty(std::istream &Is) {
-  std::string Magic, Key;
-  int Version = 0;
-  if (!(Is >> Magic >> Version) || Magic != "charon-property" || Version != 1)
-    return std::nullopt;
-
+std::optional<RobustnessProperty> charon::readProperty(TextReader &R) {
   RobustnessProperty Prop;
+  std::string_view Name;
   size_t Dim = 0;
-  if (!(Is >> Key >> Prop.Name) || Key != "name")
+  if (!R.header("charon-property", 1) || !R.keyword("name") ||
+      !R.token(Name))
     return std::nullopt;
-  if (!(Is >> Key >> Prop.TargetClass) || Key != "target")
-    return std::nullopt;
+  Prop.Name = Name;
   // Both bound lists must fit in the bytes left.
-  if (!(Is >> Key >> Dim) || Key != "dim" || Dim == 0 ||
-      !valuesFit(Is, 2, Dim))
+  if (!R.keyword("target") || !R.integer(Prop.TargetClass) ||
+      !R.keyword("dim") || !R.count(Dim, 2) || Dim == 0 ||
+      !R.box(Dim, Prop.Region))
     return std::nullopt;
-
-  Vector Lo(Dim), Hi(Dim);
-  if (!(Is >> Key) || Key != "lower")
-    return std::nullopt;
-  for (size_t I = 0; I < Dim; ++I)
-    if (!(Is >> Lo[I]))
-      return std::nullopt;
-  if (!(Is >> Key) || Key != "upper")
-    return std::nullopt;
-  for (size_t I = 0; I < Dim; ++I)
-    if (!(Is >> Hi[I]))
-      return std::nullopt;
-  for (size_t I = 0; I < Dim; ++I)
-    if (Lo[I] > Hi[I])
-      return std::nullopt;
-  Prop.Region = Box(std::move(Lo), std::move(Hi));
   return Prop;
 }
 
-} // namespace
-
 std::optional<RobustnessProperty> charon::loadProperty(std::istream &Is) {
-  return parseMeasured(Is, parseProperty);
+  TextReader R(Is);
+  return readProperty(R);
 }
 
 bool charon::savePropertyFile(const RobustnessProperty &Prop,
                               const std::string &Path) {
-  std::ofstream Os(Path);
-  if (!Os)
-    return false;
-  saveProperty(Prop, Os);
-  return static_cast<bool>(Os);
+  return saveTextFile(Prop, Path, saveProperty);
 }
 
 std::optional<RobustnessProperty>
 charon::loadPropertyFile(const std::string &Path) {
-  std::ifstream Is(Path);
-  if (!Is)
-    return std::nullopt;
-  return loadProperty(Is);
+  return loadTextFile(Path, loadProperty);
 }

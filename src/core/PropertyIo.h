@@ -29,6 +29,7 @@
 #include <string>
 
 namespace charon {
+class TextReader;
 
 /// Writes the property to \p Os in the documented text format.
 void saveProperty(const RobustnessProperty &Prop, std::ostream &Os);
@@ -36,6 +37,9 @@ void saveProperty(const RobustnessProperty &Prop, std::ostream &Os);
 /// Parses a property from \p Is; nullopt on malformed input (bad magic,
 /// inverted bounds, truncated data).
 std::optional<RobustnessProperty> loadProperty(std::istream &Is);
+
+/// Parses a property at \p R's position (for formats that embed one).
+std::optional<RobustnessProperty> readProperty(TextReader &R);
 
 /// File-path convenience wrappers.
 bool savePropertyFile(const RobustnessProperty &Prop, const std::string &Path);

@@ -86,10 +86,9 @@ struct VerifyStats {
 /// Certificate is populated iff VerifierConfig::EmitCertificate was set
 /// and the verdict is decided and checkable (see cert/Certificate.h):
 /// every decided verdict of a fresh run certifies, and a checkpoint-resumed
-/// run certifies Falsified via a single-counterexample certificate. Two
-/// Verified verdicts stay uncertified: a resumed one (its pre-timeout
-/// subtree is not part of this run's tree) and one resting on a
-/// CompleteFallback solver call (not re-derivable by abstract replay).
+/// run certifies Falsified via a single-counterexample certificate. A
+/// resumed Verified verdict stays uncertified: its pre-timeout subtree is
+/// not part of this run's tree.
 struct VerifyResult {
   Outcome Result = Outcome::Timeout;
   Vector Counterexample;
@@ -144,17 +143,6 @@ struct VerifierConfig {
   /// resumable checkpoint. The service layer wires per-job cancel flags
   /// through this.
   std::function<bool()> CancelRequested;
-
-  /// Optional complete decision procedure used as a "perfectly precise
-  /// abstract domain" (the Sec. 9 future-work idea of mixing solvers with
-  /// numerical domains). When set, subregions whose diameter falls below
-  /// CompleteFallbackDiameter are handed to this callback instead of being
-  /// split further. The callback must be sound and complete on the region
-  /// it is given (e.g. wrap reluplexVerify with a small budget); returning
-  /// Timeout falls back to ordinary splitting.
-  std::function<Outcome(const Network &, const Box &, size_t)>
-      CompleteFallback;
-  double CompleteFallbackDiameter = 0.05;
 
   /// Emit a ProofCertificate alongside decided verdicts (see the
   /// VerifyResult doc). Excluded from the config digests: a certificate

@@ -3,6 +3,7 @@
 #include "fuzz/Campaign.h"
 
 #include "support/Random.h"
+#include "support/TextFormat.h"
 #include "support/Timer.h"
 
 #include <filesystem>
@@ -25,12 +26,8 @@ std::optional<DomainSpec> charon::parseDomainSpec(const std::string &Name) {
   size_t Caret = Name.find('^');
   if (Caret != std::string::npos) {
     Base = Name.substr(0, Caret);
-    try {
-      Disjuncts = std::stoi(Name.substr(Caret + 1));
-    } catch (...) {
-      return std::nullopt;
-    }
-    if (Disjuncts < 1 || Disjuncts > 64)
+    if (!parseInteger(std::string_view(Name).substr(Caret + 1), Disjuncts) ||
+        Disjuncts < 1 || Disjuncts > 64)
       return std::nullopt;
   }
 

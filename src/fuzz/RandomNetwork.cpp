@@ -11,6 +11,7 @@
 #include "nn/Relu.h"
 #include "nn/Residual.h"
 #include "support/Random.h"
+#include "support/TextFormat.h"
 
 #include <istream>
 #include <ostream>
@@ -43,7 +44,7 @@ const char *activationToken(ActivationKind K) {
   return "relu";
 }
 
-bool parseActivationToken(const std::string &Tok, ActivationKind &K) {
+bool parseActivationToken(std::string_view Tok, ActivationKind &K) {
   if (Tok == "relu")
     K = ActivationKind::Relu;
   else if (Tok == "sigmoid")
@@ -221,78 +222,76 @@ void charon::writeNetworkSpec(const NetworkSpec &Spec, std::ostream &Os) {
 
 namespace {
 
-/// Consumes the optional " zoo ..." spec trailer. When the next token is
-/// not "zoo" the stream is rewound, so pre-zoo corpus files keep parsing
-/// (the fields keep their pre-zoo defaults).
-bool readZooTrailer(std::istream &Is, NetworkSpec &Spec, bool ConvFields) {
-  std::streampos Pos = Is.tellg();
-  std::string Tok;
-  if (!(Is >> Tok) || Tok != "zoo") {
-    Is.clear();
-    Is.seekg(Pos);
+/// Consumes the optional " zoo ..." spec trailer. Without it (the next
+/// token does not start with 'z'), pre-zoo corpus files keep parsing and
+/// the fields keep their pre-zoo defaults.
+bool readZooTrailer(TextReader &R, NetworkSpec &Spec, bool ConvFields) {
+  if (!R.peek('z'))
     return true;
-  }
+  std::string_view Act;
   int A = 0, B = 0;
-  if (!(Is >> Tok) || !parseActivationToken(Tok, Spec.Act))
+  if (!R.keyword("zoo") || !R.token(Act) ||
+      !parseActivationToken(Act, Spec.Act))
     return false;
   if (ConvFields) {
-    if (!(Is >> A >> B))
+    if (!R.integer(A) || !R.integer(B))
       return false;
     Spec.AvgPool = A != 0;
     Spec.WithFlatten = B != 0;
-    if (Spec.AvgPool && !Spec.WithPool)
-      return false;
-  } else {
-    if (!(Is >> A))
-      return false;
-    Spec.WithResidual = A != 0;
-    if (Spec.WithResidual && Spec.Hidden.empty())
-      return false;
+    return !Spec.AvgPool || Spec.WithPool;
   }
-  return true;
+  if (!R.integer(A))
+    return false;
+  Spec.WithResidual = A != 0;
+  return !Spec.WithResidual || !Spec.Hidden.empty();
 }
 
 } // namespace
 
-bool charon::readNetworkSpec(std::istream &Is, NetworkSpec &Spec) {
-  std::string Kind;
-  if (!(Is >> Kind))
+bool charon::readNetworkSpec(TextReader &R, NetworkSpec &Spec) {
+  std::string_view Kind;
+  if (!R.token(Kind))
     return false;
+  Spec = NetworkSpec();
   if (Kind == "mlp") {
-    Spec = NetworkSpec();
     Spec.Arch = FuzzArch::Mlp;
     size_t NumHidden = 0;
-    if (!(Is >> Spec.WeightSeed >> Spec.Inputs >> Spec.Outputs >> NumHidden))
-      return false;
-    if (Spec.Inputs == 0 || Spec.Outputs == 0 || NumHidden > 64)
+    if (!R.integer(Spec.WeightSeed) || !R.integer(Spec.Inputs) ||
+        !R.integer(Spec.Outputs) || !R.integer(NumHidden) ||
+        Spec.Inputs == 0 || Spec.Outputs == 0 || NumHidden > 64)
       return false;
     Spec.Hidden.resize(NumHidden);
-    for (size_t I = 0; I < NumHidden; ++I)
-      if (!(Is >> Spec.Hidden[I]) || Spec.Hidden[I] == 0)
+    for (size_t &H : Spec.Hidden)
+      if (!R.integer(H) || H == 0)
         return false;
-    return readZooTrailer(Is, Spec, /*ConvFields=*/false);
+    return readZooTrailer(R, Spec, /*ConvFields=*/false);
   }
-  if (Kind == "conv") {
-    Spec = NetworkSpec();
-    Spec.Arch = FuzzArch::Conv;
-    int Pool = 0;
-    if (!(Is >> Spec.WeightSeed >> Spec.Channels >> Spec.Height >>
-          Spec.Width >> Spec.ConvChannels >> Spec.Kernel >> Spec.Stride >>
-          Spec.Pad >> Pool >> Spec.Outputs))
-      return false;
-    if (Spec.Channels <= 0 || Spec.Height <= 0 || Spec.Width <= 0 ||
-        Spec.ConvChannels <= 0 || Spec.Kernel <= 0 || Spec.Stride <= 0 ||
-        Spec.Pad < 0 || Spec.Outputs == 0)
-      return false;
-    // The conv output must be non-degenerate (and poolable when requested).
-    int OutH = (Spec.Height + 2 * Spec.Pad - Spec.Kernel) / Spec.Stride + 1;
-    int OutW = (Spec.Width + 2 * Spec.Pad - Spec.Kernel) / Spec.Stride + 1;
-    if (OutH < 1 || OutW < 1)
-      return false;
-    Spec.WithPool = Pool != 0;
-    if (Spec.WithPool && (OutH < 2 || OutW < 2))
-      return false;
-    return readZooTrailer(Is, Spec, /*ConvFields=*/true);
-  }
-  return false;
+  if (Kind != "conv")
+    return false;
+  Spec.Arch = FuzzArch::Conv;
+  int Pool = 0;
+  if (!R.integer(Spec.WeightSeed) || !R.integer(Spec.Channels) ||
+      !R.integer(Spec.Height) || !R.integer(Spec.Width) ||
+      !R.integer(Spec.ConvChannels) || !R.integer(Spec.Kernel) ||
+      !R.integer(Spec.Stride) || !R.integer(Spec.Pad) || !R.integer(Pool) ||
+      !R.integer(Spec.Outputs))
+    return false;
+  if (Spec.Channels <= 0 || Spec.Height <= 0 || Spec.Width <= 0 ||
+      Spec.ConvChannels <= 0 || Spec.Kernel <= 0 || Spec.Stride <= 0 ||
+      Spec.Pad < 0 || Spec.Outputs == 0)
+    return false;
+  // The conv output must be non-degenerate (and poolable when requested).
+  int OutH = (Spec.Height + 2 * Spec.Pad - Spec.Kernel) / Spec.Stride + 1;
+  int OutW = (Spec.Width + 2 * Spec.Pad - Spec.Kernel) / Spec.Stride + 1;
+  if (OutH < 1 || OutW < 1)
+    return false;
+  Spec.WithPool = Pool != 0;
+  if (Spec.WithPool && (OutH < 2 || OutW < 2))
+    return false;
+  return readZooTrailer(R, Spec, /*ConvFields=*/true);
+}
+
+bool charon::readNetworkSpec(std::istream &Is, NetworkSpec &Spec) {
+  TextReader R(Is);
+  return readNetworkSpec(R, Spec);
 }

@@ -27,6 +27,7 @@
 
 namespace charon {
 class Rng;
+class TextReader;
 
 /// Shape ranges the generator draws from. Defaults keep networks small
 /// enough that every abstract domain (including powersets and polyhedra)
@@ -133,6 +134,7 @@ void writeNetworkSpec(const NetworkSpec &Spec, std::ostream &Os);
 
 /// Parses writeNetworkSpec() output; false on malformed input.
 bool readNetworkSpec(std::istream &Is, NetworkSpec &Spec);
+bool readNetworkSpec(TextReader &R, NetworkSpec &Spec);
 
 } // namespace charon
 

@@ -6,20 +6,17 @@
 #include "fuzz/Campaign.h"
 #include "support/Random.h"
 
-#include <fstream>
-#include <iomanip>
-#include <sstream>
+#include "support/TextFormat.h"
 
 using namespace charon;
 
 void charon::saveRepro(const FuzzRepro &Repro, std::ostream &Os) {
-  Os << "charon-fuzz-repro 1\n";
-  Os << "campaign-seed " << Repro.CampaignSeed << "\n";
+  writeHeader(Os, "charon-fuzz-repro", 1);
+  Os << "\ncampaign-seed " << Repro.CampaignSeed << "\n";
   Os << "case " << Repro.CaseIndex << "\n";
   Os << "expect " << (Repro.ExpectViolation ? "violation" : "clean") << "\n";
   Os << "oracle " << (Repro.Oracle.empty() ? "-" : Repro.Oracle) << "\n";
   Os << "message " << (Repro.Message.empty() ? "-" : Repro.Message) << "\n";
-  Os << std::setprecision(17);
   Os << "samples " << Repro.Cfg.ContainmentSamples << "\n";
   Os << "subregions " << Repro.Cfg.SubregionTrials << "\n";
   Os << "tolerance " << Repro.Cfg.Tolerance << "\n";
@@ -37,73 +34,52 @@ void charon::saveRepro(const FuzzRepro &Repro, std::ostream &Os) {
 }
 
 std::optional<FuzzRepro> charon::loadRepro(std::istream &Is) {
-  std::string Magic, Key;
-  int Version = 0;
-  if (!(Is >> Magic >> Version) || Magic != "charon-fuzz-repro" ||
-      Version != 1)
-    return std::nullopt;
-
+  TextReader R(Is);
   FuzzRepro Repro;
-  if (!(Is >> Key >> Repro.CampaignSeed) || Key != "campaign-seed")
+  OracleConfig &Cfg = Repro.Cfg;
+  std::string_view Tok;
+  if (!R.header("charon-fuzz-repro", 1) || !R.keyword("campaign-seed") ||
+      !R.integer(Repro.CampaignSeed) || !R.keyword("case") ||
+      !R.integer(Repro.CaseIndex) || Repro.CaseIndex < 0 ||
+      !R.keyword("expect") || !R.token(Tok) ||
+      (Tok != "violation" && Tok != "clean"))
     return std::nullopt;
-  if (!(Is >> Key >> Repro.CaseIndex) || Key != "case" || Repro.CaseIndex < 0)
-    return std::nullopt;
+  Repro.ExpectViolation = Tok == "violation";
 
-  std::string Expect;
-  if (!(Is >> Key >> Expect) || Key != "expect" ||
-      (Expect != "violation" && Expect != "clean"))
+  if (!R.keyword("oracle") || !R.token(Tok))
     return std::nullopt;
-  Repro.ExpectViolation = Expect == "violation";
+  Repro.Oracle = Tok == "-" ? "" : Tok;
 
-  if (!(Is >> Key >> Repro.Oracle) || Key != "oracle")
+  if (!R.keyword("message"))
     return std::nullopt;
-  if (Repro.Oracle == "-")
-    Repro.Oracle.clear();
-
-  if (!(Is >> Key) || Key != "message")
-    return std::nullopt;
-  std::getline(Is, Repro.Message);
+  R.line(Repro.Message);
   if (!Repro.Message.empty() && Repro.Message.front() == ' ')
     Repro.Message.erase(0, 1);
   if (Repro.Message == "-")
     Repro.Message.clear();
 
-  if (!(Is >> Key >> Repro.Cfg.ContainmentSamples) || Key != "samples" ||
-      Repro.Cfg.ContainmentSamples < 0)
-    return std::nullopt;
-  if (!(Is >> Key >> Repro.Cfg.SubregionTrials) || Key != "subregions" ||
-      Repro.Cfg.SubregionTrials < 0)
-    return std::nullopt;
-  if (!(Is >> Key >> Repro.Cfg.Tolerance) || Key != "tolerance" ||
-      !(Repro.Cfg.Tolerance >= 0.0))
-    return std::nullopt;
-  if (!(Is >> Key >> Repro.Cfg.Delta) || Key != "delta")
-    return std::nullopt;
-  if (!(Is >> Key >> Repro.Cfg.VerifyBudgetSeconds) || Key != "budget")
-    return std::nullopt;
-  if (!(Is >> Key >> Repro.Cfg.VerifierSeed) || Key != "verifier-seed")
-    return std::nullopt;
-  if (!(Is >> Key >> Repro.Cfg.InjectTighten) || Key != "inject")
-    return std::nullopt;
-
   size_t NumDomains = 0;
-  if (!(Is >> Key >> NumDomains) || Key != "domains" || NumDomains > 64)
+  if (!R.keyword("samples") || !R.integer(Cfg.ContainmentSamples) ||
+      Cfg.ContainmentSamples < 0 || !R.keyword("subregions") ||
+      !R.integer(Cfg.SubregionTrials) || Cfg.SubregionTrials < 0 ||
+      !R.keyword("tolerance") || !R.number(Cfg.Tolerance) ||
+      !(Cfg.Tolerance >= 0.0) || !R.keyword("delta") ||
+      !R.number(Cfg.Delta) || !R.keyword("budget") ||
+      !R.number(Cfg.VerifyBudgetSeconds) || !R.keyword("verifier-seed") ||
+      !R.integer(Cfg.VerifierSeed) || !R.keyword("inject") ||
+      !R.number(Cfg.InjectTighten) || !R.keyword("domains") ||
+      !R.integer(NumDomains) || NumDomains > 64)
     return std::nullopt;
   for (size_t I = 0; I < NumDomains; ++I) {
-    std::string Token;
-    if (!(Is >> Token))
-      return std::nullopt;
-    std::optional<DomainSpec> D = parseDomainSpec(Token);
-    if (!D)
+    std::optional<DomainSpec> D;
+    if (!R.token(Tok) || !(D = parseDomainSpec(std::string(Tok))))
       return std::nullopt;
     Repro.Domains.push_back(*D);
   }
 
-  if (!(Is >> Key) || Key != "network" || !readNetworkSpec(Is, Repro.Net))
-    return std::nullopt;
-
-  std::optional<RobustnessProperty> Prop = loadProperty(Is);
-  if (!Prop)
+  std::optional<RobustnessProperty> Prop;
+  if (!R.keyword("network") || !readNetworkSpec(R, Repro.Net) ||
+      !(Prop = readProperty(R)))
     return std::nullopt;
   Repro.Prop = std::move(*Prop);
 
@@ -117,18 +93,11 @@ std::optional<FuzzRepro> charon::loadRepro(std::istream &Is) {
 }
 
 bool charon::saveReproFile(const FuzzRepro &Repro, const std::string &Path) {
-  std::ofstream Os(Path);
-  if (!Os)
-    return false;
-  saveRepro(Repro, Os);
-  return static_cast<bool>(Os);
+  return saveTextFile(Repro, Path, saveRepro);
 }
 
 std::optional<FuzzRepro> charon::loadReproFile(const std::string &Path) {
-  std::ifstream Is(Path);
-  if (!Is)
-    return std::nullopt;
-  return loadRepro(Is);
+  return loadTextFile(Path, loadRepro);
 }
 
 ReplayResult charon::replayRepro(const FuzzRepro &Repro) {

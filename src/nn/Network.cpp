@@ -2,6 +2,8 @@
 
 #include "nn/Network.h"
 
+#include "nn/Residual.h"
+
 #include <cassert>
 #include <limits>
 
@@ -143,6 +145,16 @@ Network::objectiveGradientFromActivations(const std::vector<Matrix> &Acts,
     Grad = Layers[I]->backwardBatch(Acts[I], Grad);
   }
   return Grad;
+}
+
+void Network::warmCaches() const {
+  for (const auto &L : Layers) {
+    (void)L->affineForm();
+    if (const Network *Body = L->residualBody()) {
+      Body->warmCaches();
+      (void)static_cast<const ResidualLayer &>(*L).plan();
+    }
+  }
 }
 
 Network Network::clone() const {

@@ -88,6 +88,11 @@ public:
   /// Deep copy.
   Network clone() const;
 
+  /// Builds every structure a layer caches lazily: the conv and avg-pool
+  /// lowerings at any depth and the residual plans. Threads that share the
+  /// network afterwards only read it.
+  void warmCaches() const;
+
   /// Optional human-readable name (used in benchmark reports).
   const std::string &name() const { return Name; }
   void setName(std::string N) { Name = std::move(N); }

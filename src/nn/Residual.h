@@ -69,7 +69,7 @@ public:
 
   /// The analyzer's propagation plan: Dup = [I; I] (2N x N), one step per
   /// non-identity body layer, Sum = [I I] (N x 2N). Cached; rebuilt lazily
-  /// after weight updates.
+  /// after weight updates, and built by Network::warmCaches.
   struct ResidualPlan {
     Matrix DupW;
     Vector DupB;

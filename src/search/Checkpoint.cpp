@@ -2,20 +2,16 @@
 
 #include "search/Checkpoint.h"
 
-#include "support/TextBounds.h"
+#include "support/TextFormat.h"
 
-#include <fstream>
-#include <iomanip>
-#include <iterator>
 #include <set>
 #include <sstream>
 
 using namespace charon;
 
 void charon::saveCheckpoint(const SearchCheckpoint &Cp, std::ostream &Os) {
-  Os << std::setprecision(17);
-  Os << "charon-checkpoint 1\n";
-  Os << "order " << toString(Cp.Order) << "\n";
+  writeHeader(Os, "charon-checkpoint", 1);
+  Os << "\norder " << toString(Cp.Order) << "\n";
   Os << "network " << Cp.NetworkFingerprint << " property "
      << Cp.PropertyDigest << " config " << Cp.ConfigDigest << "\n";
   const VerifyStats &S = Cp.Stats;
@@ -28,21 +24,11 @@ void charon::saveCheckpoint(const SearchCheckpoint &Cp, std::ostream &Os) {
   Os << "open " << Cp.Open.size() << "\n";
   for (const CheckpointNode &N : Cp.Open) {
     Os << "node ";
-    if (N.Path.empty())
-      Os << "-";
-    else
-      for (uint8_t Bit : N.Path)
-        Os << (Bit ? '1' : '0');
+    writePath(Os, N.Path);
     Os << " " << N.Priority << "\n";
-    Os << "lower";
-    for (size_t I = 0; I < N.Region.dim(); ++I)
-      Os << " " << N.Region.lower()[I];
-    Os << "\nupper";
-    for (size_t I = 0; I < N.Region.dim(); ++I)
-      Os << " " << N.Region.upper()[I];
-    Os << "\nwarm " << N.Warm.size();
-    for (size_t I = 0; I < N.Warm.size(); ++I)
-      Os << " " << N.Warm[I];
+    writeBox(Os, N.Region);
+    Os << "warm " << N.Warm.size();
+    writeValues(Os, N.Warm.data(), N.Warm.size());
     Os << "\n";
   }
   Os << "end\n";
@@ -54,53 +40,24 @@ std::string charon::serializeCheckpoint(const SearchCheckpoint &Cp) {
   return Os.str();
 }
 
-std::optional<SearchCheckpoint> charon::loadCheckpoint(std::istream &Is) {
-  return deserializeCheckpoint(std::string(std::istreambuf_iterator<char>(Is),
-                                           std::istreambuf_iterator<char>()));
-}
+namespace {
 
-std::optional<SearchCheckpoint>
-charon::deserializeCheckpoint(const std::string &Text) {
-  std::istringstream Is(Text);
-  // Each count must fit in the unread text (see valuesFit), so a damaged
-  // count is rejected before it sizes an allocation.
-  std::string Magic, Key, Token;
-  int Version = 0;
-  if (!(Is >> Magic >> Version) || Magic != "charon-checkpoint" ||
-      Version != 1)
-    return std::nullopt;
-
+std::optional<SearchCheckpoint> readCheckpoint(TextReader &R) {
   SearchCheckpoint Cp;
-  if (!(Is >> Key >> Token) || Key != "order")
-    return std::nullopt;
-  if (Token == "lifo")
-    Cp.Order = FrontierOrder::Lifo;
-  else if (Token == "best-first")
-    Cp.Order = FrontierOrder::BestFirst;
-  else
-    return std::nullopt;
-
-  if (!(Is >> Key >> Cp.NetworkFingerprint) || Key != "network")
-    return std::nullopt;
-  if (!(Is >> Key >> Cp.PropertyDigest) || Key != "property")
-    return std::nullopt;
-  if (!(Is >> Key >> Cp.ConfigDigest) || Key != "config")
-    return std::nullopt;
-
   VerifyStats &S = Cp.Stats;
-  if (!(Is >> Key >> S.PgdCalls >> S.AnalyzeCalls >> S.Splits >> S.MaxDepth >>
-        S.IntervalChoices >> S.ZonotopeChoices >> S.DisjunctSum >>
-        S.NodesExpanded >> S.Seconds) ||
-      Key != "stats")
-    return std::nullopt;
-
-  size_t Dim = 0;
-  if (!(Is >> Key >> Dim) || Key != "dim" || !valuesFit(Is, Dim))
-    return std::nullopt;
-  size_t Count = 0;
-  if (!(Is >> Key >> Count) || Key != "open" || !valuesFit(Is, Count))
-    return std::nullopt;
-  if (Count > 0 && Dim == 0)
+  size_t Dim = 0, Count = 0;
+  if (!R.header("charon-checkpoint", 1) || !R.keyword("order") ||
+      !R.oneOf({FrontierOrder::Lifo, FrontierOrder::BestFirst}, Cp.Order) ||
+      !R.keyword("network") || !R.integer(Cp.NetworkFingerprint) ||
+      !R.keyword("property") || !R.integer(Cp.PropertyDigest) ||
+      !R.keyword("config") || !R.integer(Cp.ConfigDigest) ||
+      !R.keyword("stats") || !R.integer(S.PgdCalls) ||
+      !R.integer(S.AnalyzeCalls) || !R.integer(S.Splits) ||
+      !R.integer(S.MaxDepth) || !R.integer(S.IntervalChoices) ||
+      !R.integer(S.ZonotopeChoices) || !R.integer(S.DisjunctSum) ||
+      !R.integer(S.NodesExpanded) || !R.number(S.Seconds) ||
+      !R.keyword("dim") || !R.count(Dim) || !R.keyword("open") ||
+      !R.count(Count) || (Count > 0 && Dim == 0))
     return std::nullopt;
 
   Cp.Open.reserve(Count);
@@ -110,66 +67,41 @@ charon::deserializeCheckpoint(const std::string &Text) {
   std::set<std::vector<uint8_t>> SeenPaths;
   for (size_t N = 0; N < Count; ++N) {
     CheckpointNode Node;
-    if (!(Is >> Key >> Token) || Key != "node")
-      return std::nullopt;
-    if (Token != "-") {
-      Node.Path.reserve(Token.size());
-      for (char C : Token) {
-        if (C != '0' && C != '1')
-          return std::nullopt;
-        Node.Path.push_back(C == '1' ? 1 : 0);
-      }
-    }
-    if (!SeenPaths.insert(Node.Path).second)
-      return std::nullopt;
-    if (!(Is >> Node.Priority))
-      return std::nullopt;
-
-    Vector Lo(Dim), Hi(Dim);
-    if (!(Is >> Key) || Key != "lower")
-      return std::nullopt;
-    for (size_t I = 0; I < Dim; ++I)
-      if (!(Is >> Lo[I]))
-        return std::nullopt;
-    if (!(Is >> Key) || Key != "upper")
-      return std::nullopt;
-    for (size_t I = 0; I < Dim; ++I)
-      if (!(Is >> Hi[I]))
-        return std::nullopt;
-    for (size_t I = 0; I < Dim; ++I)
-      if (Lo[I] > Hi[I])
-        return std::nullopt;
-    Node.Region = Box(std::move(Lo), std::move(Hi));
-
     size_t WarmSize = 0;
-    if (!(Is >> Key >> WarmSize) || Key != "warm")
-      return std::nullopt;
-    if (WarmSize != 0 && WarmSize != Dim)
+    if (!R.keyword("node") || !R.path(Node.Path) ||
+        !SeenPaths.insert(Node.Path).second || !R.number(Node.Priority) ||
+        !R.box(Dim, Node.Region) || !R.keyword("warm") ||
+        !R.integer(WarmSize) || (WarmSize != 0 && WarmSize != Dim))
       return std::nullopt;
     Node.Warm = Vector(WarmSize);
-    for (size_t I = 0; I < WarmSize; ++I)
-      if (!(Is >> Node.Warm[I]))
-        return std::nullopt;
+    if (!R.numbers(Node.Warm.data(), WarmSize))
+      return std::nullopt;
     Cp.Open.push_back(std::move(Node));
   }
-  if (!(Is >> Key) || Key != "end")
+  if (!R.keyword("end"))
     return std::nullopt;
   return Cp;
 }
 
+} // namespace
+
+std::optional<SearchCheckpoint> charon::loadCheckpoint(std::istream &Is) {
+  TextReader R(Is);
+  return readCheckpoint(R);
+}
+
+std::optional<SearchCheckpoint>
+charon::deserializeCheckpoint(const std::string &Text) {
+  TextReader R(Text);
+  return readCheckpoint(R);
+}
+
 bool charon::saveCheckpointFile(const SearchCheckpoint &Cp,
                                 const std::string &Path) {
-  std::ofstream Os(Path);
-  if (!Os)
-    return false;
-  saveCheckpoint(Cp, Os);
-  return static_cast<bool>(Os);
+  return saveTextFile(Cp, Path, saveCheckpoint);
 }
 
 std::optional<SearchCheckpoint>
 charon::loadCheckpointFile(const std::string &Path) {
-  std::ifstream Is(Path);
-  if (!Is)
-    return std::nullopt;
-  return loadCheckpoint(Is);
+  return loadTextFile(Path, loadCheckpoint);
 }

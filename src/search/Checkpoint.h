@@ -15,8 +15,8 @@
 /// wall-clock seconds) are bit-identical to never having been interrupted.
 ///
 /// The text format round-trips byte-identically (serialize-deserialize-
-/// serialize is the identity): doubles are printed with 17 significant
-/// digits, open nodes in DFS order. Three digests guard against resuming
+/// serialize is the identity) in the shared text conventions
+/// (support/TextFormat.h), open nodes in DFS order. Three digests guard against resuming
 /// a checkpoint on the wrong query: the network fingerprint, the property
 /// digest, and the budget-free config digest (the wall-clock budget is
 /// excluded deliberately — resuming with a fresh or larger budget is the

@@ -5,6 +5,7 @@
 #include "abstract/Analyzer.h"
 #include "cert/Certificate.h"
 #include "core/Digest.h"
+#include "support/Check.h"
 #include "support/Random.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
@@ -161,41 +162,6 @@ SearchEngine::expandNode(const RobustnessProperty &Prop, const Box &Region,
     ++E.Stats.NodesExpanded;
     E.Seconds = NodeWatch.seconds();
     return E;
-  }
-
-  // Optional Sec. 9 extension: once a subregion is small, hand it to a
-  // complete procedure (a "perfectly precise domain") instead of splitting
-  // further.
-  if (Config.CompleteFallback &&
-      Region.diameter() <= Config.CompleteFallbackDiameter) {
-    switch (Config.CompleteFallback(Net, Region, K)) {
-    case Outcome::Verified:
-      E.Result = Expansion::Kind::Verified;
-      ++E.Stats.NodesExpanded;
-      E.Seconds = NodeWatch.seconds();
-      return E;
-    case Outcome::Falsified: {
-      // Recover a concrete witness with an intensified search so the
-      // delta-completeness contract holds; if it cannot be found, fall
-      // through to ordinary splitting (sound either way).
-      PgdConfig Intense = Config.Pgd;
-      Intense.Steps = 4 * Config.Pgd.Steps;
-      Intense.Restarts = 4 * Config.Pgd.Restarts;
-      Intense.EarlyStopObjective = Config.Delta;
-      PgdResult P = pgdMinimize(Net, Region, K, Intense, R, &XStar);
-      if (P.Objective <= Config.Delta) {
-        E.Result = Expansion::Kind::Falsified;
-        E.Cex = std::move(P.X);
-        E.CexObjective = P.Objective;
-        ++E.Stats.NodesExpanded;
-        E.Seconds = NodeWatch.seconds();
-        return E;
-      }
-      break;
-    }
-    case Outcome::Timeout:
-      break; // Fallback gave up; keep refining.
-    }
   }
 
   // Line 8: neither refuted nor proved; ask pi_I how to split. The node's
@@ -374,10 +340,8 @@ VerifyResult SearchEngine::finish(SearchState &S,
     if (!Config.EmitCertificate)
       return;
     if (!S.Resumed) {
-      if (auto Cert =
-              buildTreeCertificate(Net, Prop, Config, R.Result, S.Tree))
-        R.Certificate =
-            std::make_shared<ProofCertificate>(std::move(*Cert));
+      R.Certificate = std::make_shared<ProofCertificate>(
+          buildTreeCertificate(Net, Prop, Config, R.Result, S.Tree));
     } else if (R.Result == Outcome::Falsified) {
       R.Certificate = std::make_shared<ProofCertificate>(
           buildFalsifiedCertificate(Net, Prop, Config, R.Counterexample,
@@ -427,13 +391,10 @@ VerifyResult SearchEngine::finish(SearchState &S,
 VerifyResult SearchEngine::run(const RobustnessProperty &Prop,
                                const SearchCheckpoint *Resume,
                                ThreadPool *Pool) const {
-  assert(Prop.Region.dim() == Net.inputSize() && "property/network mismatch");
-  if (Pool) {
-    // Pre-warm lazily built affine lowerings (e.g. convolution caches) so
-    // the shared network is strictly read-only during the parallel phase.
-    for (size_t I = 0, E = Net.numLayers(); I < E; ++I)
-      (void)Net.layer(I).affineForm();
-  }
+  if (!propertyFitsNetwork(Prop, Net))
+    reportFatalError("property does not match network shape");
+  if (Pool)
+    Net.warmCaches(); // the workers then only read the shared network
 
   SearchState S(Prop, Config);
 

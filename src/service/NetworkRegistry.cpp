@@ -10,9 +10,9 @@
 using namespace charon;
 
 NetworkId NetworkRegistry::add(Network Net) {
-  // Fingerprinting walks every layer's affineForm(), which also forces the
-  // lazily built conv lowerings — so a registered network is read-only and
-  // safe to share across verifier threads without further warm-up.
+  // A registered network is shared by every service worker, so its lazy
+  // structures are built here, before any worker can read them.
+  Net.warmCaches();
   uint64_t Fp = fingerprintNetwork(Net);
   std::lock_guard<std::mutex> Lock(Mutex);
   auto It = ByFingerprint.find(Fp);

@@ -33,12 +33,14 @@
 #include "linalg/Box.h"
 
 #include <cstdint>
+#include <iosfwd>
 #include <list>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
 
 namespace charon {
+class TextReader;
 
 /// Identifies one verification query: which network, which property,
 /// which verifier configuration.
@@ -70,6 +72,21 @@ struct CacheStats {
 
   long hits() const { return ExactHits + SubsumptionHits + CertifiedHits; }
 };
+
+/// One cached query and its result: an entry in memory, and one record of
+/// the persisted log (see ResultCache.cpp for the record grammar).
+struct CacheRecord {
+  CacheKey Key;
+  Box Region;
+  size_t TargetClass = 0;
+  VerifyResult Result;
+};
+
+/// Writes \p Rec in the cache log's record grammar.
+void writeCacheRecord(std::ostream &Os, const CacheRecord &Rec);
+
+/// Parses one record at \p R's position; nullopt when it is damaged or torn.
+std::optional<CacheRecord> readCacheRecord(TextReader &R);
 
 /// Thread-safe LRU cache mapping verification queries to results.
 ///
@@ -154,14 +171,7 @@ private:
     }
   };
 
-  struct Entry {
-    CacheKey Key;
-    Box Region;
-    size_t TargetClass = 0;
-    VerifyResult Result;
-  };
-
-  using EntryList = std::list<Entry>;
+  using EntryList = std::list<CacheRecord>;
 
   /// Moves \p It to the front (most recently used). Caller holds the lock.
   void touch(EntryList::iterator It);
@@ -169,12 +179,7 @@ private:
   /// Shared insert path. Caller holds the lock. Loaded replays set
   /// \p FromDisk so they count as Loaded, not Inserts, and skip the
   /// append-back to the file they came from.
-  void insertLocked(const CacheKey &Key, const Box &Region,
-                    size_t TargetClass, const VerifyResult &Result,
-                    bool FromDisk);
-
-  /// Appends one record to the attached file. Caller holds the lock.
-  void persistLocked(const Entry &E);
+  void insertLocked(CacheRecord Rec, bool FromDisk);
 
   mutable std::mutex Mutex;
   size_t Cap;

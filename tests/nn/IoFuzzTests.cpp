@@ -6,14 +6,25 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "cert/Certificate.h"
+#include "core/PolicyIo.h"
+#include "core/PropertyIo.h"
+#include "fuzz/Repro.h"
 #include "nn/Builder.h"
 #include "nn/Conv2D.h"
 #include "nn/Io.h"
+#include "search/Checkpoint.h"
+#include "service/ResultCache.h"
 #include "support/Random.h"
+#include "support/TextFormat.h"
 
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <functional>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -192,4 +203,101 @@ TEST(IoFuzzTest, DoubleRoundTripIsIdentity) {
   auto Loaded = loadNetwork(Ss);
   ASSERT_TRUE(Loaded.has_value());
   EXPECT_EQ(serialize(*Loaded), Once);
+
+  // The number grammar every text format shares (support/TextFormat.h): a
+  // double printed at 17 or at 9 significant digits reads to the bits
+  // operator>> gives, subnormals and -0 included.
+  auto SameBits = [](const std::string &Tok) {
+    double Ours = 1.0, Theirs = 2.0;
+    std::istringstream Is(Tok);
+    ASSERT_TRUE(Is >> Theirs) << Tok;
+    ASSERT_TRUE(parseNumber(Tok, Ours)) << Tok;
+    EXPECT_EQ(std::memcmp(&Ours, &Theirs, sizeof(double)), 0) << Tok;
+  };
+  char Buf[64];
+  for (int I = 0; I < 20000; ++I) {
+    // Every exponent, subnormals included, and ordinary weights.
+    uint64_t Bits = R.next();
+    double V;
+    std::memcpy(&V, &Bits, sizeof(V));
+    if (!std::isfinite(V) || I % 2)
+      V = R.gaussian();
+    for (const char *Fmt : {"%.17g", "%.9g"}) {
+      std::snprintf(Buf, sizeof(Buf), Fmt, V);
+      SameBits(Buf);
+    }
+  }
+  for (const char *Tok : {"4.9406564584124654e-324", "2.2250738585072009e-308",
+                          "1e-310", "-0", "0", "1.", ".5", "1E5"})
+    SameBits(Tok);
+  double Plus = 0.0;
+  EXPECT_TRUE(parseNumber("+1.5", Plus));
+  EXPECT_EQ(Plus, 1.5);
+
+  // Each format with one double ({v}) and one count ({n}); the good values
+  // parse, and every value below is refused in its place.
+  auto Parses = [](auto Load) {
+    return [Load](const std::string &Text) {
+      std::istringstream Is(Text);
+      return Load(Is).has_value();
+    };
+  };
+  std::string Policy = "charon-policy 1 {n} 5\n{v}";
+  for (int I = 1; I < 25; ++I)
+    Policy += " 0.5";
+  struct Format {
+    const char *Name;
+    std::string Text, GoodValue, GoodCount;
+    std::function<bool(const std::string &)> Parse;
+  };
+  const Format Formats[] = {
+      {"net", "charon-network 1 {n}\ndense 2 2\n0.5 -0.25\n{v} 1\n0.1 0.2\n",
+       "0.125", "1", Parses(loadNetwork)},
+      {"prop",
+       "charon-property 1\nname p\ntarget 0\ndim {n}\nlower 0 0\nupper 1 {v}\n",
+       "1", "2", Parses(loadProperty)},
+      {"policy", Policy, "0.5", "5", Parses(loadPolicy)},
+      {"checkpoint",
+       "charon-checkpoint 1\norder lifo\nnetwork 1 property 2 config 3\n"
+       "stats 0 0 0 0 0 0 0 0 0\ndim 1\nopen {n}\nnode - {v}\nlower 0\n"
+       "upper 1\nwarm 0\nend\n",
+       "-0.5", "1", Parses(loadCheckpoint)},
+      {"certificate",
+       "charon-cert 1\nverdict verified\nnetwork 1 property 2 config 3\n"
+       "delta 1e-06\ndim 1 class 0\nnodes {n}\n"
+       "node - verified zonotope 1 {v}\nlower 0\nupper 1\nend\n",
+       "0.5", "1", Parses(loadCertificate)},
+      {"cache record",
+       "entry 1 2 3 0\nregion {n}\nlower 0\nupper {v}\nresult verified 0\n"
+       "cex 0\nstats 0 0 0 0 0 0 0 0 0 0 0 0 0\ncert 0\ncheckpoint 0\nend\n",
+       "1", "1",
+       [](const std::string &Text) {
+         TextReader R(Text);
+         return readCacheRecord(R).has_value();
+       }},
+      {"repro",
+       "charon-fuzz-repro 1\ncampaign-seed 9\ncase 5\nexpect clean\n"
+       "oracle -\nmessage -\nsamples 24\nsubregions 3\ntolerance {v}\n"
+       "delta 1e-06\nbudget 1\nverifier-seed 7\ninject 0\n"
+       "domains {n} Interval\nnetwork mlp 5 2 2 1 3\ncharon-property 1\n"
+       "name p\ntarget 0\ndim 2\nlower 0 0\nupper 1 1\n",
+       "1e-07", "1", Parses(loadRepro)},
+  };
+  auto Fill = [](std::string Text, const std::string &V, const std::string &N) {
+    Text.replace(Text.find("{v}"), 3, V);
+    Text.replace(Text.find("{n}"), 3, N);
+    return Text;
+  };
+  for (const Format &F : Formats) {
+    SCOPED_TRACE(F.Name);
+    EXPECT_TRUE(F.Parse(Fill(F.Text, F.GoodValue, F.GoodCount)));
+    for (const std::string &Bad : {std::string("inf"), std::string("-inf"),
+                                   std::string("nan"), std::string("0x1p3"),
+                                   std::string("1e400"), std::string("1e-400"),
+                                   F.GoodValue + "x"})
+      EXPECT_FALSE(F.Parse(Fill(F.Text, Bad, F.GoodCount))) << Bad;
+    for (const std::string &Bad :
+         {"+" + F.GoodCount, "-" + F.GoodCount, F.GoodCount + "x"})
+      EXPECT_FALSE(F.Parse(Fill(F.Text, F.GoodValue, Bad))) << Bad;
+  }
 }
