@@ -7,7 +7,6 @@
 #include "baselines/Ai2.h"
 #include "baselines/ReluVal.h"
 #include "baselines/Reluplex.h"
-#include "core/PolicyIo.h"
 #include "linalg/SimdDispatch.h"
 #include "nn/Activation.h"
 #include "nn/Builder.h"
@@ -16,11 +15,13 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <sstream>
+#include <set>
 #include <thread>
 
 #if defined(__GLIBC__)
@@ -84,13 +85,6 @@ void charon::bench::stabilizeAllocator() {
 #endif
 }
 
-VerificationPolicy
-charon::bench::loadOrDefaultPolicy(const HarnessConfig &Config) {
-  if (auto Learned = loadPolicyFile(Config.PolicyPath))
-    return *Learned;
-  return VerificationPolicy();
-}
-
 std::vector<BenchmarkSuite>
 charon::bench::buildAllSuites(const HarnessConfig &Config) {
   std::vector<BenchmarkSuite> Suites;
@@ -140,7 +134,6 @@ RunRecord charon::bench::runTool(ToolKind Tool, const BenchmarkSuite &Suite,
   case ToolKind::CharonNoCex: {
     VerifierConfig VC;
     VC.TimeLimitSeconds = Config.BudgetSeconds;
-    VC.Pgd = Config.Pgd;
     VC.UseCounterexampleSearch = Tool == ToolKind::Charon;
     Verifier V(Suite.Net, Policy, VC);
     VerifyResult R = V.verify(Prop);
@@ -235,7 +228,127 @@ void charon::bench::printSummaryRow(const char *Label, const Summary &S) {
 }
 
 //===----------------------------------------------------------------------===//
-// Micro-domain benchmark cases
+// The bench document (charon-bench/1)
+//===----------------------------------------------------------------------===//
+
+BenchCase::BenchCase(std::string Name) { text("name", std::move(Name)); }
+
+BenchCase &BenchCase::text(std::string Field, std::string S) {
+  json::Value &V = Fields.emplace_back(std::move(Field), json::Value()).second;
+  V.K = json::Value::Str;
+  V.S = std::move(S);
+  return *this;
+}
+
+BenchCase &BenchCase::number(std::string Field, double X) {
+  json::Value &V = Fields.emplace_back(std::move(Field), json::Value()).second;
+  V.K = json::Value::Num;
+  V.N = X;
+  return *this;
+}
+
+BenchCase &BenchCase::flag(std::string Field, bool B) {
+  json::Value &V = Fields.emplace_back(std::move(Field), json::Value()).second;
+  V.K = json::Value::Bool;
+  V.B = B;
+  return *this;
+}
+
+BenchCase &BenchCase::numbers(std::string Field, std::vector<double> A) {
+  json::Value &V = Fields.emplace_back(std::move(Field), json::Value()).second;
+  V.K = json::Value::NumArray;
+  V.A = std::move(A);
+  return *this;
+}
+
+namespace {
+
+/// perfbench's metric-name rule.
+bool isFieldName(const std::string &Name) {
+  if (Name.empty() || Name.size() > 64 ||
+      !std::isalnum(static_cast<unsigned char>(Name[0])))
+    return false;
+  for (char C : Name)
+    if (!std::isalnum(static_cast<unsigned char>(C)) && C != '_' &&
+        C != '.' && C != '-')
+      return false;
+  return true;
+}
+
+bool appendFinite(std::string &Out, double X) {
+  if (!std::isfinite(X))
+    return false;
+  json::appendNumber(Out, X);
+  return true;
+}
+
+} // namespace
+
+std::string charon::bench::benchDocument(const std::string &Bench,
+                                         const std::vector<BenchCase> &Cases) {
+  std::string Out = "{\"schema\": \"charon-bench/1\", \"bench\": ";
+  json::appendEscaped(Out, Bench);
+  Out += ", \"simd\": \"";
+  Out += kernels::simdLevelName(kernels::simdLevel());
+  Out += "\", \"host_cores\": ";
+  Out += std::to_string(std::max(1u, std::thread::hardware_concurrency()));
+  Out += "}\n";
+  std::set<std::string> CaseNames;
+  for (const BenchCase &Case : Cases) {
+    std::set<std::string> FieldNames;
+    Out += '{';
+    for (const auto &[Field, V] : Case.Fields) {
+      if (!isFieldName(Field) || !FieldNames.insert(Field).second)
+        return "";
+      if (Field == "name" && (V.K != json::Value::Str || !isFieldName(V.S) ||
+                              !CaseNames.insert(V.S).second))
+        return "";
+      if (FieldNames.size() > 1)
+        Out += ", ";
+      json::appendEscaped(Out, Field);
+      Out += ": ";
+      switch (V.K) {
+      case json::Value::Str:
+        json::appendEscaped(Out, V.S);
+        break;
+      case json::Value::Num:
+        if (!appendFinite(Out, V.N))
+          return "";
+        break;
+      case json::Value::Bool:
+        Out += V.B ? "true" : "false";
+        break;
+      case json::Value::NumArray:
+        Out += '[';
+        for (size_t I = 0; I < V.A.size(); ++I) {
+          if (I)
+            Out += ", ";
+          if (!appendFinite(Out, V.A[I]))
+            return "";
+        }
+        Out += ']';
+        break;
+      }
+    }
+    Out += "}\n";
+  }
+  return Out;
+}
+
+bool charon::bench::writeBenchFile(const std::string &Path,
+                                   const std::string &Bench,
+                                   const std::vector<BenchCase> &Cases) {
+  std::string Doc = benchDocument(Bench, Cases);
+  if (Doc.empty())
+    return false;
+  std::ofstream Out(Path);
+  Out << Doc;
+  Out.close();
+  return !Out.fail();
+}
+
+//===----------------------------------------------------------------------===//
+// Micro cases
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -270,12 +383,6 @@ size_t countGenerators(const AbstractElement &Elem) {
   return 0;
 }
 
-void appendJsonDouble(std::ostringstream &Os, double X) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", X);
-  Os << Buf;
-}
-
 } // namespace
 
 std::vector<MicroDomainCase> charon::bench::defaultMicroDomainCases() {
@@ -297,6 +404,10 @@ std::vector<MicroDomainCase> charon::bench::defaultMicroDomainCases() {
   Add("zonotope_dense_relu_w256", 256, BaseDomainKind::Zonotope, 1);
   Add("zonotope_dense_relu_w512", 512, BaseDomainKind::Zonotope, 1);
   Add("zonotope_powerset4_w64", 64, BaseDomainKind::Zonotope, 4);
+  Add("zonotope_powerset64_w25", 25, BaseDomainKind::Zonotope, 64);
+  Add("symbolic_interval_dense_relu_w128", 128,
+      BaseDomainKind::SymbolicInterval, 1);
+  Add("polyhedra_dense_relu_w128", 128, BaseDomainKind::Polyhedra, 1);
   // Smooth-activation twins: same seeded weights, sigmoid hidden layers.
   // Tracks the cost of the parallel-line relaxation transformers (every
   // neuron contributes a fresh noise symbol) against the ReLU case split.
@@ -337,44 +448,6 @@ MicroDomainResult charon::bench::runMicroDomainCase(const MicroDomainCase &Case,
   }
   return Result;
 }
-
-std::string
-charon::bench::microDomainJson(const std::vector<MicroDomainResult> &Results) {
-  std::ostringstream Os;
-  Os << "{\n  \"schema\": \"charon-bench-micro-domains/3\",\n  \"simd\": \""
-     << kernels::simdLevelName(kernels::simdLevel()) << "\",\n  \"cases\": [";
-  for (size_t I = 0; I < Results.size(); ++I) {
-    const MicroDomainResult &R = Results[I];
-    Os << (I == 0 ? "\n" : ",\n");
-    Os << "    {\"name\": \"" << R.Case.Name << "\", \"domain\": \""
-       << toString(R.Case.Spec) << "\", \"precision\": \""
-       << toString(KernelPrecision::Double) << "\", \"act\": \""
-       << toString(R.Case.Act) << "\", \"width\": " << R.Case.Width
-       << ", \"hidden_layers\": " << R.Case.HiddenLayers
-       << ", \"input_dim\": " << R.InputDim
-       << ", \"output_dim\": " << R.OutputDim
-       << ", \"generators\": " << R.Generators << ", \"margin\": ";
-    appendJsonDouble(Os, R.Margin);
-    Os << ", \"seconds\": ";
-    appendJsonDouble(Os, R.Seconds);
-    Os << ", \"repeats\": " << R.Repeats << "}";
-  }
-  Os << "\n  ]\n}\n";
-  return Os.str();
-}
-
-bool charon::bench::writeMicroDomainJsonFile(
-    const std::string &Path, const std::vector<MicroDomainResult> &Results) {
-  std::ofstream Out(Path);
-  if (!Out)
-    return false;
-  Out << microDomainJson(Results);
-  return static_cast<bool>(Out);
-}
-
-//===----------------------------------------------------------------------===//
-// Counterexample-search benchmark cases
-//===----------------------------------------------------------------------===//
 
 std::vector<CexSearchCase> charon::bench::defaultCexSearchCases() {
   std::vector<CexSearchCase> Cases;
@@ -436,143 +509,6 @@ CexSearchResult charon::bench::runCexSearchCase(const CexSearchCase &Case,
       reportFatalError("batched cex search is nondeterministic");
   }
   return Result;
-}
-
-namespace {
-
-/// One "    {"name": ...}" case line of the cex-search document.
-std::string cexSearchCaseLine(const CexSearchResult &R) {
-  std::ostringstream Os;
-  Os << "    {\"name\": \"" << R.Case.Name << "\", \"kind\": \"" << R.Case.Kind
-     << "\", \"width\": " << R.Case.Width
-     << ", \"hidden_layers\": " << R.Case.HiddenLayers
-     << ", \"restarts\": " << R.Case.Restarts
-     << ", \"steps\": " << R.Case.Steps << ", \"objective\": ";
-  appendJsonDouble(Os, R.Objective);
-  Os << ", \"scalar_seconds\": ";
-  appendJsonDouble(Os, R.ScalarSeconds);
-  Os << ", \"batched_seconds\": ";
-  appendJsonDouble(Os, R.BatchedSeconds);
-  Os << ", \"speedup\": ";
-  appendJsonDouble(Os, R.BatchedSeconds > 0.0
-                           ? R.ScalarSeconds / R.BatchedSeconds
-                           : 0.0);
-  Os << ", \"repeats\": " << R.Repeats
-     << ", \"falsified_scalar\": " << R.FalsifiedScalar
-     << ", \"falsified_batched\": " << R.FalsifiedBatched << "}";
-  return Os.str();
-}
-
-std::string cexSearchDocument(const std::vector<std::string> &CaseLines) {
-  std::ostringstream Os;
-  Os << "{\n  \"schema\": \"charon-bench-cex-search/1\",\n  \"cases\": [";
-  for (size_t I = 0; I < CaseLines.size(); ++I)
-    Os << (I == 0 ? "\n" : ",\n") << CaseLines[I];
-  Os << "\n  ]\n}\n";
-  return Os.str();
-}
-
-/// Extracts the case name from a cexSearchCaseLine-shaped line, or "".
-std::string caseLineName(const std::string &Line) {
-  const std::string Prefix = "    {\"name\": \"";
-  if (Line.compare(0, Prefix.size(), Prefix) != 0)
-    return "";
-  size_t End = Line.find('"', Prefix.size());
-  return End == std::string::npos ? "" : Line.substr(Prefix.size(),
-                                                     End - Prefix.size());
-}
-
-} // namespace
-
-std::string
-charon::bench::cexSearchJson(const std::vector<CexSearchResult> &Results) {
-  std::vector<std::string> Lines;
-  Lines.reserve(Results.size());
-  for (const CexSearchResult &R : Results)
-    Lines.push_back(cexSearchCaseLine(R));
-  return cexSearchDocument(Lines);
-}
-
-bool charon::bench::updateCexSearchJsonFile(
-    const std::string &Path, const std::vector<CexSearchResult> &Results) {
-  // The document is line-structured (one case per line), so the merge is a
-  // line-level replace-or-append over the existing file.
-  std::vector<std::string> Names;
-  std::vector<std::string> Lines;
-  {
-    std::ifstream In(Path);
-    std::string Line;
-    bool SchemaOk = false;
-    while (In && std::getline(In, Line)) {
-      if (Line.find("\"schema\": \"charon-bench-cex-search/1\"") !=
-          std::string::npos)
-        SchemaOk = true;
-      std::string Name = caseLineName(Line);
-      if (SchemaOk && !Name.empty()) {
-        if (!Line.empty() && Line.back() == ',')
-          Line.pop_back();
-        Names.push_back(std::move(Name));
-        Lines.push_back(std::move(Line));
-      }
-    }
-  }
-  for (const CexSearchResult &R : Results) {
-    std::string Line = cexSearchCaseLine(R);
-    auto It = std::find(Names.begin(), Names.end(), R.Case.Name);
-    if (It != Names.end()) {
-      Lines[static_cast<size_t>(It - Names.begin())] = std::move(Line);
-    } else {
-      Names.push_back(R.Case.Name);
-      Lines.push_back(std::move(Line));
-    }
-  }
-  std::ofstream Out(Path);
-  if (!Out)
-    return false;
-  Out << cexSearchDocument(Lines);
-  return static_cast<bool>(Out);
-}
-
-std::string charon::bench::scalingJson(
-    const std::vector<std::string> &Instances, double SerialSeconds,
-    long SerialNodes, const std::vector<ScalingPoint> &Points) {
-  std::ostringstream Os;
-  Os << "{\n  \"schema\": \"charon-bench-scaling/2\",\n  \"host_cores\": "
-     << std::thread::hardware_concurrency()
-     << ",\n  \"instances\": [";
-  for (size_t I = 0; I < Instances.size(); ++I)
-    Os << (I == 0 ? "" : ", ") << "\"" << Instances[I] << "\"";
-  Os << "],\n  \"serial_seconds\": ";
-  appendJsonDouble(Os, SerialSeconds);
-  Os << ",\n  \"serial_nodes_expanded\": " << SerialNodes
-     << ",\n  \"points\": [";
-  for (size_t I = 0; I < Points.size(); ++I) {
-    const ScalingPoint &P = Points[I];
-    Os << (I == 0 ? "\n" : ",\n");
-    Os << "    {\"workers\": " << P.Workers << ", \"wall_seconds\": ";
-    appendJsonDouble(Os, P.WallSeconds);
-    Os << ", \"speedup\": ";
-    appendJsonDouble(Os, P.Speedup);
-    Os << ", \"nodes_expanded\": " << P.NodesExpanded
-       << ", \"per_worker_expanded\": [";
-    for (size_t J = 0; J < P.PerWorkerExpanded.size(); ++J)
-      Os << (J == 0 ? "" : ", ") << P.PerWorkerExpanded[J];
-    Os << "], \"verdicts_identical\": "
-       << (P.VerdictsIdentical ? "true" : "false") << "}";
-  }
-  Os << "\n  ]\n}\n";
-  return Os.str();
-}
-
-bool charon::bench::writeScalingJsonFile(
-    const std::string &Path, const std::vector<std::string> &Instances,
-    double SerialSeconds, long SerialNodes,
-    const std::vector<ScalingPoint> &Points) {
-  std::ofstream Out(Path);
-  if (!Out)
-    return false;
-  Out << scalingJson(Instances, SerialSeconds, SerialNodes, Points);
-  return static_cast<bool>(Out);
 }
 
 void charon::bench::printCactus(const char *Label,

@@ -5,12 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Common machinery for the figure-reproduction benches: building the seven
-/// evaluation suites (Sec. 7), dispatching properties to each tool with a
-/// uniform budget, and printing the summary/cactus series the paper's
-/// figures show. Budgets are laptop-scale stand-ins for the paper's 1000 s
-/// limit; override with CHARON_BENCH_BUDGET (seconds per property) and
-/// CHARON_BENCH_PROPS (properties per network).
+/// Common machinery for the benches: building the seven evaluation suites
+/// (Sec. 7), dispatching properties to each tool with a uniform budget,
+/// printing the summary/cactus series the paper's figures show, and
+/// writing the one machine-readable document shape, charon-bench/1. Every
+/// bench but bench_rq3_policy_ablation, which compares policies, runs the
+/// built-in VerificationPolicy(), as perfbench does. Budgets are
+/// laptop-scale stand-ins for the paper's 1000 s limit; override with
+/// CHARON_BENCH_BUDGET (seconds per property) and CHARON_BENCH_PROPS
+/// (properties per network).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,8 +23,10 @@
 #include "core/Policy.h"
 #include "core/Verifier.h"
 #include "data/Benchmarks.h"
+#include "support/JsonLine.h"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace charon {
@@ -61,10 +66,6 @@ struct RunRecord {
 struct HarnessConfig {
   int PropertiesPerSuite = 9;
   double BudgetSeconds = 2.0;
-  std::string PolicyPath = "networks/policy.txt";
-  /// PGD settings handed to the Charon tools (the RQ2 bench flips the
-  /// engine here to time the scalar-vs-batched end-to-end ablation).
-  PgdConfig Pgd;
 };
 
 /// Reads CHARON_BENCH_PROPS / CHARON_BENCH_BUDGET overrides.
@@ -80,10 +81,6 @@ HarnessConfig defaultHarnessConfig();
 /// smaller cases vs. alone). No-op on non-glibc platforms. Call once at
 /// the top of a bench main, before any measurement.
 void stabilizeAllocator();
-
-/// The learned policy if examples/acas_policy_training has produced one,
-/// otherwise the hand-tuned default.
-VerificationPolicy loadOrDefaultPolicy(const HarnessConfig &Config);
 
 /// Builds all seven evaluation suites (trains networks on first run; they
 /// are cached under networks/).
@@ -126,13 +123,45 @@ void printSummaryRow(const char *Label, const Summary &S);
 void printCactus(const char *Label, const std::vector<RunRecord> &Records);
 
 //===----------------------------------------------------------------------===//
-// Micro-domain benchmark cases (machine-readable perf trajectory)
+// The bench document (charon-bench/1)
+//===----------------------------------------------------------------------===//
+
+/// One case of a bench document: a flat object in the support/JsonLine
+/// dialect whose fields print in the order they were added. The first
+/// field is always "name".
+struct BenchCase {
+  std::vector<std::pair<std::string, json::Value>> Fields;
+
+  explicit BenchCase(std::string Name);
+  BenchCase &text(std::string Field, std::string S);
+  BenchCase &number(std::string Field, double X);
+  BenchCase &flag(std::string Field, bool B);
+  BenchCase &numbers(std::string Field, std::vector<double> A);
+};
+
+/// Serializes the one document shape the benches write: a header line
+/// {"schema": "charon-bench/1", "bench": Bench, "simd": <active SIMD
+/// level>, "host_cores": <at least 1>}, then one case object per line.
+/// Field names and case names follow perfbench's metric-name rule (1-64
+/// letters, digits, '_', '.' or '-', starting with a letter or digit), and
+/// a field counting what a BENCHMARK.json per-layer metric counts takes
+/// that metric's name. Returns "" instead of a document a reader would
+/// reject: a name outside the rule, a repeated field or case name, or a
+/// number that is not finite.
+std::string benchDocument(const std::string &Bench,
+                          const std::vector<BenchCase> &Cases);
+
+/// Writes benchDocument to \p Path; false when the document is refused or
+/// the write fails.
+bool writeBenchFile(const std::string &Path, const std::string &Bench,
+                    const std::vector<BenchCase> &Cases);
+
+//===----------------------------------------------------------------------===//
+// Micro cases (bench_micro_domains)
 //===----------------------------------------------------------------------===//
 
 /// One micro-domain propagation case: a seeded random dense stack of the
 /// given width and hidden activation pushed through one abstract domain.
-/// The case set is the perf trajectory tracked in BENCH_micro_domains.json
-/// from PR 3 onward.
 struct MicroDomainCase {
   std::string Name;  ///< stable identifier, e.g. "zonotope_dense_relu_w256"
   size_t Width = 25; ///< input and hidden width of the MLP
@@ -159,36 +188,22 @@ struct MicroDomainResult {
   int Repeats = 0;
 };
 
-/// The default tracked case set: zonotope / interval / powerset propagation
-/// through Dense+ReLU stacks at widths from ACAS-scale up to 512 units.
+/// The tracked domain cases: every base domain through Dense+ReLU stacks,
+/// at widths from ACAS scale up to 512 units, plus powersets and a sigmoid
+/// stack.
 std::vector<MicroDomainCase> defaultMicroDomainCases();
 
 /// Runs one case: builds the seeded network, times \p Repeats propagations
 /// (keeping the fastest), and collects dims / generator counts / margin.
+/// Aborts if two propagations disagree.
 MicroDomainResult runMicroDomainCase(const MicroDomainCase &Case, int Repeats);
 
-/// Serializes results as the BENCH_micro_domains.json document
-/// (schema "charon-bench-micro-domains/3": adds a per-case "act" field
-/// naming the hidden activation; /2 added the top-level "simd" field and
-/// the per-case "precision" field, which now always reads "double").
-std::string microDomainJson(const std::vector<MicroDomainResult> &Results);
-
-/// Writes microDomainJson to \p Path; returns false on I/O failure.
-bool writeMicroDomainJsonFile(const std::string &Path,
-                              const std::vector<MicroDomainResult> &Results);
-
-//===----------------------------------------------------------------------===//
-// Counterexample-search benchmark cases (BENCH_cex_search.json)
-//===----------------------------------------------------------------------===//
-
-/// One tracked counterexample-search case. "pgd_micro" cases time one
-/// multi-restart pgdMinimize call per engine on a seeded random MLP (the
-/// same fixture family as the micro-domain cases); "falsification_e2e"
-/// entries come from bench_rq2_falsification and time whole Charon runs.
+/// One tracked counterexample-search case: one multi-restart pgdMinimize
+/// call per engine on the seeded MLP the domain cases of the same width
+/// use.
 struct CexSearchCase {
-  std::string Name;               ///< stable id, e.g. "pgd_w256_multistart"
-  std::string Kind = "pgd_micro"; ///< "pgd_micro" or "falsification_e2e"
-  size_t Width = 64;              ///< input and hidden width of the MLP
+  std::string Name;  ///< stable id, e.g. "pgd_w256_multistart"
+  size_t Width = 64; ///< input and hidden width of the MLP
   int HiddenLayers = 3;
   int Restarts = 8;
   int Steps = 25;
@@ -197,71 +212,21 @@ struct CexSearchCase {
 /// Measurement of one case: the same search timed under both PGD engines.
 struct CexSearchResult {
   CexSearchCase Case;
-  /// Best objective found (identical across engines by construction; the
-  /// runner aborts if they disagree). 0 for end-to-end entries.
+  /// Best objective found, bit-identical across engines (the runner aborts
+  /// if they disagree).
   double Objective = 0.0;
   double ScalarSeconds = 0.0;  ///< best-of-repeats, Engine = Scalar
   double BatchedSeconds = 0.0; ///< best-of-repeats, Engine = Batched
   int Repeats = 0;
-  /// End-to-end entries only: properties falsified under each engine (the
-  /// counts can differ under a wall-clock budget because the slower engine
-  /// times out more). -1 for micro cases.
-  long FalsifiedScalar = -1;
-  long FalsifiedBatched = -1;
 };
 
-/// The tracked case set: multi-restart PGD at widths 64/128/256.
+/// The tracked PGD cases: multi-restart search at widths 64/128/256.
 std::vector<CexSearchCase> defaultCexSearchCases();
 
-/// Runs one micro case: times \p Repeats searches per engine (keeping the
-/// fastest), checks the engines return bit-identical objectives.
+/// Runs one case: times \p Repeats searches per engine (keeping the
+/// fastest). Aborts unless both engines return the same search result on
+/// every run.
 CexSearchResult runCexSearchCase(const CexSearchCase &Case, int Repeats);
-
-/// Serializes results as the BENCH_cex_search.json document
-/// (schema "charon-bench-cex-search/1").
-std::string cexSearchJson(const std::vector<CexSearchResult> &Results);
-
-/// Merges \p Results into the document at \p Path: cases with matching
-/// names are replaced in place, new ones appended, existing others kept —
-/// so bench_ablation_cex_search and bench_rq2_falsification can share one
-/// tracked file. Returns false on I/O failure.
-bool updateCexSearchJsonFile(const std::string &Path,
-                             const std::vector<CexSearchResult> &Results);
-
-//===----------------------------------------------------------------------===//
-// Thread scaling series (bench_parallel_scaling)
-//===----------------------------------------------------------------------===//
-
-/// One point of a scaling series: the same instance set decided by
-/// verifyParallel on a pool of the given size.
-struct ScalingPoint {
-  int Workers = 0;
-  double WallSeconds = 0.0;
-  double Speedup = 1.0;   ///< serial-baseline seconds / WallSeconds
-  long NodesExpanded = 0; ///< committed expansions, summed over instances
-  /// Committed expansions by thread — the work-distribution picture behind
-  /// the wall-clock number.
-  std::vector<long> PerWorkerExpanded;
-  /// Verdict/counterexample/objective bit-identical to the serial baseline
-  /// on every instance. The runners abort on a mismatch, so a false here
-  /// can only mean a Timeout race was tolerated.
-  bool VerdictsIdentical = true;
-};
-
-/// Serializes a scaling document (schema "charon-bench-scaling/2",
-/// written by bench_parallel_scaling): the host core count — the reader
-/// needs it to judge wall-clock numbers, since a 1-core host cannot show
-/// wall speedup however well the work is distributed — the serial
-/// baseline, and one entry per thread count.
-std::string scalingJson(const std::vector<std::string> &Instances,
-                        double SerialSeconds, long SerialNodes,
-                        const std::vector<ScalingPoint> &Points);
-
-/// Writes scalingJson to \p Path; returns false on I/O failure.
-bool writeScalingJsonFile(const std::string &Path,
-                          const std::vector<std::string> &Instances,
-                          double SerialSeconds, long SerialNodes,
-                          const std::vector<ScalingPoint> &Points);
 
 } // namespace bench
 } // namespace charon

@@ -11,125 +11,65 @@
 //     pathological case Sec. 5 acknowledges), tiny deltas keep precision;
 //     the sweep shows where verdicts flip on a robust property.
 //
-// Plus the scalar-vs-batched PGD engine micro-benchmarks tracked in
-// BENCH_cex_search.json (the batched concrete execution engine's perf
-// trajectory). Flags:
-//
-//   --cex-only            skip the ablation suites, run only the micro cases
-//   --cex-filter=SUBSTR   keep micro cases whose name contains SUBSTR
-//   --cex-repeats=N       timing repeats per engine (default 3)
-//   --cex-out=PATH        merge results into PATH
-//                         (default BENCH_cex_search.json)
-//
 //===----------------------------------------------------------------------===//
 
 #include "Harness.h"
 
 #include <cstdio>
-#include <cstring>
-#include <string>
 
 using namespace charon;
 using namespace charon::bench;
 
-int main(int argc, char **argv) {
-  // Timed cases must not depend on which cases ran before them in this
-  // process (see the Harness.h doc).
-  charon::bench::stabilizeAllocator();
-
-  std::string Filter;
-  std::string OutPath = "BENCH_cex_search.json";
-  int Repeats = 3;
-  bool CexOnly = false;
-  for (int I = 1; I < argc; ++I) {
-    const char *Arg = argv[I];
-    if (std::strncmp(Arg, "--cex-filter=", 13) == 0)
-      Filter = Arg + 13;
-    else if (std::strncmp(Arg, "--cex-out=", 10) == 0)
-      OutPath = Arg + 10;
-    else if (std::strncmp(Arg, "--cex-repeats=", 14) == 0)
-      Repeats = std::atoi(Arg + 14);
-    else if (std::strcmp(Arg, "--cex-only") == 0)
-      CexOnly = true;
-    else {
-      std::fprintf(stderr, "unknown flag %s\n", Arg);
-      return 1;
-    }
-  }
-
+int main() {
   HarnessConfig Config = defaultHarnessConfig();
+  VerificationPolicy Policy;
 
-  if (!CexOnly) {
-    VerificationPolicy Policy = loadOrDefaultPolicy(Config);
+  std::printf("== Ablation 1: coupling optimization with abstraction ==\n");
+  std::printf("(budget %.1fs/property, %d properties/network, built-in "
+              "policy)\n\n",
+              Config.BudgetSeconds, Config.PropertiesPerSuite);
 
-    std::printf("== Ablation 1: coupling optimization with abstraction ==\n");
-    std::printf("(budget %.1fs/property, %d properties/network)\n\n",
-                Config.BudgetSeconds, Config.PropertiesPerSuite);
+  std::vector<BenchmarkSuite> Suites = buildFcSuites(Config);
+  for (ToolKind Tool : {ToolKind::Charon, ToolKind::CharonNoCex}) {
+    Summary S = summarize(runToolOnSuites(Tool, Suites, Config, Policy));
+    printSummaryRow(toolName(Tool), S);
+  }
+  std::printf("\nWithout counterexample search the falsified slice must "
+              "drop to (near) zero\nwhile the verified slice stays "
+              "comparable — falsifiable instances turn into\ntimeouts.\n\n");
 
-    std::vector<BenchmarkSuite> Suites = buildFcSuites(Config);
-    for (ToolKind Tool : {ToolKind::Charon, ToolKind::CharonNoCex}) {
-      Summary S = summarize(runToolOnSuites(Tool, Suites, Config, Policy));
-      printSummaryRow(toolName(Tool), S);
-    }
-    std::printf("\nWithout counterexample search the falsified slice must "
-                "drop to (near) zero\nwhile the verified slice stays "
-                "comparable — falsifiable instances turn into\ntimeouts.\n\n");
-
-    std::printf("== Ablation 2: the delta threshold of Eq. 4 ==\n\n");
-    // One robust property per network; sweep delta and count spurious
-    // refutations (delta-counterexamples that are not true counterexamples).
-    std::printf("%-10s %-9s %-10s %-9s\n", "delta", "verified", "falsified",
-                "timeout");
-    for (double Delta : {1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0}) {
-      int Verified = 0, Falsified = 0, Timeout = 0;
-      for (const BenchmarkSuite &Suite : Suites) {
-        for (const RobustnessProperty &Prop : Suite.Properties) {
-          VerifierConfig VC;
-          VC.TimeLimitSeconds = Config.BudgetSeconds;
-          VC.Delta = Delta;
-          Verifier V(Suite.Net, Policy, VC);
-          switch (V.verify(Prop).Result) {
-          case Outcome::Verified:
-            ++Verified;
-            break;
-          case Outcome::Falsified:
-            ++Falsified;
-            break;
-          case Outcome::Timeout:
-            ++Timeout;
-            break;
-          }
+  std::printf("== Ablation 2: the delta threshold of Eq. 4 ==\n\n");
+  // One robust property per network; sweep delta and count spurious
+  // refutations (delta-counterexamples that are not true counterexamples).
+  std::printf("%-10s %-9s %-10s %-9s\n", "delta", "verified", "falsified",
+              "timeout");
+  for (double Delta : {1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0}) {
+    int Verified = 0, Falsified = 0, Timeout = 0;
+    for (const BenchmarkSuite &Suite : Suites) {
+      for (const RobustnessProperty &Prop : Suite.Properties) {
+        VerifierConfig VC;
+        VC.TimeLimitSeconds = Config.BudgetSeconds;
+        VC.Delta = Delta;
+        Verifier V(Suite.Net, Policy, VC);
+        switch (V.verify(Prop).Result) {
+        case Outcome::Verified:
+          ++Verified;
+          break;
+        case Outcome::Falsified:
+          ++Falsified;
+          break;
+        case Outcome::Timeout:
+          ++Timeout;
+          break;
         }
       }
-      std::printf("%-10.0e %-9d %-10d %-9d\n", Delta, Verified, Falsified,
-                  Timeout);
     }
-    std::printf("\nSmall deltas behave identically (delta-completeness is a "
-                "theoretical\nguarantee, not a practical precision loss); "
-                "large deltas flip robust\nbenchmarks into spurious "
-                "refutations.\n\n");
+    std::printf("%-10.0e %-9d %-10d %-9d\n", Delta, Verified, Falsified,
+                Timeout);
   }
-
-  std::printf("== Ablation 3: scalar vs batched PGD engine ==\n\n");
-  std::printf("%-22s %-12s %-12s %-8s\n", "case", "scalar(s)", "batched(s)",
-              "speedup");
-  std::vector<CexSearchResult> Results;
-  for (const CexSearchCase &Case : defaultCexSearchCases()) {
-    if (!Filter.empty() && Case.Name.find(Filter) == std::string::npos)
-      continue;
-    CexSearchResult R = runCexSearchCase(Case, Repeats);
-    std::printf("%-22s %-12.6f %-12.6f %-8.2f\n", R.Case.Name.c_str(),
-                R.ScalarSeconds, R.BatchedSeconds,
-                R.BatchedSeconds > 0.0 ? R.ScalarSeconds / R.BatchedSeconds
-                                       : 0.0);
-    Results.push_back(std::move(R));
-  }
-  if (!Results.empty()) {
-    if (!updateCexSearchJsonFile(OutPath, Results)) {
-      std::fprintf(stderr, "failed to write %s\n", OutPath.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s\n", OutPath.c_str());
-  }
+  std::printf("\nSmall deltas behave identically (delta-completeness is a "
+              "theoretical\nguarantee, not a practical precision loss); "
+              "large deltas flip robust\nbenchmarks into spurious "
+              "refutations.\n");
   return 0;
 }

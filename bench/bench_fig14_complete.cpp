@@ -21,11 +21,11 @@ using namespace charon::bench;
 
 int main() {
   HarnessConfig Config = defaultHarnessConfig();
-  VerificationPolicy Policy = loadOrDefaultPolicy(Config);
+  VerificationPolicy Policy;
 
   std::printf("== Figure 14: comparison with ReluVal and Reluplex ==\n");
   std::printf("(budget %.1fs/property, %d properties/network, conv net "
-              "excluded)\n\n",
+              "excluded, built-in policy)\n\n",
               Config.BudgetSeconds, Config.PropertiesPerSuite);
 
   std::vector<BenchmarkSuite> Suites = buildFcSuites(Config);

@@ -19,10 +19,11 @@ using namespace charon::bench;
 
 int main() {
   HarnessConfig Config = defaultHarnessConfig();
-  VerificationPolicy Policy = loadOrDefaultPolicy(Config);
+  VerificationPolicy Policy;
 
   std::printf("== Figure 15: ReluVal on the Charon-verified benchmarks ==\n");
-  std::printf("(budget %.1fs/property, %d properties/network)\n\n",
+  std::printf("(budget %.1fs/property, %d properties/network, built-in "
+              "policy)\n\n",
               Config.BudgetSeconds, Config.PropertiesPerSuite);
 
   std::vector<BenchmarkSuite> Suites = buildFcSuites(Config);

@@ -1,144 +1,33 @@
-//===- bench_micro_domains.cpp - Microbenchmarks of the core kernels -----------===//
+//===- bench_micro_domains.cpp - Micro cases of the core kernels ---------------===//
 //
 // Part of the Charon reproduction of "Optimization and Abstraction" (PLDI'19).
 //
-// google-benchmark microbenchmarks of the kernels every experiment rests
-// on: the abstract transformers of each domain (the cost model behind the
-// precision/scalability trade-off the domain policy navigates), PGD
-// counterexample search, symbolic-interval propagation, and LP solving.
+// The kernels every experiment rests on, timed on seeded random MLPs: one
+// abstract propagation per domain (the cost model behind the
+// precision/scalability trade-off the domain policy navigates), and one
+// multi-restart PGD counterexample search under the scalar and the batched
+// engine. Aborts if any case is nondeterministic or the two engines
+// disagree; otherwise writes the cases as a charon-bench/1 document.
+//
+//   --filter=SUBSTR   only run cases whose name contains SUBSTR
+//   --out=PATH        output path (default BENCH_micro_domains.json)
+//   --repeats=N       timed repetitions per case, fastest kept (default 3)
 //
 //===----------------------------------------------------------------------===//
 
 #include "Harness.h"
 
-#include "abstract/Analyzer.h"
-#include "lp/Simplex.h"
-#include "nn/Builder.h"
-#include "opt/Pgd.h"
-#include "support/Random.h"
-
-#include <benchmark/benchmark.h>
+#include "nn/Activation.h"
 
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <limits>
 #include <string>
 
 using namespace charon;
+using namespace charon::bench;
 
-namespace {
-
-/// Shared fixture state: a random MLP and an input region per width.
-struct NetFixture {
-  Network Net;
-  Box Region;
-
-  NetFixture(size_t Width, int Layers) {
-    Rng R(17);
-    Net = makeMlp(Width, std::vector<size_t>(Layers, Width), 10, R);
-    Vector Center(Width);
-    for (size_t I = 0; I < Width; ++I)
-      Center[I] = R.uniform(0.3, 0.7);
-    Region = Box::linfBall(Center, 0.05, 0.0, 1.0);
-  }
-};
-
-void runDomain(benchmark::State &State, BaseDomainKind Base, int Disjuncts) {
-  NetFixture F(static_cast<size_t>(State.range(0)), 3);
-  DomainSpec Spec{Base, Disjuncts};
-  for (auto _ : State) {
-    AnalysisResult R = analyzeRobustness(F.Net, F.Region, 0, Spec);
-    benchmark::DoNotOptimize(R.Margin);
-  }
-}
-
-void BM_IntervalAnalysis(benchmark::State &State) {
-  runDomain(State, BaseDomainKind::Interval, 1);
-}
-BENCHMARK(BM_IntervalAnalysis)->Arg(25)->Arg(50)->Arg(100);
-
-void BM_ZonotopeAnalysis(benchmark::State &State) {
-  runDomain(State, BaseDomainKind::Zonotope, 1);
-}
-BENCHMARK(BM_ZonotopeAnalysis)->Arg(25)->Arg(50)->Arg(100);
-
-void BM_ZonotopePowerset4(benchmark::State &State) {
-  runDomain(State, BaseDomainKind::Zonotope, 4);
-}
-BENCHMARK(BM_ZonotopePowerset4)->Arg(25)->Arg(50);
-
-void BM_ZonotopePowerset64(benchmark::State &State) {
-  runDomain(State, BaseDomainKind::Zonotope, 64);
-}
-BENCHMARK(BM_ZonotopePowerset64)->Arg(25);
-
-void BM_SymbolicIntervalAnalysis(benchmark::State &State) {
-  runDomain(State, BaseDomainKind::SymbolicInterval, 1);
-}
-BENCHMARK(BM_SymbolicIntervalAnalysis)->Arg(25)->Arg(50)->Arg(100);
-
-void BM_PolyhedraAnalysis(benchmark::State &State) {
-  runDomain(State, BaseDomainKind::Polyhedra, 1);
-}
-BENCHMARK(BM_PolyhedraAnalysis)->Arg(25)->Arg(50)->Arg(100);
-
-void BM_PgdSearch(benchmark::State &State) {
-  NetFixture F(static_cast<size_t>(State.range(0)), 3);
-  Rng R(23);
-  PgdConfig Config;
-  for (auto _ : State) {
-    PgdResult P = pgdMinimize(F.Net, F.Region, 0, Config, R);
-    benchmark::DoNotOptimize(P.Objective);
-  }
-}
-BENCHMARK(BM_PgdSearch)->Arg(25)->Arg(100);
-
-void BM_ConcreteForward(benchmark::State &State) {
-  NetFixture F(static_cast<size_t>(State.range(0)), 3);
-  Vector X = F.Region.center();
-  for (auto _ : State) {
-    Vector Y = F.Net.evaluate(X);
-    benchmark::DoNotOptimize(Y[0]);
-  }
-}
-BENCHMARK(BM_ConcreteForward)->Arg(25)->Arg(100);
-
-void BM_SimplexSolve(benchmark::State &State) {
-  // Random dense LP of the given size (feasible by construction: rhs > 0).
-  int N = static_cast<int>(State.range(0));
-  Rng R(29);
-  LpProblem Lp;
-  for (int I = 0; I < N; ++I)
-    Lp.addVariable(-1.0, 1.0);
-  for (int C = 0; C < N; ++C) {
-    std::vector<std::pair<int, double>> Terms;
-    for (int I = 0; I < N; ++I)
-      Terms.emplace_back(I, R.gaussian());
-    Lp.addLeqConstraint(std::move(Terms), R.uniform(1.0, 3.0));
-  }
-  Vector Obj(N);
-  for (int I = 0; I < N; ++I)
-    Obj[I] = R.gaussian();
-  for (auto _ : State) {
-    LpResult Res = Lp.maximize(Obj);
-    benchmark::DoNotOptimize(Res.Value);
-  }
-}
-BENCHMARK(BM_SimplexSolve)->Arg(10)->Arg(30)->Arg(60);
-
-} // namespace
-
-// Custom main: always runs the tracked micro-domain case set and writes the
-// machine-readable BENCH_micro_domains.json perf trajectory; google-benchmark
-// registrations above additionally run when --gbench is passed (any other
-// arguments are forwarded to the benchmark library).
-//
-//   --micro-filter=SUBSTR   only run cases whose name contains SUBSTR
-//   --micro-out=PATH        output JSON path (default BENCH_micro_domains.json)
-//   --micro-repeats=N       timed repetitions per case, fastest kept (def. 3)
-//   --gbench                also run the google-benchmark microbenchmarks
 int main(int argc, char **argv) {
-  using namespace charon::bench;
-
   // Timed cases must not depend on which cases ran before them in this
   // process (see the Harness.h doc).
   stabilizeAllocator();
@@ -146,48 +35,79 @@ int main(int argc, char **argv) {
   std::string Filter;
   std::string OutPath = "BENCH_micro_domains.json";
   int Repeats = 3;
-  bool RunGbench = false;
-
-  std::vector<char *> Forwarded{argv[0]};
   for (int I = 1; I < argc; ++I) {
-    const char *Arg = argv[I];
-    if (std::strncmp(Arg, "--micro-filter=", 15) == 0)
-      Filter = Arg + 15;
-    else if (std::strncmp(Arg, "--micro-out=", 12) == 0)
-      OutPath = Arg + 12;
-    else if (std::strncmp(Arg, "--micro-repeats=", 16) == 0)
-      Repeats = std::max(1, std::atoi(Arg + 16));
-    else if (std::strcmp(Arg, "--gbench") == 0)
-      RunGbench = true;
-    else
-      Forwarded.push_back(argv[I]);
+    std::string Arg = argv[I];
+    if (Arg.rfind("--filter=", 0) == 0) {
+      Filter = Arg.substr(9);
+      continue;
+    }
+    if (Arg.rfind("--out=", 0) == 0) {
+      OutPath = Arg.substr(6);
+      continue;
+    }
+    char *End = nullptr;
+    long N = Arg.rfind("--repeats=", 0) == 0
+                 ? std::strtol(Arg.c_str() + 10, &End, 10)
+                 : 0;
+    if (N >= 1 && N <= std::numeric_limits<int>::max() && *End == '\0') {
+      Repeats = static_cast<int>(N);
+      continue;
+    }
+    std::fprintf(stderr,
+                 "usage: %s [--filter=SUBSTR] [--out=PATH] [--repeats=N]\n",
+                 argv[0]);
+    return 2;
   }
+  auto Selected = [&Filter](const std::string &Name) {
+    return Name.find(Filter) != std::string::npos;
+  };
 
-  std::vector<MicroDomainResult> Results;
+  std::vector<BenchCase> Cases;
   for (const MicroDomainCase &Case : defaultMicroDomainCases()) {
-    if (!Filter.empty() && Case.Name.find(Filter) == std::string::npos)
+    if (!Selected(Case.Name))
       continue;
     MicroDomainResult R = runMicroDomainCase(Case, Repeats);
-    std::printf("%-28s %8.4f s  gens=%-5zu margin=%.6g\n", R.Case.Name.c_str(),
-                R.Seconds, R.Generators, R.Margin);
-    Results.push_back(std::move(R));
+    std::printf("%-34s %10.6f s  gens=%-5zu margin=%.6g\n",
+                R.Case.Name.c_str(), R.Seconds, R.Generators, R.Margin);
+    Cases.push_back(BenchCase(R.Case.Name)
+                        .text("kind", "domain")
+                        .text("domain", toString(R.Case.Spec))
+                        .text("act", toString(R.Case.Act))
+                        .number("width", R.Case.Width)
+                        .number("hidden_layers", R.Case.HiddenLayers)
+                        .number("input_dim", R.InputDim)
+                        .number("output_dim", R.OutputDim)
+                        .number("generators", R.Generators)
+                        .number("margin", R.Margin)
+                        .number("seconds", R.Seconds)
+                        .number("repeats", R.Repeats));
   }
-  if (Results.empty()) {
-    std::fprintf(stderr, "no micro-domain case matches filter '%s'\n",
-                 Filter.c_str());
+  for (const CexSearchCase &Case : defaultCexSearchCases()) {
+    if (!Selected(Case.Name))
+      continue;
+    CexSearchResult R = runCexSearchCase(Case, Repeats);
+    std::printf("%-34s %10.6f s  scalar %.6f s  objective=%.6g\n",
+                R.Case.Name.c_str(), R.BatchedSeconds, R.ScalarSeconds,
+                R.Objective);
+    Cases.push_back(BenchCase(R.Case.Name)
+                        .text("kind", "pgd")
+                        .number("width", R.Case.Width)
+                        .number("hidden_layers", R.Case.HiddenLayers)
+                        .number("restarts", R.Case.Restarts)
+                        .number("steps", R.Case.Steps)
+                        .number("objective", R.Objective)
+                        .number("scalar_seconds", R.ScalarSeconds)
+                        .number("batched_seconds", R.BatchedSeconds)
+                        .number("repeats", R.Repeats));
+  }
+  if (Cases.empty()) {
+    std::fprintf(stderr, "no case matches filter '%s'\n", Filter.c_str());
     return 1;
   }
-  if (!writeMicroDomainJsonFile(OutPath, Results)) {
+  if (!writeBenchFile(OutPath, "bench_micro_domains", Cases)) {
     std::fprintf(stderr, "failed to write %s\n", OutPath.c_str());
     return 1;
   }
-  std::printf("wrote %s (%zu cases)\n", OutPath.c_str(), Results.size());
-
-  if (RunGbench) {
-    int FwdArgc = static_cast<int>(Forwarded.size());
-    benchmark::Initialize(&FwdArgc, Forwarded.data());
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-  }
+  std::printf("wrote %s (%zu cases)\n", OutPath.c_str(), Cases.size());
   return 0;
 }

@@ -7,9 +7,12 @@
 // provide", Sec. 6) and reports CPU time precisely because of this. This
 // harness measures the wall-clock speedup of verifyParallel() over the
 // sequential verifier on refinement-heavy properties, across thread
-// counts, and emits a "charon-bench-scaling/2" JSON document.
+// counts, and writes a charon-bench/1 document: one case for the serial
+// baseline and one per thread count. Every instance must reach its serial
+// verdict and node count at every thread count; the bench exits 1 if one
+// does not.
 //
-//   --scaling-out=PATH   output JSON path (default BENCH_parallel_scaling.json)
+//   --out=PATH   output path (default BENCH_parallel_scaling.json)
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,19 +36,20 @@ using namespace charon::bench;
 int main(int argc, char **argv) {
   std::string OutPath = "BENCH_parallel_scaling.json";
   for (int I = 1; I < argc; ++I) {
-    if (std::strncmp(argv[I], "--scaling-out=", 14) == 0)
-      OutPath = argv[I] + 14;
+    if (std::strncmp(argv[I], "--out=", 6) == 0)
+      OutPath = argv[I] + 6;
     else {
-      std::fprintf(stderr, "usage: %s [--scaling-out=P]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--out=PATH]\n", argv[0]);
       return 2;
     }
   }
 
   HarnessConfig Config = defaultHarnessConfig();
-  VerificationPolicy Policy = loadOrDefaultPolicy(Config);
+  VerificationPolicy Policy;
 
   std::printf("== Parallelization of independent Analyze calls (Sec. 6) ==\n");
-  std::printf("(budget %.1fs/property, %u hardware threads)\n\n",
+  std::printf("(budget %.1fs/property, %u hardware threads, built-in "
+              "policy)\n\n",
               Config.BudgetSeconds, std::thread::hardware_concurrency());
 
   // Pick refinement-heavy properties: verified sequentially, with many
@@ -79,28 +83,38 @@ int main(int argc, char **argv) {
   // properties, timed like the thread points below: the selection pass
   // pays first-touch costs that later runs do not, so timing it would
   // overstate every speedup.
+  std::vector<VerifyResult> Serial;
   long SerialNodes = 0;
-  std::vector<std::string> Names;
+  std::string Names;
   Stopwatch SerialWatch;
   for (const HardProp &H : HardProps) {
     VerifierConfig VC;
     VC.TimeLimitSeconds = 4.0 * Config.BudgetSeconds;
     Verifier V(H.Suite->Net, Policy, VC);
-    SerialNodes += V.verify(*H.Prop).Stats.NodesExpanded;
-    Names.push_back(H.Prop->Name); // already qualified "<suite>/p<N>"
+    Serial.push_back(V.verify(*H.Prop));
+    SerialNodes += Serial.back().Stats.NodesExpanded;
+    // Already qualified "<suite>/p<N>".
+    Names += (Names.empty() ? "" : " ") + H.Prop->Name;
   }
   double SerialSeconds = SerialWatch.seconds();
   std::printf("%zu refinement-heavy properties selected (serial %.3f s, "
               "%ld nodes)\n\n",
               HardProps.size(), SerialSeconds, SerialNodes);
 
+  std::vector<BenchCase> Cases;
+  Cases.push_back(BenchCase("serial")
+                      .text("instances", Names)
+                      .number("wall_seconds", SerialSeconds)
+                      .number("search.nodes", SerialNodes));
   std::printf("%-10s %-14s %-8s %-12s %s\n", "threads", "wall-seconds",
               "speedup", "nodes/sec", "trace-events");
-  std::vector<ScalingPoint> Points;
+  bool Mismatch = false;
   for (unsigned Threads : {1u, 2u, 4u, 8u}) {
     ThreadPool Pool(Threads);
     Stopwatch Watch;
     int Verified = 0;
+    // Each instance's verdict and node count must equal its serial run's.
+    bool Identical = true;
     VerifyStats Aggregate;
     // Count every node expansion through the trace sink (the structured
     // observability channel) and cross-check against NodesExpanded — the
@@ -121,7 +135,8 @@ int main(int argc, char **argv) {
       if (std::strcmp(Event.Outcome, "aborted"))
         ++CommittedByThread[std::this_thread::get_id()];
     };
-    for (const HardProp &H : HardProps) {
+    for (size_t I = 0; I < HardProps.size(); ++I) {
+      const HardProp &H = HardProps[I];
       VerifierConfig VC;
       VC.TimeLimitSeconds = 4.0 * Config.BudgetSeconds;
       VC.Trace = Counting;
@@ -129,39 +144,46 @@ int main(int argc, char **argv) {
       VerifyResult R = V.verifyParallel(*H.Prop, Pool);
       if (R.Result == Outcome::Verified)
         ++Verified;
+      Identical &= R.Result == Serial[I].Result &&
+                   R.Stats.NodesExpanded == Serial[I].Stats.NodesExpanded;
       Aggregate += R.Stats;
     }
     double Elapsed = Watch.seconds();
     // Aborted events are emitted but not counted as expansions (their node
     // stays open), so the committed-expansion identity excludes them.
     long Committed = SplitEvents + OtherEvents;
+    bool EventsMatch = Committed == Aggregate.NodesExpanded;
+    double Speedup = Elapsed > 0.0 ? SerialSeconds / Elapsed : 1.0;
     std::printf("%-10u %-14.3f %-8.2f %-12.0f %ld (%ld splits)%s   "
-                "(%d/%zu verified)\n",
-                Threads, Elapsed,
-                Elapsed > 0.0 ? SerialSeconds / Elapsed : 1.0,
+                "(%d/%zu verified)%s\n",
+                Threads, Elapsed, Speedup,
                 Elapsed > 0.0 ? Aggregate.NodesExpanded / Elapsed : 0.0,
                 Committed + AbortedEvents, SplitEvents,
-                Committed == Aggregate.NodesExpanded ? "" : " MISMATCH",
-                Verified, HardProps.size());
+                EventsMatch ? "" : " MISMATCH", Verified, HardProps.size(),
+                Identical ? "" : "  DIFFERS FROM SERIAL");
+    Mismatch |= !Identical || !EventsMatch;
 
-    ScalingPoint P;
-    P.Workers = static_cast<int>(Threads);
-    P.WallSeconds = Elapsed;
-    P.Speedup = Elapsed > 0.0 ? SerialSeconds / Elapsed : 1.0;
-    P.NodesExpanded = Aggregate.NodesExpanded;
+    std::vector<double> ByThread;
     for (const auto &Entry : CommittedByThread)
-      P.PerWorkerExpanded.push_back(Entry.second);
-    // Verified at every thread count and the per-event identity held.
-    P.VerdictsIdentical = Verified == static_cast<int>(HardProps.size()) &&
-                          Committed == Aggregate.NodesExpanded;
-    Points.push_back(std::move(P));
+      ByThread.push_back(Entry.second);
+    Cases.push_back(BenchCase("threads_" + std::to_string(Threads))
+                        .number("threads", Threads)
+                        .number("wall_seconds", Elapsed)
+                        .number("speedup", Speedup)
+                        .number("search.nodes", Aggregate.NodesExpanded)
+                        .numbers("search.nodes_by_thread", ByThread)
+                        .flag("verdicts_identical", Identical));
   }
-  if (!writeScalingJsonFile(OutPath, Names, SerialSeconds, SerialNodes,
-                            Points)) {
+  if (!writeBenchFile(OutPath, "bench_parallel_scaling", Cases)) {
     std::fprintf(stderr, "failed to write %s\n", OutPath.c_str());
     return 1;
   }
-  std::printf("\nwrote %s (%zu points)\n", OutPath.c_str(), Points.size());
+  std::printf("\nwrote %s (%zu cases)\n", OutPath.c_str(), Cases.size());
+  if (Mismatch) {
+    std::fprintf(stderr, "a parallel run's verdict, node count or trace "
+                         "event count differs from the serial run\n");
+    return 1;
+  }
   std::printf("\nVerdicts must not depend on the thread count; wall-clock "
               "time should\nshrink with threads on refinement-heavy "
               "instances (flat scaling is\nexpected on single-core "

@@ -7,38 +7,24 @@
 // counterexample? The paper reports Charon 123, Reluplex 1, ReluVal 0 of
 // 585 — optimization-based counterexample search is what makes
 // falsification work. Includes the Charon-without-PGD ablation to isolate
-// the mechanism, and a scalar-vs-batched PGD engine leg that times the
-// whole falsification sweep end to end (merged into BENCH_cex_search.json;
-// override the path with --cex-out=PATH).
+// the mechanism.
 //
 //===----------------------------------------------------------------------===//
 
 #include "Harness.h"
 
 #include <cstdio>
-#include <cstring>
-#include <string>
 
 using namespace charon;
 using namespace charon::bench;
 
-int main(int argc, char **argv) {
-  std::string OutPath = "BENCH_cex_search.json";
-  for (int I = 1; I < argc; ++I) {
-    const char *Arg = argv[I];
-    if (std::strncmp(Arg, "--cex-out=", 10) == 0)
-      OutPath = Arg + 10;
-    else {
-      std::fprintf(stderr, "unknown flag %s\n", Arg);
-      return 1;
-    }
-  }
-
+int main() {
   HarnessConfig Config = defaultHarnessConfig();
-  VerificationPolicy Policy = loadOrDefaultPolicy(Config);
+  VerificationPolicy Policy;
 
   std::printf("== Sec. 7.3 (RQ2): falsification counts ==\n");
-  std::printf("(budget %.1fs/property, %d properties/network)\n\n",
+  std::printf("(budget %.1fs/property, %d properties/network, built-in "
+              "policy)\n\n",
               Config.BudgetSeconds, Config.PropertiesPerSuite);
 
   std::vector<BenchmarkSuite> Suites = buildFcSuites(Config);
@@ -56,44 +42,6 @@ int main(int argc, char **argv) {
   std::printf("\nShape check vs the paper (123 / 1 / 0 of 585): Charon "
               "falsifies by far\nthe most; Reluplex a handful at best; "
               "ReluVal essentially none; and the\nno-counterexample-search "
-              "ablation can falsify nothing by construction.\n\n");
-
-  // End-to-end engine ablation: the same Charon sweep under both PGD
-  // engines. Falsified counts may legitimately differ under a wall-clock
-  // budget (the slower engine times out more), so both are recorded.
-  std::printf("== PGD engine ablation (end-to-end falsification sweep) ==\n\n");
-  CexSearchResult E2e;
-  E2e.Case.Name = "rq2_falsification_e2e";
-  E2e.Case.Kind = "falsification_e2e";
-  E2e.Case.Width = 0;
-  E2e.Case.HiddenLayers = 0;
-  E2e.Repeats = 1;
-  {
-    HarnessConfig C = Config;
-    C.Pgd.Engine = PgdEngine::Scalar;
-    Summary S = summarize(runToolOnSuites(ToolKind::Charon, Suites, C, Policy));
-    E2e.ScalarSeconds = S.TotalSeconds;
-    E2e.FalsifiedScalar = S.Falsified;
-    E2e.Case.Restarts = C.Pgd.Restarts;
-    E2e.Case.Steps = C.Pgd.Steps;
-  }
-  {
-    HarnessConfig C = Config;
-    C.Pgd.Engine = PgdEngine::Batched;
-    Summary S = summarize(runToolOnSuites(ToolKind::Charon, Suites, C, Policy));
-    E2e.BatchedSeconds = S.TotalSeconds;
-    E2e.FalsifiedBatched = S.Falsified;
-  }
-  std::printf("%-10s %-12s %s\n", "engine", "seconds", "falsified");
-  std::printf("%-10s %-12.3f %ld / %zu\n", "scalar", E2e.ScalarSeconds,
-              E2e.FalsifiedScalar, Total);
-  std::printf("%-10s %-12.3f %ld / %zu\n", "batched", E2e.BatchedSeconds,
-              E2e.FalsifiedBatched, Total);
-
-  if (!updateCexSearchJsonFile(OutPath, {E2e})) {
-    std::fprintf(stderr, "failed to write %s\n", OutPath.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\n", OutPath.c_str());
+              "ablation can falsify nothing by construction.\n");
   return 0;
 }

@@ -40,6 +40,7 @@ VerificationPolicy makeStaticPolicy() {
 
 int main() {
   HarnessConfig Config = defaultHarnessConfig();
+  const char *PolicyPath = "networks/policy.txt";
 
   std::printf("== Sec. 7.4 (RQ3): impact of learning the verification "
               "policy ==\n");
@@ -49,9 +50,9 @@ int main() {
   // Training phase (Sec. 6): 12 ACAS-like properties, Bayesian optimization
   // over theta, p = 2. Reuse a previously learned policy when present.
   VerificationPolicy Learned;
-  if (auto FromDisk = loadPolicyFile(Config.PolicyPath)) {
+  if (auto FromDisk = loadPolicyFile(PolicyPath)) {
     Learned = *FromDisk;
-    std::printf("loaded learned policy from %s\n\n", Config.PolicyPath.c_str());
+    std::printf("loaded learned policy from %s\n\n", PolicyPath);
   } else {
     std::printf("training policy on 12 ACAS-like properties...\n");
     BenchmarkSuite Acas = makeAcasSuite(12, 77);
@@ -65,9 +66,9 @@ int main() {
     Rng R(4242);
     PolicyTrainResult Result = trainPolicy(Problems, TC, R);
     Learned = Result.Policy;
-    savePolicyFile(Learned, Config.PolicyPath);
-    std::printf("training done: score %.3f (default %.3f)\n\n",
-                Result.BestScore, Result.DefaultScore);
+    savePolicyFile(Learned, PolicyPath);
+    std::printf("training done: score %.3f (default %.3f), saved to %s\n\n",
+                Result.BestScore, Result.DefaultScore, PolicyPath);
   }
 
   // Deployment phase on the unseen image suites.

@@ -47,13 +47,15 @@ std::vector<JobRequest> makeJobs(NetworkId Net, const BenchmarkSuite &Suite,
 
 int main() {
   HarnessConfig Config = defaultHarnessConfig();
-  VerificationPolicy Policy = loadOrDefaultPolicy(Config);
+  VerificationPolicy Policy;
   int NumProps = std::max(12, 3 * Config.PropertiesPerSuite);
   BenchmarkSuite Suite = makeAcasSuite(NumProps, 99, "networks");
 
   std::printf("== Verification service throughput (ACAS suite) ==\n");
-  std::printf("(%d jobs, budget %.1fs/job, %u hardware threads)\n\n", NumProps,
-              Config.BudgetSeconds, std::thread::hardware_concurrency());
+  std::printf("(%d jobs, budget %.1fs/job, %u hardware threads, built-in "
+              "policy)\n\n",
+              NumProps, Config.BudgetSeconds,
+              std::thread::hardware_concurrency());
 
   // -- 1. Worker scaling, cache off so every job really executes. --------
   std::printf("%-10s %-14s %-12s %s\n", "workers", "wall-seconds", "jobs/sec",
@@ -102,9 +104,8 @@ int main() {
               Warm.jobsPerSecond(), Warm.CacheHits, Warm.Outcomes.size());
 
   // A cold Timeout may legitimately become a decided warm verdict: the
-  // service resumes cached Timeout checkpoints (ServiceConfig::
-  // ResumeTimeouts), spending a fresh budget on the saved frontier. Any
-  // other verdict change is a soundness bug.
+  // service resumes cached Timeout checkpoints, spending a fresh budget on
+  // the saved frontier. Any other verdict change is a soundness bug.
   bool VerdictsMatch = true;
   int ResumedDecided = 0;
   for (size_t I = 0; I < Cold.Outcomes.size(); ++I) {

@@ -6,13 +6,13 @@
 # with CHARON_KERNEL_THRESHOLD=1, which forces every linalg kernel onto the
 # thread pool so the threaded paths are exercised under the sanitizers even
 # on fuzz-scale networks.
-# After the suite, two bench smokes run: one micro-domain case and one
-# scalar-vs-batched PGD case, each checking that the emitted JSON document
-# is valid (full parse when python3 is available, structural grep
-# otherwise). The PGD smoke doubles as a live engine-equivalence check (the
-# bench aborts if the engines' objectives differ) and runs on the sanitize
-# leg with CHARON_KERNEL_THRESHOLD=1, driving the batched search through
-# the threaded kernels under ASan + UBSan.
+# After the suite, one bench smoke runs the w64 micro cases (two domain
+# cases and one scalar-vs-batched PGD case) and validates the charon-bench/1
+# document it writes (each line parsed when python3 is available,
+# structural grep otherwise). The PGD case doubles as a live
+# engine-equivalence check (the bench aborts if the engines' searches
+# differ); the sanitize leg runs it with CHARON_KERNEL_THRESHOLD=1, driving
+# the batched search through the threaded kernels under ASan + UBSan.
 # A trace/checkpoint smoke exports the ACAS-like suite, verifies a
 # property with --trace (validating the charon-trace/1 JSONL schema), and
 # exercises the Timeout -> --checkpoint -> --resume path; the sanitize leg
@@ -120,63 +120,49 @@ else
   echo "dispatch matrix: ${SIMD_LEVELS[*]} OK"
 fi
 
-# Bench smoke: one micro-domain case must run and emit valid JSON.
+# Bench smoke: the w64 micro cases (two domain cases and one PGD case) must
+# run and write a valid charon-bench/1 document. The PGD case doubles as a
+# live engine-equivalence check: the bench aborts if the scalar and batched
+# engines' searches differ. On the sanitize leg the forced kernel threshold
+# pushes the batched search onto the thread pool under ASan + UBSan.
 SMOKE_JSON="$BUILD_DIR/bench-smoke.json"
-"$BUILD_DIR/bench/bench_micro_domains" \
-  --micro-filter=zonotope_dense_relu_w64 --micro-repeats=1 \
-  --micro-out="$SMOKE_JSON"
+BENCH_ENV=()
+if [[ "$SANITIZE" == 1 ]]; then
+  BENCH_ENV+=(CHARON_KERNEL_THRESHOLD=1)
+fi
+env "${BENCH_ENV[@]}" "$BUILD_DIR/bench/bench_micro_domains" \
+  --filter=w64 --repeats=1 --out="$SMOKE_JSON"
 if command -v python3 >/dev/null 2>&1; then
   python3 - "$SMOKE_JSON" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "charon-bench-micro-domains/3", doc["schema"]
-assert doc["simd"] in ("scalar", "avx2"), doc["simd"]
-assert len(doc["cases"]) == 1, doc["cases"]
-case = doc["cases"][0]
-for field in ("name", "domain", "precision", "act", "width", "hidden_layers",
-              "input_dim", "output_dim", "generators", "margin", "seconds",
-              "repeats"):
-    assert field in case, field
-assert case["precision"] == "double", case["precision"]
-assert case["act"] in ("relu", "sigmoid", "tanh"), case["act"]
-assert case["seconds"] > 0, case["seconds"]
-print("bench smoke: JSON OK")
+import json, math, re, sys
+lines = open(sys.argv[1]).read().splitlines()
+header = json.loads(lines[0])
+assert header["schema"] == "charon-bench/1", header
+assert header["simd"] in ("scalar", "avx2"), header
+assert header["host_cores"] >= 1, header
+name_rule = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
+def numbers(value):
+    if isinstance(value, list):
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return [value]
+    return []
+cases = [json.loads(line) for line in lines[1:]]
+names = [case["name"] for case in cases]
+assert len(set(names)) == len(names), names
+for case in cases:
+    assert name_rule.match(case["name"]), case["name"]
+    for field, value in case.items():
+        assert name_rule.match(field), field
+        assert all(math.isfinite(x) for x in numbers(value)), (field, value)
+kinds = [case["kind"] for case in cases]
+assert "domain" in kinds and "pgd" in kinds, kinds
+print(f"bench smoke: {len(cases)} cases OK")
 EOF
 else
-  grep -q '"schema": "charon-bench-micro-domains/3"' "$SMOKE_JSON"
-  grep -q '"name": "zonotope_dense_relu_w64"' "$SMOKE_JSON"
+  grep -q '^{"schema": "charon-bench/1", ' "$SMOKE_JSON"
+  grep -q '"name": "pgd_w64_multistart"' "$SMOKE_JSON"
   echo "bench smoke: JSON OK (grep)"
-fi
-
-# Cex-search smoke: one scalar-vs-batched PGD case must run (aborting on
-# any engine disagreement) and emit valid JSON. On the sanitize leg the
-# forced kernel threshold pushes the batched search onto the thread pool.
-CEX_SMOKE_JSON="$BUILD_DIR/bench-cex-smoke.json"
-CEX_ENV=()
-if [[ "$SANITIZE" == 1 ]]; then
-  CEX_ENV+=(CHARON_KERNEL_THRESHOLD=1)
-fi
-env "${CEX_ENV[@]}" "$BUILD_DIR/bench/bench_ablation_cex_search" \
-  --cex-only --cex-filter=pgd_w64 --cex-repeats=1 \
-  --cex-out="$CEX_SMOKE_JSON"
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$CEX_SMOKE_JSON" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "charon-bench-cex-search/1", doc["schema"]
-assert len(doc["cases"]) == 1, doc["cases"]
-case = doc["cases"][0]
-for field in ("name", "kind", "width", "hidden_layers", "restarts", "steps",
-              "objective", "scalar_seconds", "batched_seconds", "speedup",
-              "repeats", "falsified_scalar", "falsified_batched"):
-    assert field in case, field
-assert case["batched_seconds"] > 0, case["batched_seconds"]
-print("cex smoke: JSON OK")
-EOF
-else
-  grep -q '"schema": "charon-bench-cex-search/1"' "$CEX_SMOKE_JSON"
-  grep -q '"name": "pgd_w64_multistart"' "$CEX_SMOKE_JSON"
-  echo "cex smoke: JSON OK (grep)"
 fi
 
 # Trace/checkpoint smoke: export a small ACAS-like suite, run a traced

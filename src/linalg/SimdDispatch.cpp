@@ -12,8 +12,6 @@
 using namespace charon;
 using namespace charon::kernels;
 
-const char *charon::toString(KernelPrecision) { return "double"; }
-
 const char *kernels::simdLevelName(SimdLevel Level) {
   return Level == SimdLevel::Avx2 ? "avx2" : "scalar";
 }

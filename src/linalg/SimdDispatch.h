@@ -46,12 +46,9 @@
 namespace charon {
 
 /// Numeric precision the *abstract-domain* kernels run at. Double is the
-/// only mode; the enum stays so configs, digests and bench records keep
-/// their precision field.
+/// only mode; the enum stays so configs and digests keep their precision
+/// field.
 enum class KernelPrecision { Double };
-
-/// "double" (the stable name used in bench JSON and docs).
-const char *toString(KernelPrecision P);
 
 namespace kernels {
 

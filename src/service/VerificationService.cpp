@@ -94,6 +94,15 @@ VerificationService::~VerificationService() { shutdown(); }
 JobHandle VerificationService::submit(JobRequest Request) {
   assert(Accepting.load() && "submit after shutdown");
   auto State = std::make_shared<detail::JobState>();
+  // Refuse what cannot run: such a job would read past the registry or stop
+  // the whole process where its search starts, with every other job.
+  if (Request.Net >= Registry.size() ||
+      !propertyFitsNetwork(Request.Prop, Registry.network(Request.Net))) {
+    JobOutcome Out;
+    Out.Refused = true;
+    State->finish(std::move(Out));
+    return JobHandle(State);
+  }
   State->Priority = Request.Priority;
   State->Request = std::move(Request);
   {
@@ -139,13 +148,12 @@ void VerificationService::execute(detail::JobState &Job) {
   Key.ConfigDigest = digestVerifierConfig(Req.Config);
 
   // A cached Timeout that carries a checkpoint is not a final answer but a
-  // partially explored search; with ResumeTimeouts the job continues it
-  // instead of replaying (or restarting) the query.
+  // partially explored search; the job continues it instead of replaying
+  // (or restarting) the query.
   std::shared_ptr<const SearchCheckpoint> Resume;
   if (Config.EnableCache) {
     if (auto Hit = Cache.lookup(Key, Req.Prop.Region, Req.Prop.TargetClass)) {
-      if (Config.ResumeTimeouts && Hit->Result == Outcome::Timeout &&
-          Hit->Checkpoint) {
+      if (Hit->Result == Outcome::Timeout && Hit->Checkpoint) {
         Resume = Hit->Checkpoint;
       } else {
         Out.Result = std::move(*Hit);
@@ -160,7 +168,7 @@ void VerificationService::execute(detail::JobState &Job) {
   // whether another config's entry left a proof certificate for the same
   // query: a re-checked proof answers this job for the cost of replaying
   // its leaves, with no trust extended across config digests.
-  if (Config.EnableCache && Config.RecheckCertificates && !Resume) {
+  if (Config.EnableCache && !Resume) {
     auto Cand = Cache.lookupCertified(Key.NetworkFingerprint,
                                       Key.PropertyDigest, Key.ConfigDigest);
     // A Falsified entry must additionally meet *this* job's refutation
@@ -204,9 +212,7 @@ void VerificationService::execute(detail::JobState &Job) {
     // The cancel hook forced an early Timeout; report it as a cancel and
     // keep the cache clean of aborted runs.
     Out.Cancelled = true;
-  } else if (Config.EnableCache &&
-             (Config.CacheTimeouts ||
-              Out.Result.Result != Outcome::Timeout)) {
+  } else if (Config.EnableCache) {
     Cache.insert(Key, Req.Prop.Region, Req.Prop.TargetClass, Out.Result);
   }
   Job.finish(std::move(Out));

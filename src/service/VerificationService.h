@@ -58,6 +58,9 @@ struct JobOutcome {
                              ///< certificate instead of trusting or rerunning
   bool Resumed = false;  ///< continued a cached Timeout's checkpoint
   bool Cancelled = false; ///< cancelled before or during execution
+  /// Never run: the request named no registered network, or its property
+  /// does not fit the network. The verdict is Timeout and nothing is cached.
+  bool Refused = false;
   double QueueSeconds = 0.0; ///< submit-to-start latency
   double RunSeconds = 0.0;   ///< execution time (0 for pre-run cancels)
 };
@@ -112,25 +115,13 @@ struct BatchReport {
 struct ServiceConfig {
   unsigned Workers = 0;       ///< thread-pool size (0 = hardware concurrency)
   size_t CacheCapacity = 4096; ///< ResultCache entries
-  bool EnableCache = true;     ///< disable to force every job to execute
-  /// Cache Timeout results too. Safe because the cache key includes the
-  /// time budget (same query + same budget replays the same timeout);
-  /// disable to retry timed-out queries on every submission.
-  bool CacheTimeouts = true;
-  /// When a job's query hits a cached Timeout that carries a search
-  /// checkpoint, continue the interrupted search from that checkpoint
-  /// (spending the job's full budget on fresh frontier work) instead of
-  /// replaying the stale Timeout. Each resubmission therefore makes
-  /// monotone progress toward a verdict; the outcome reports Resumed.
-  bool ResumeTimeouts = true;
-  /// When a job misses the cache but an entry for the same network and
-  /// property exists under a *different* config digest with an attached
-  /// ProofCertificate, re-check the certificate instead of re-running the
-  /// search. The entry is never trusted across configs — acceptance comes
-  /// from the checker's replay (and, for Falsified, the witness meeting
-  /// this job's delta) — so the answer stays sound even across verifier
-  /// versions. The outcome reports CertifiedHit.
-  bool RecheckCertificates = true;
+  /// Disable to force every job to execute. With the cache on, Timeout
+  /// results are cached too (the key includes the time budget, so the same
+  /// query and budget replay the same timeout); a hit on a cached Timeout
+  /// resumes its checkpoint instead of replaying it (the outcome reports
+  /// Resumed); and a miss first re-checks, never trusts, a certificate
+  /// cached under another config (the outcome reports CertifiedHit).
+  bool EnableCache = true;
   /// Optional replacement for the in-process Verifier: when set, cache-miss
   /// jobs call this instead of Verifier::verify. The callable must honor
   /// the same contract (bit-identical verdict/counterexample/objective,
@@ -173,7 +164,9 @@ public:
   ResultCache &cache() { return Cache; }
 
   /// Enqueues \p Request. Returns a handle whose outcome becomes available
-  /// once a worker finishes the job. Must not be called after shutdown().
+  /// once a worker finishes the job. A request the service cannot run (an
+  /// unregistered network, or a property that does not fit it) finishes at
+  /// once as Refused. Must not be called after shutdown().
   JobHandle submit(JobRequest Request);
 
   /// Submits every request, waits for all of them, and aggregates. Safe to

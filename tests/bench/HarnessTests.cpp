@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <set>
+#include <sstream>
 #include <string>
 
 using namespace charon;
@@ -134,39 +138,114 @@ TEST(HarnessTest, MicroDomainCaseIsDeterministicAndMeasured) {
   EXPECT_EQ(A.Generators, B.Generators);
 }
 
-TEST(HarnessTest, MicroDomainJsonHasTrackedFields) {
-  MicroDomainCase Case;
-  Case.Name = "test_interval_w8";
+TEST(HarnessTest, PgdCaseIsDeterministicAndTheEnginesAgree) {
+  CexSearchCase Case;
+  Case.Name = "test_pgd_w8";
   Case.Width = 8;
   Case.HiddenLayers = 1;
-  Case.Spec.Base = BaseDomainKind::Interval;
+  Case.Restarts = 2;
+  Case.Steps = 5;
 
-  std::vector<MicroDomainResult> Results;
-  Results.push_back(runMicroDomainCase(Case, 1));
-  std::string Json = microDomainJson(Results);
-  // Structural smoke checks; scripts/check.sh additionally runs a full JSON
-  // parse over the real benchmark output when python3 is available.
-  EXPECT_NE(Json.find("\"schema\": \"charon-bench-micro-domains/3\""),
-            std::string::npos);
-  for (const char *Field :
-       {"\"simd\"", "\"name\"", "\"domain\"", "\"precision\"", "\"act\"",
-        "\"width\"",
-        "\"hidden_layers\"", "\"input_dim\"", "\"output_dim\"",
-        "\"generators\"", "\"margin\"", "\"seconds\"", "\"repeats\""})
-    EXPECT_NE(Json.find(Field), std::string::npos) << Field;
-  EXPECT_NE(Json.find("test_interval_w8"), std::string::npos);
-  EXPECT_EQ(Json.back(), '\n');
+  // runCexSearchCase aborts unless both engines return the same search
+  // result on every run.
+  CexSearchResult A = runCexSearchCase(Case, 2);
+  CexSearchResult B = runCexSearchCase(Case, 2);
+  EXPECT_EQ(A.Objective, B.Objective);
+  EXPECT_TRUE(std::isfinite(A.Objective));
+  EXPECT_GT(A.ScalarSeconds, 0.0);
+  EXPECT_GT(A.BatchedSeconds, 0.0);
+  EXPECT_EQ(A.Repeats, 2);
+}
+
+TEST(HarnessTest, BenchDocumentRoundTripsThroughTheLineReader) {
+  const double Doubles[] = {0.1 + 0.2, 5e-324, -0.0, -1465.6053804388139};
+  std::vector<BenchCase> Cases;
+  Cases.push_back(BenchCase("first")
+                      .text("domain", "Zonotope^4")
+                      .number("search.nodes", 1402)
+                      .number("sum", Doubles[0])
+                      .number("denormal", Doubles[1])
+                      .number("negative_zero", Doubles[2])
+                      .number("margin", Doubles[3])
+                      .flag("verdicts_identical", true)
+                      .numbers("search.nodes_by_thread",
+                               {3.0, 0.0, Doubles[0], Doubles[1]}));
+  Cases.push_back(BenchCase("second").flag("ok", false).numbers("empty", {}));
+  std::string Doc = benchDocument("test", Cases);
+  ASSERT_FALSE(Doc.empty());
+  ASSERT_EQ(Doc.back(), '\n');
+
+  std::istringstream Lines(Doc);
+  std::string Line;
+  ASSERT_TRUE(std::getline(Lines, Line));
+  json::Object Header;
+  ASSERT_TRUE(json::parseObjectLine(Line, Header)) << Line;
+  EXPECT_EQ(Header["schema"].S, "charon-bench/1");
+  EXPECT_EQ(Header["bench"].S, "test");
+  EXPECT_TRUE(Header["simd"].S == "scalar" || Header["simd"].S == "avx2");
+  EXPECT_GE(Header["host_cores"].N, 1.0);
+
+  auto SameBits = [](double A, double B) {
+    return std::bit_cast<uint64_t>(A) == std::bit_cast<uint64_t>(B);
+  };
+  for (const BenchCase &Case : Cases) {
+    ASSERT_TRUE(std::getline(Lines, Line));
+    std::string Error;
+    json::Object Got;
+    ASSERT_TRUE(json::parseObjectLine(Line, Got, &Error)) << Error << Line;
+    ASSERT_EQ(Got.size(), Case.Fields.size()) << Line;
+    for (const auto &[Field, Want] : Case.Fields) {
+      ASSERT_EQ(Got.count(Field), 1u) << Field;
+      const json::Value &V = Got[Field];
+      ASSERT_EQ(V.K, Want.K) << Field;
+      EXPECT_EQ(V.S, Want.S) << Field;
+      EXPECT_EQ(V.B, Want.B) << Field;
+      EXPECT_TRUE(SameBits(V.N, Want.N)) << Field;
+      ASSERT_EQ(V.A.size(), Want.A.size()) << Field;
+      for (size_t I = 0; I < V.A.size(); ++I)
+        EXPECT_TRUE(SameBits(V.A[I], Want.A[I])) << Field << "[" << I << "]";
+    }
+  }
+  EXPECT_FALSE(std::getline(Lines, Line));
+}
+
+TEST(HarnessTest, BenchDocumentRefusesWhatAReaderWouldReject) {
+  auto Refused = [](std::vector<BenchCase> Cases) {
+    return benchDocument("test", Cases).empty();
+  };
+  EXPECT_FALSE(Refused({BenchCase("ok").number("x.y-z_1", 1.0)}));
+  EXPECT_TRUE(Refused({BenchCase("ok").number("x", NAN)}));
+  EXPECT_TRUE(Refused({BenchCase("ok").number("x", INFINITY)}));
+  EXPECT_TRUE(Refused({BenchCase("ok").numbers("x", {1.0, -INFINITY})}));
+  for (const char *Bad : {"", "_x", "a b", "a/b", "a\"b"}) {
+    EXPECT_TRUE(Refused({BenchCase("ok").number(Bad, 1.0)})) << Bad;
+    EXPECT_TRUE(Refused({BenchCase(Bad)})) << Bad;
+  }
+  EXPECT_TRUE(Refused({BenchCase("ok").number(std::string(65, 'a'), 1.0)}));
+  EXPECT_TRUE(Refused({BenchCase("ok").number("x", 1.0).flag("x", true)}));
+  EXPECT_TRUE(Refused({BenchCase("twin"), BenchCase("twin")}));
 }
 
 TEST(HarnessTest, DefaultMicroDomainCasesAreDistinctlyNamed) {
   std::set<std::string> Names;
-  for (const MicroDomainCase &Case : defaultMicroDomainCases())
-    EXPECT_TRUE(Names.insert(Case.Name).second) << Case.Name;
-  EXPECT_GE(Names.size(), 5u);
-  // At least one smooth-activation case tracks the relaxation transformers'
-  // cost next to the ReLU case split.
   bool SawSmooth = false;
-  for (const MicroDomainCase &Case : defaultMicroDomainCases())
+  std::set<BaseDomainKind> Bases;
+  bool SawWidePowerset = false;
+  for (const MicroDomainCase &Case : defaultMicroDomainCases()) {
+    EXPECT_TRUE(Names.insert(Case.Name).second) << Case.Name;
+    // A smooth-activation case tracks the relaxation transformers' cost
+    // next to the ReLU case split.
     SawSmooth |= Case.Act != ActivationKind::Relu;
+    Bases.insert(Case.Spec.Base);
+    SawWidePowerset |= Case.Spec.Disjuncts == 64;
+  }
   EXPECT_TRUE(SawSmooth);
+  // Every base domain and the Zonotope^64 powerset has a tracked case.
+  EXPECT_EQ(Bases.size(), 4u);
+  EXPECT_TRUE(SawWidePowerset);
+  size_t DomainCases = Names.size();
+  for (const CexSearchCase &Case : defaultCexSearchCases())
+    EXPECT_TRUE(Names.insert(Case.Name).second) << Case.Name;
+  EXPECT_GE(DomainCases, 10u);
+  EXPECT_EQ(Names.size(), DomainCases + 3);
 }

@@ -439,19 +439,4 @@ TEST(CertificateTest, ServiceRechecksCertificateAcrossConfigs) {
   JobOutcome C = Service.submit(Second).outcome();
   EXPECT_TRUE(C.CacheHit);
   EXPECT_FALSE(C.CertifiedHit);
-
-  // With re-checking disabled, a third config re-runs the search instead.
-  ServiceConfig NoRecheck;
-  NoRecheck.RecheckCertificates = false;
-  VerificationService Strict{VerificationPolicy(), NoRecheck};
-  NetworkId Id2 = Strict.registry().add(acasSuite().Net.clone());
-  JobRequest R1 = First;
-  R1.Net = Id2;
-  ASSERT_FALSE(Strict.submit(R1).outcome().CacheHit);
-  JobRequest R2 = R1;
-  R2.Config.Seed = 9;
-  JobOutcome D = Strict.submit(R2).outcome();
-  EXPECT_FALSE(D.CacheHit);
-  EXPECT_FALSE(D.CertifiedHit);
-  EXPECT_EQ(Strict.cache().stats().CertifiedHits, 0);
 }

@@ -9,7 +9,8 @@
 // ONNX fixture, whose residual block carries such a plan, round after
 // round: under the sanitize build a plan built twice, one copy freed while
 // another thread reads it, is reported. A query that does not fit its
-// network is refused where the search starts, in every build.
+// network is refused where the search starts, in every build, and the
+// service refuses it at submission so no other tenant's job is lost.
 //
 //===----------------------------------------------------------------------===//
 
@@ -99,27 +100,70 @@ TEST(SharedNetworkStressTest, ParallelResumeStartsOnAFreshNetwork) {
   }
 }
 
-TEST(ShapeMisfitDeathTest, OneOutputNetworkIsRefusedWhereTheSearchStarts) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  // The objective compares the target with a competing class, which a
-  // one-output network does not have.
+namespace {
+
+/// A network with one output: the objective compares the target with a
+/// competing class, which it does not have.
+Network oneOutputNetwork() {
   std::istringstream Text("charon-network 1 1\ndense 2 1\n0.5 -0.25\n0.1\n");
   std::optional<Network> Net = loadNetwork(Text);
-  ASSERT_TRUE(Net.has_value());
+  EXPECT_TRUE(Net.has_value());
+  return Net ? std::move(*Net) : Network();
+}
+
+} // namespace
+
+TEST(ShapeMisfitDeathTest, OneOutputNetworkIsRefusedWhereTheSearchStarts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Network Net = oneOutputNetwork();
   RobustnessProperty Prop;
   Prop.Region = Box::uniform(2, 0.0, 1.0);
-  EXPECT_FALSE(propertyFitsNetwork(Prop, *Net));
-  EXPECT_DEATH(Verifier(*Net, VerificationPolicy()).verify(Prop),
+  EXPECT_FALSE(propertyFitsNetwork(Prop, Net));
+  EXPECT_DEATH(Verifier(Net, VerificationPolicy()).verify(Prop),
                "property does not match network shape");
-  EXPECT_DEATH(
-      {
-        ServiceConfig SC;
-        SC.Workers = 1;
-        VerificationService Service(VerificationPolicy(), SC);
-        JobRequest Job;
-        Job.Net = Service.registry().add(Net->clone());
-        Job.Prop = Prop;
-        Service.submit(Job).wait();
-      },
-      "property does not match network shape");
+}
+
+TEST(ShapeMisfitTest, ServiceRefusesQueriesItCannotRun) {
+  ServiceConfig SC;
+  SC.Workers = 2;
+  VerificationService Service(VerificationPolicy(), SC);
+  NetworkId OneOutput = Service.registry().add(oneOutputNetwork());
+  std::optional<NetworkId> Mixed = Service.registry().addFromFile(MixedNet);
+  ASSERT_TRUE(Mixed.has_value());
+
+  JobRequest Misfit;
+  Misfit.Net = OneOutput;
+  Misfit.Prop.Region = Box::uniform(2, 0.0, 1.0);
+  JobRequest Unknown;
+  Unknown.Net = static_cast<NetworkId>(Service.registry().size());
+  Unknown.Prop = mixedProperty(0.1);
+  JobRequest Valid;
+  Valid.Net = *Mixed;
+  Valid.Prop = mixedProperty(0.1);
+  Valid.Config.TimeLimitSeconds = 30.0;
+
+  long InsertsBefore = Service.cache().stats().Inserts;
+  BatchReport Report = Service.runBatch({Misfit, Unknown, Valid});
+  for (int I : {0, 1}) {
+    const JobOutcome &Out = Report.Outcomes[I];
+    EXPECT_TRUE(Out.Refused) << "job " << I;
+    EXPECT_EQ(Out.Result.Result, Outcome::Timeout) << "job " << I;
+    EXPECT_FALSE(Out.CacheHit) << "job " << I;
+    EXPECT_EQ(Out.Result.Stats.NodesExpanded, 0) << "job " << I;
+  }
+  // Only the valid job reached the cache.
+  EXPECT_EQ(Service.cache().stats().Inserts, InsertsBefore + 1);
+
+  const JobOutcome &Ran = Report.Outcomes[2];
+  EXPECT_FALSE(Ran.Refused);
+  VerifyResult Direct =
+      Verifier(Service.registry().network(*Mixed), VerificationPolicy(),
+               Valid.Config)
+          .verify(Valid.Prop);
+  EXPECT_EQ(Ran.Result.Result, Direct.Result);
+  EXPECT_EQ(Ran.Result.ObjectiveAtCex, Direct.ObjectiveAtCex);
+  EXPECT_TRUE(approxEqual(Ran.Result.Counterexample, Direct.Counterexample,
+                          0.0));
+  EXPECT_EQ(Ran.Result.Stats.NodesExpanded, Direct.Stats.NodesExpanded);
+  EXPECT_EQ(Ran.Result.Stats.Splits, Direct.Stats.Splits);
 }
