@@ -451,15 +451,22 @@ MicroDomainResult charon::bench::runMicroDomainCase(const MicroDomainCase &Case,
 
 std::vector<CexSearchCase> charon::bench::defaultCexSearchCases() {
   std::vector<CexSearchCase> Cases;
-  auto Add = [&Cases](const char *Name, size_t Width) {
+  auto Add = [&Cases](const char *Name, size_t Width, int HiddenLayers,
+                      int Restarts) {
     CexSearchCase C;
     C.Name = Name;
     C.Width = Width;
+    C.HiddenLayers = HiddenLayers;
+    C.Restarts = Restarts;
     Cases.push_back(std::move(C));
   };
-  Add("pgd_w64_multistart", 64);
-  Add("pgd_w128_multistart", 128);
-  Add("pgd_w256_multistart", 256);
+  Add("pgd_w64_multistart", 64, 3, 8);
+  Add("pgd_w128_multistart", 128, 3, 8);
+  Add("pgd_w256_multistart", 256, 3, 8);
+  // The population the verifier runs at every node (PgdConfig's 2
+  // restarts), at w64 and at the ACAS nets' depth and width.
+  Add("pgd_w64_r2", 64, 3, 2);
+  Add("pgd_w50_l6_r2", 50, 6, 2);
   return Cases;
 }
 

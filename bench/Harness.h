@@ -220,7 +220,8 @@ struct CexSearchResult {
   int Repeats = 0;
 };
 
-/// The tracked PGD cases: multi-restart search at widths 64/128/256.
+/// The tracked PGD cases: 8-restart search at widths 64/128/256, and the
+/// verifier's 2-restart population at w64 and at 6 hidden layers of 50.
 std::vector<CexSearchCase> defaultCexSearchCases();
 
 /// Runs one case: times \p Repeats searches per engine (keeping the

@@ -4,10 +4,11 @@
 //
 // The kernels every experiment rests on, timed on seeded random MLPs: one
 // abstract propagation per domain (the cost model behind the
-// precision/scalability trade-off the domain policy navigates), and one
-// multi-restart PGD counterexample search under the scalar and the batched
-// engine. Aborts if any case is nondeterministic or the two engines
-// disagree; otherwise writes the cases as a charon-bench/1 document.
+// precision/scalability trade-off the domain policy navigates), and PGD
+// counterexample searches (8 restarts, and the verifier's 2) under the
+// scalar and the batched engine. Aborts if any case is nondeterministic or
+// the two engines disagree; otherwise writes the cases as a charon-bench/1
+// document.
 //
 //   --filter=SUBSTR   only run cases whose name contains SUBSTR
 //   --out=PATH        output path (default BENCH_micro_domains.json)

@@ -11,7 +11,9 @@
 //     result cache with identical verdicts at a fraction of the cost.
 //
 // Budgets follow the harness conventions (CHARON_BENCH_BUDGET /
-// CHARON_BENCH_PROPS env overrides).
+// CHARON_BENCH_PROPS env overrides). Exits 1 when a decided verdict changes
+// with the worker count or from the cold to the warm batch; a Timeout on
+// either side is reported, not failed.
 //
 //===----------------------------------------------------------------------===//
 
@@ -61,7 +63,8 @@ int main() {
   std::printf("%-10s %-14s %-12s %s\n", "workers", "wall-seconds", "jobs/sec",
               "speedup");
   double Baseline = 0.0;
-  std::vector<int> BaseVerdicts;
+  std::vector<Outcome> BaseVerdicts;
+  bool ScalingDrift = false;
   for (unsigned Workers : {1u, 2u, 4u, 8u}) {
     ServiceConfig SC;
     SC.Workers = Workers;
@@ -73,14 +76,23 @@ int main() {
     if (Workers == 1) {
       Baseline = Report.WallSeconds;
       for (const JobOutcome &Out : Report.Outcomes)
-        BaseVerdicts.push_back(static_cast<int>(Out.Result.Result));
+        BaseVerdicts.push_back(Out.Result.Result);
     } else {
-      // Scheduling must never change verdicts.
-      for (size_t I = 0; I < Report.Outcomes.size(); ++I)
-        if (static_cast<int>(Report.Outcomes[I].Result.Result) !=
-            BaseVerdicts[I])
-          std::printf("  WARNING: verdict drift on job %zu at %u workers\n", I,
-                      Workers);
+      // Scheduling must never change a decided verdict. A job may time out
+      // at one worker count and not at another, since the cache is off and
+      // each run spends its own budget under its own load: report that,
+      // but it is deadline behaviour, not drift.
+      for (size_t I = 0; I < Report.Outcomes.size(); ++I) {
+        Outcome Got = Report.Outcomes[I].Result.Result;
+        if (Got == BaseVerdicts[I])
+          continue;
+        bool TimedOut =
+            Got == Outcome::Timeout || BaseVerdicts[I] == Outcome::Timeout;
+        std::printf("  %s on job %zu at %u workers: %s here, %s at 1\n",
+                    TimedOut ? "timeout" : "VERDICT DRIFT (bug!)", I, Workers,
+                    toString(Got), toString(BaseVerdicts[I]));
+        ScalingDrift |= !TimedOut;
+      }
     }
     std::printf("%-10u %-14.3f %-12.1f %.2fx\n", Workers, Report.WallSeconds,
                 Report.jobsPerSecond(),
@@ -130,5 +142,7 @@ int main() {
   std::printf("cache: %ld exact hits, %ld subsumption hits, %ld misses, "
               "%ld evictions\n",
               CS.ExactHits, CS.SubsumptionHits, CS.Misses, CS.Evictions);
-  return VerdictsMatch ? 0 : 1;
+  if (ScalingDrift)
+    std::fprintf(stderr, "a decided verdict changed with the worker count\n");
+  return VerdictsMatch && !ScalingDrift ? 0 : 1;
 }

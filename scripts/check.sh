@@ -7,12 +7,14 @@
 # thread pool so the threaded paths are exercised under the sanitizers even
 # on fuzz-scale networks.
 # After the suite, one bench smoke runs the w64 micro cases (two domain
-# cases and one scalar-vs-batched PGD case) and validates the charon-bench/1
-# document it writes (each line parsed when python3 is available,
-# structural grep otherwise). The PGD case doubles as a live
-# engine-equivalence check (the bench aborts if the engines' searches
-# differ); the sanitize leg runs it with CHARON_KERNEL_THRESHOLD=1, driving
-# the batched search through the threaded kernels under ASan + UBSan.
+# cases and two scalar-vs-batched PGD cases: 8 restarts, and the verifier's
+# 2-restart population, pgd_w64_r2, which the validator requires) and
+# validates the charon-bench/1 document it writes (each line parsed when
+# python3 is available, structural grep otherwise). The PGD cases double as
+# a live engine-equivalence check at B = 8 and B = 2 (the bench aborts if
+# the engines' searches differ); the sanitize leg runs them with
+# CHARON_KERNEL_THRESHOLD=1, driving the batched search through the
+# threaded kernels under ASan + UBSan.
 # A trace/checkpoint smoke exports the ACAS-like suite, verifies a
 # property with --trace (validating the charon-trace/1 JSONL schema), and
 # exercises the Timeout -> --checkpoint -> --resume path; the sanitize leg
@@ -120,11 +122,13 @@ else
   echo "dispatch matrix: ${SIMD_LEVELS[*]} OK"
 fi
 
-# Bench smoke: the w64 micro cases (two domain cases and one PGD case) must
-# run and write a valid charon-bench/1 document. The PGD case doubles as a
-# live engine-equivalence check: the bench aborts if the scalar and batched
-# engines' searches differ. On the sanitize leg the forced kernel threshold
-# pushes the batched search onto the thread pool under ASan + UBSan.
+# Bench smoke: the w64 micro cases (two domain cases and two PGD cases)
+# must run and write a valid charon-bench/1 document. The PGD cases double
+# as a live engine-equivalence check: the bench aborts if the scalar and
+# batched engines' searches differ, at 8 restarts and at the verifier's 2
+# (pgd_w64_r2, which must be present). On the sanitize leg the forced
+# kernel threshold pushes the batched search onto the thread pool under
+# ASan + UBSan.
 SMOKE_JSON="$BUILD_DIR/bench-smoke.json"
 BENCH_ENV=()
 if [[ "$SANITIZE" == 1 ]]; then
@@ -157,11 +161,13 @@ for case in cases:
         assert all(math.isfinite(x) for x in numbers(value)), (field, value)
 kinds = [case["kind"] for case in cases]
 assert "domain" in kinds and "pgd" in kinds, kinds
+assert "pgd_w64_r2" in names, names
 print(f"bench smoke: {len(cases)} cases OK")
 EOF
 else
   grep -q '^{"schema": "charon-bench/1", ' "$SMOKE_JSON"
   grep -q '"name": "pgd_w64_multistart"' "$SMOKE_JSON"
+  grep -q '"name": "pgd_w64_r2"' "$SMOKE_JSON"
   echo "bench smoke: JSON OK (grep)"
 fi
 

@@ -83,11 +83,7 @@ Vector VerificationPolicy::featurize(const Network &Net,
   return Features;
 }
 
-DomainSpec VerificationPolicy::chooseDomain(const Network &Net,
-                                            const RobustnessProperty &Prop,
-                                            const Vector &XStar,
-                                            double FStar) const {
-  Vector Rho = featurize(Net, Prop, XStar, FStar);
+DomainSpec VerificationPolicy::chooseDomain(const Vector &Rho) const {
   Vector Out = matVec(Theta, Rho);
 
   DomainSpec Spec;
@@ -103,9 +99,8 @@ DomainSpec VerificationPolicy::chooseDomain(const Network &Net,
 SplitChoice VerificationPolicy::choosePartition(const Network &Net,
                                                 const RobustnessProperty &Prop,
                                                 const Vector &XStar,
-                                                double FStar) const {
+                                                const Vector &Rho) const {
   const Box &I = Prop.Region;
-  Vector Rho = featurize(Net, Prop, XStar, FStar);
   Vector Out = matVec(Theta, Rho);
 
   // Candidate 1: the longest dimension.

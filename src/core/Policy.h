@@ -68,17 +68,32 @@ public:
   static Vector featurize(const Network &Net, const RobustnessProperty &Prop,
                           const Vector &XStar, double FStar);
 
-  /// pi_alpha: picks the abstract domain for this subproblem.
-  DomainSpec chooseDomain(const Network &Net, const RobustnessProperty &Prop,
-                          const Vector &XStar, double FStar) const;
+  /// pi_alpha: picks the abstract domain for a subproblem whose features
+  /// featurize() returned as \p Rho.
+  DomainSpec chooseDomain(const Vector &Rho) const;
 
-  /// pi_I: picks the splitting hyperplane. The returned cut is strictly
-  /// interior (Assumption 1), choosing between the longest dimension and
-  /// the dimension with the largest influence on N(x)_K, with the offset
-  /// interpreted as a ratio from the region center toward x* (Sec. 6).
+  /// pi_alpha, featurizing the subproblem first.
+  DomainSpec chooseDomain(const Network &Net, const RobustnessProperty &Prop,
+                          const Vector &XStar, double FStar) const {
+    return chooseDomain(featurize(Net, Prop, XStar, FStar));
+  }
+
+  /// pi_I: picks the splitting hyperplane, given the subproblem's features
+  /// \p Rho. The returned cut is strictly interior (Assumption 1), choosing
+  /// between the longest dimension and the dimension with the largest
+  /// influence on N(x)_K, with the offset interpreted as a ratio from the
+  /// region center toward x* (Sec. 6).
   SplitChoice choosePartition(const Network &Net,
                               const RobustnessProperty &Prop,
-                              const Vector &XStar, double FStar) const;
+                              const Vector &XStar, const Vector &Rho) const;
+
+  /// pi_I, featurizing the subproblem first.
+  SplitChoice choosePartition(const Network &Net,
+                              const RobustnessProperty &Prop,
+                              const Vector &XStar, double FStar) const {
+    return choosePartition(Net, Prop, XStar,
+                           featurize(Net, Prop, XStar, FStar));
+  }
 
   const Matrix &parameters() const { return Theta; }
 

@@ -340,7 +340,7 @@ Matrix kernels::affineBatch(const Matrix &X, const Matrix &W,
                             const Vector &Bias) {
   assert(X.cols() == W.cols() && "affineBatch shape mismatch");
   assert(Bias.size() == W.rows() && "affineBatch bias size mismatch");
-  Matrix Out(X.rows(), W.rows());
+  Matrix Out = Matrix::uninit(X.rows(), W.rows());
   const double *B = Bias.data();
   const detail::SimdOps &Ops = detail::activeOps();
   parallelFor(X.rows(), 2 * X.cols() * W.rows(),
@@ -360,7 +360,7 @@ void kernels::convTapBlock(const double *const *X, const size_t *Offsets,
 }
 
 Matrix kernels::reluBatch(const Matrix &X) {
-  Matrix Out(X.rows(), X.cols());
+  Matrix Out = Matrix::uninit(X.rows(), X.cols());
   const detail::SimdOps &Ops = detail::activeOps();
   parallelFor(X.rows(), X.cols(), [&X, &Out, &Ops](size_t Begin, size_t End) {
     Ops.ReluRows(X, Out, Begin, End);
@@ -371,7 +371,7 @@ Matrix kernels::reluBatch(const Matrix &X) {
 Matrix kernels::reluBackwardBatch(const Matrix &X, const Matrix &GradOut) {
   assert(X.rows() == GradOut.rows() && X.cols() == GradOut.cols() &&
          "reluBackwardBatch shape mismatch");
-  Matrix Out(X.rows(), X.cols());
+  Matrix Out = Matrix::uninit(X.rows(), X.cols());
   const detail::SimdOps &Ops = detail::activeOps();
   parallelFor(X.rows(), X.cols(),
               [&X, &GradOut, &Out, &Ops](size_t Begin, size_t End) {

@@ -7,12 +7,18 @@
 // dispatch layer keeps running scalar.
 //
 // Scheme notes (see SimdOpsImpl.h for the contracts):
-//  - dotAvx2 is ONE function shared by Dot and AffineRows, so every dot at
-//    this level uses the identical accumulation tree regardless of which
-//    public kernel asked for it.
-//  - saxpyAvx2 applies exactly one fma per element (vector body and scalar
-//    tail both), making it position-independent: matMul may call it per
-//    column panel and still match matTVec's whole-row calls bitwise.
+//  - The dot scheme is a per-element tree: four fma chains over 16-element
+//    blocks, fixed 8- and 4-element drains, the hsum tree, then one scalar
+//    fma per K % 4 leftover term. dotAvx2 defines it (Dot, hence matVec);
+//    affineRowsAvx2 computes the same tree four outputs at a time, each X
+//    load feeding two outputs and one hsum4 reducing four, so every dot at
+//    this level has the same bits whichever public kernel asked for it.
+//  - saxpyAvx2 defines the per-element chain: one fma per element (vector
+//    body and scalar tail both), so each element of matTVec is one fma
+//    chain over ascending k from +0.0, whatever its position. matMulRowsAvx2
+//    keeps that chain in registers across the whole k loop (a panel of up
+//    to 12 vectors of a C row, plus its N % 4 columns as a masked vector)
+//    and stores each element once, with matTVec's bits.
 //  - mmtRowsAvx2 packs eight B rows into an interleaved panel and runs a
 //    4-row x 8-column broadcast microkernel (8 accumulators, 14 live
 //    registers — small enough that GCC never spills). It only promises
@@ -39,8 +45,11 @@
 #if defined(__AVX2__) && defined(__FMA__) && \
     (defined(__x86_64__) || defined(_M_X64))
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <immintrin.h>
+#include <utility>
 #include <vector>
 
 using namespace charon;
@@ -286,32 +295,176 @@ void mmtRowsAvx2(const Matrix &A, const Matrix &B, Matrix &C, size_t RowOffset,
     _mm_sfence();
 }
 
+/// Two outputs' dotAvx2 chains in one pass over X: per output the same S0-S3
+/// over 16-element blocks and the same 8- and 4-element drains, so each X
+/// load feeds both outputs. Returns each output's (S0 + S2) + (S1 + S3), the
+/// vector dotAvx2 hands to hsum. Always inlined: as a call, the two vectors
+/// it returns would go through memory.
+[[gnu::always_inline]] inline void dotPairAvx2(const double *X,
+                                               const double *W0,
+                                               const double *W1, size_t K,
+                                               __m256d &V0, __m256d &V1) {
+  __m256d S0 = _mm256_setzero_pd(), T0 = _mm256_setzero_pd();
+  __m256d S1 = _mm256_setzero_pd(), T1 = _mm256_setzero_pd();
+  __m256d S2 = _mm256_setzero_pd(), T2 = _mm256_setzero_pd();
+  __m256d S3 = _mm256_setzero_pd(), T3 = _mm256_setzero_pd();
+  size_t I = 0;
+  for (; I + 16 <= K; I += 16) {
+    __m256d X0 = _mm256_loadu_pd(X + I);
+    __m256d X1 = _mm256_loadu_pd(X + I + 4);
+    __m256d X2 = _mm256_loadu_pd(X + I + 8);
+    __m256d X3 = _mm256_loadu_pd(X + I + 12);
+    S0 = _mm256_fmadd_pd(X0, _mm256_loadu_pd(W0 + I), S0);
+    T0 = _mm256_fmadd_pd(X0, _mm256_loadu_pd(W1 + I), T0);
+    S1 = _mm256_fmadd_pd(X1, _mm256_loadu_pd(W0 + I + 4), S1);
+    T1 = _mm256_fmadd_pd(X1, _mm256_loadu_pd(W1 + I + 4), T1);
+    S2 = _mm256_fmadd_pd(X2, _mm256_loadu_pd(W0 + I + 8), S2);
+    T2 = _mm256_fmadd_pd(X2, _mm256_loadu_pd(W1 + I + 8), T2);
+    S3 = _mm256_fmadd_pd(X3, _mm256_loadu_pd(W0 + I + 12), S3);
+    T3 = _mm256_fmadd_pd(X3, _mm256_loadu_pd(W1 + I + 12), T3);
+  }
+  if (I + 8 <= K) {
+    __m256d X0 = _mm256_loadu_pd(X + I);
+    __m256d X1 = _mm256_loadu_pd(X + I + 4);
+    S0 = _mm256_fmadd_pd(X0, _mm256_loadu_pd(W0 + I), S0);
+    T0 = _mm256_fmadd_pd(X0, _mm256_loadu_pd(W1 + I), T0);
+    S1 = _mm256_fmadd_pd(X1, _mm256_loadu_pd(W0 + I + 4), S1);
+    T1 = _mm256_fmadd_pd(X1, _mm256_loadu_pd(W1 + I + 4), T1);
+    I += 8;
+  }
+  if (I + 4 <= K) {
+    __m256d X0 = _mm256_loadu_pd(X + I);
+    S0 = _mm256_fmadd_pd(X0, _mm256_loadu_pd(W0 + I), S0);
+    T0 = _mm256_fmadd_pd(X0, _mm256_loadu_pd(W1 + I), T0);
+  }
+  V0 = _mm256_add_pd(_mm256_add_pd(S0, S2), _mm256_add_pd(S1, S3));
+  V1 = _mm256_add_pd(_mm256_add_pd(T0, T2), _mm256_add_pd(T1, T3));
+}
+
+/// hsum of four accumulators at once: lane j of the result is hsum(Vj),
+/// bit for bit. The 128-bit halves add first (low + high), then the two
+/// lanes left (first + second), the operands in hsum's order.
+inline __m256d hsum4(__m256d V0, __m256d V1, __m256d V2, __m256d V3) {
+  __m256d P02 = _mm256_add_pd(_mm256_permute2f128_pd(V0, V2, 0x20),
+                              _mm256_permute2f128_pd(V0, V2, 0x31));
+  __m256d P13 = _mm256_add_pd(_mm256_permute2f128_pd(V1, V3, 0x20),
+                              _mm256_permute2f128_pd(V1, V3, 0x31));
+  return _mm256_add_pd(_mm256_unpacklo_pd(P02, P13),
+                       _mm256_unpackhi_pd(P02, P13));
+}
+
 /// Affine rows: every output element is dotAvx2 + bias, so the batched
-/// path matches the per-point matVec at this level bit-for-bit.
+/// path matches the per-point matVec at this level bit-for-bit. Four
+/// outputs run at a time: two dotPairAvx2 passes, one hsum4, the K % 4
+/// leftover terms as lane-wise fmas (dotAvx2's scalar tail, in its order),
+/// and one vector bias add. Outputs past the last group of four call
+/// dotAvx2 itself.
 void affineRowsAvx2(const Matrix &X, const Matrix &W, const double *Bias,
                     Matrix &Out, size_t Begin, size_t End) {
   const size_t K = X.cols();
   const size_t N = W.rows();
+  const size_t Tail = K - K % 4;
   for (size_t I = Begin; I < End; ++I) {
     const double *XRow = X.row(I);
     double *ORow = Out.row(I);
-    for (size_t J = 0; J < N; ++J)
+    size_t J = 0;
+    for (; J + 4 <= N; J += 4) {
+      const double *W0 = W.row(J);
+      const double *W1 = W.row(J + 1);
+      const double *W2 = W.row(J + 2);
+      const double *W3 = W.row(J + 3);
+      __m256d V0, V1, V2, V3;
+      dotPairAvx2(XRow, W0, W1, K, V0, V1);
+      dotPairAvx2(XRow, W2, W3, K, V2, V3);
+      __m256d Sum = hsum4(V0, V1, V2, V3);
+      for (size_t Kk = Tail; Kk < K; ++Kk)
+        Sum = _mm256_fmadd_pd(_mm256_set1_pd(XRow[Kk]),
+                              _mm256_set_pd(W3[Kk], W2[Kk], W1[Kk], W0[Kk]),
+                              Sum);
+      _mm256_storeu_pd(ORow + J, _mm256_add_pd(Sum, _mm256_loadu_pd(Bias + J)));
+    }
+    for (; J < N; ++J)
       ORow[J] = dotAvx2(XRow, W.row(J), K) + Bias[J];
   }
 }
 
+/// The widest register panel of a C row, in 4-wide vectors. Its 12
+/// accumulators, the masked remainder's accumulator and load, the broadcast
+/// and the mask take all 16 ymm registers, without a spill.
+constexpr size_t MaxPanelVecs = 12;
+
+/// Columns [J, J + 4 * Vecs) of one C row, and with Masked also the row's
+/// last N % 4 columns as one masked vector, held in registers across the
+/// whole k loop and stored once. Each element is saxpyAvx2's chain: one fma
+/// per nonzero A entry in ascending k, starting from +0.0, so the values are
+/// matTVec's bit for bit.
+template <size_t Vecs, bool Masked>
+void matMulPanelAvx2(const double *ARow, const Matrix &B, size_t J,
+                     double *CRow) {
+  const size_t NK = B.rows();
+  const __m256i Mask = _mm256_cmpgt_epi64(
+      _mm256_set1_epi64x(static_cast<long long>(B.cols() % 4)),
+      _mm256_setr_epi64x(0, 1, 2, 3));
+  __m256d Acc[Vecs + 1];
+#pragma GCC unroll 16
+  for (size_t V = 0; V <= Vecs; ++V)
+    Acc[V] = _mm256_setzero_pd();
+  for (size_t K = 0; K < NK; ++K) {
+    double Aik = ARow[K];
+    if (Aik == 0.0)
+      continue;
+    const __m256d Av = _mm256_set1_pd(Aik);
+    const double *BRow = B.row(K) + J;
+#pragma GCC unroll 16
+    for (size_t V = 0; V < Vecs; ++V)
+      Acc[V] = _mm256_fmadd_pd(Av, _mm256_loadu_pd(BRow + 4 * V), Acc[V]);
+    if (Masked)
+      Acc[Vecs] = _mm256_fmadd_pd(
+          Av, _mm256_maskload_pd(BRow + 4 * Vecs, Mask), Acc[Vecs]);
+  }
+#pragma GCC unroll 16
+  for (size_t V = 0; V < Vecs; ++V)
+    _mm256_storeu_pd(CRow + J + 4 * V, Acc[V]);
+  if (Masked)
+    _mm256_maskstore_pd(CRow + J + 4 * Vecs, Mask, Acc[Vecs]);
+}
+
+using MatMulPanelFn = void (*)(const double *, const Matrix &, size_t,
+                               double *);
+
+template <bool Masked, size_t... Vecs>
+constexpr std::array<MatMulPanelFn, sizeof...(Vecs)>
+matMulPanels(std::index_sequence<Vecs...>) {
+  return {matMulPanelAvx2<Vecs, Masked>...};
+}
+
+/// Panel bodies indexed by their vector count, 0 through MaxPanelVecs.
+constexpr auto FullPanels =
+    matMulPanels<false>(std::make_index_sequence<MaxPanelVecs + 1>());
+constexpr auto MaskedPanels =
+    matMulPanels<true>(std::make_index_sequence<MaxPanelVecs + 1>());
+
+/// Rows [Begin, End) of C = A * B. A row is cut into as few register panels
+/// as fit, of at most MaxPanelVecs vectors and widths within one vector of
+/// each other; the last one also carries the N % 4 remainder columns.
 void matMulRowsAvx2(const Matrix &A, const Matrix &B, Matrix &C, size_t Begin,
                     size_t End) {
-  const size_t NK = A.cols();
   const size_t NJ = B.cols();
+  if (NJ == 0)
+    return;
+  const size_t Vecs = NJ / 4;
+  const size_t Rem = NJ % 4;
+  const size_t Panels =
+      std::max<size_t>(1, (Vecs + MaxPanelVecs - 1) / MaxPanelVecs);
   for (size_t I = Begin; I < End; ++I) {
-    double *CRow = C.row(I);
     const double *ARow = A.row(I);
-    for (size_t K = 0; K < NK; ++K) {
-      double Aik = ARow[K];
-      if (Aik == 0.0)
-        continue;
-      saxpyAvx2(CRow, B.row(K), Aik, NJ);
+    double *CRow = C.row(I);
+    for (size_t P = 0; P < Panels; ++P) {
+      const size_t V0 = Vecs * P / Panels;
+      const size_t V1 = Vecs * (P + 1) / Panels;
+      const bool Last = P + 1 == Panels;
+      (Last && Rem != 0 ? MaskedPanels : FullPanels)[V1 - V0](ARow, B, 4 * V0,
+                                                               CRow);
     }
   }
 }

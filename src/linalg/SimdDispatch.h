@@ -19,10 +19,13 @@
 ///  - Reductions (matVec dots, matMulTransposed, affineBatch, absRowSums)
 ///    and saxpy-style products (matTVec, matMul) change their accumulation
 ///    grouping under AVX2/FMA, so results are bit-identical only *within* a
-///    level. Within a level the pair contracts still hold exactly: one dot
-///    scheme is shared by matVec / affineBatch and one saxpy scheme by
-///    matTVec / matMul, so the per-point and batched execution paths agree
-///    bit-for-bit at any level.
+///    level. Within a level the pair contracts still hold exactly. The dot
+///    scheme is a per-element tree, which the level's Dot defines (matVec)
+///    and affineBatch computes for several outputs at once; the saxpy
+///    scheme is a per-element chain over ascending k, which the level's
+///    Saxpy defines (matTVec) and matMul may keep in registers. Neither
+///    batched kernel regroups an element, so the per-point and batched
+///    execution paths agree bit-for-bit at any level.
 ///  - The convolution microkernel convTapBlock runs one chain per lane in
 ///    tap order. With TapArith::Separate (the Conv2D forward) each term is
 ///    a multiply then an add at every level, bitwise equal across levels

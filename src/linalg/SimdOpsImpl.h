@@ -16,13 +16,15 @@
 ///
 /// Contract notes for backend authors (see SimdDispatch.h for the
 /// user-facing statement):
-///  - Dot is shared by matVec, affineBatch and any backend body that wants
-///    matVec-identical dots, so the per-point and batched concrete paths
-///    agree bit-for-bit within the level.
-///  - Saxpy is shared by matTVec and matMul. It must be elementwise
-///    position-independent (each Y[i] receives exactly one rounding per
-///    call regardless of where the vector/tail boundary falls), because
-///    matMul invokes it per column panel while matTVec spans whole rows.
+///  - Dot defines the level's per-element dot tree (matVec). AffineRows
+///    must give each output that tree's bits, by calling Dot or by computing
+///    the same tree for several outputs at once, so the per-point and
+///    batched concrete paths agree bit-for-bit within the level.
+///  - Saxpy defines the level's per-element chain (matTVec). It must be
+///    elementwise position-independent (each Y[i] receives exactly one
+///    rounding per call regardless of where the vector/tail boundary
+///    falls), because matTVec spans whole rows while MatMulRows runs the
+///    same chain per column panel, or in registers over the whole k loop.
 ///  - AbsColumnSumsCols must accumulate each column in ascending-row order
 ///    so results stay bit-identical across levels and shard layouts.
 ///  - ScaleColumnsRows, ReluRows and ReluBackwardRows perform one IEEE
@@ -62,7 +64,8 @@ struct SimdOps {
                      Matrix &Out, size_t Begin, size_t End);
 
   /// Rows [Begin, End) of C += A * B in i-k-j order (C pre-zeroed), built
-  /// on Saxpy semantics with the Aik == 0.0 skip.
+  /// on Saxpy semantics with the Aik == 0.0 skip. A body that runs each
+  /// element's chain from +0.0 itself may overwrite C instead.
   void (*MatMulRows)(const Matrix &A, const Matrix &B, Matrix &C,
                      size_t Begin, size_t End);
 

@@ -63,13 +63,8 @@ std::vector<Matrix> Network::evaluateBatchWithActivations(const Matrix &X) const
 }
 
 Vector Network::inputGradient(const Vector &Input, const Vector &Seed) const {
-  std::vector<Vector> Acts = evaluateWithActivations(Input);
-  Vector Grad = Seed;
-  for (size_t Iu = Layers.size(); Iu > 0; --Iu) {
-    size_t I = Iu - 1;
-    Grad = Layers[I]->backward(Acts[I], Grad, /*AccumulateParams=*/false);
-  }
-  return Grad;
+  return backwardPass(evaluateWithActivations(Input), Seed,
+                      /*AccumulateParams=*/false);
 }
 
 double Network::objective(const Vector &Input, size_t K) const {
@@ -83,7 +78,9 @@ double Network::objective(const Vector &Input, size_t K) const {
 }
 
 Vector Network::objectiveGradient(const Vector &Input, size_t K) const {
-  Vector Y = evaluate(Input);
+  // One forward pass serves both the competitor scan and the backward pass.
+  std::vector<Vector> Acts = evaluateWithActivations(Input);
+  const Vector &Y = Acts.back();
   assert(K < Y.size() && "target class out of range");
   assert(outputSize() >= 2 && "the objective needs a competing class");
   size_t BestJ = K == 0 ? 1 : 0;
@@ -94,7 +91,7 @@ Vector Network::objectiveGradient(const Vector &Input, size_t K) const {
   Vector Seed(Y.size());
   Seed[K] = 1.0;
   Seed[BestJ] = -1.0;
-  return inputGradient(Input, Seed);
+  return backwardPass(Acts, Seed, /*AccumulateParams=*/false);
 }
 
 Vector Network::objectiveBatch(const Matrix &X, size_t K) const {
@@ -177,12 +174,18 @@ void Network::applyGradients(double LearningRate, double BatchSize) {
 
 Vector Network::backpropagate(const std::vector<Vector> &Activations,
                               const Vector &GradOut) {
+  return backwardPass(Activations, GradOut, /*AccumulateParams=*/true);
+}
+
+Vector Network::backwardPass(const std::vector<Vector> &Activations,
+                             const Vector &GradOut,
+                             bool AccumulateParams) const {
   assert(Activations.size() == Layers.size() + 1 &&
          "activation trace size mismatch");
   Vector Grad = GradOut;
   for (size_t Iu = Layers.size(); Iu > 0; --Iu) {
     size_t I = Iu - 1;
-    Grad = Layers[I]->backward(Activations[I], Grad, /*AccumulateParams=*/true);
+    Grad = Layers[I]->backward(Activations[I], Grad, AccumulateParams);
   }
   return Grad;
 }

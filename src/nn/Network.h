@@ -108,6 +108,11 @@ public:
                        const Vector &GradOut);
 
 private:
+  /// Runs every layer's per-point backward() over \p Activations from the
+  /// output down, seeded with \p GradOut; returns the gradient at the input.
+  Vector backwardPass(const std::vector<Vector> &Activations,
+                      const Vector &GradOut, bool AccumulateParams) const;
+
   std::vector<std::unique_ptr<Layer>> Layers;
   std::string Name;
 };

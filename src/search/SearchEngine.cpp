@@ -136,8 +136,10 @@ SearchEngine::expandNode(const RobustnessProperty &Prop, const Box &Region,
     return E;
   }
 
-  // Lines 5-7: pick a domain with pi_alpha and attempt a proof.
-  DomainSpec Spec = Policy.chooseDomain(Net, Sub, XStar, FStar);
+  // Lines 5-7: pick a domain with pi_alpha and attempt a proof. The node's
+  // features rho serve pi_I too, should the node split.
+  const Vector Rho = VerificationPolicy::featurize(Net, Sub, XStar, FStar);
+  DomainSpec Spec = Policy.chooseDomain(Rho);
   E.Domain = Spec;
   E.DomainChosen = true;
   ++E.Stats.AnalyzeCalls;
@@ -168,7 +170,7 @@ SearchEngine::expandNode(const RobustnessProperty &Prop, const Box &Region,
   // best witness rides along so the children's searches don't rediscover
   // the descent direction from their centers.
   E.Result = Expansion::Kind::Split;
-  E.Split = Policy.choosePartition(Net, Sub, XStar, FStar);
+  E.Split = Policy.choosePartition(Net, Sub, XStar, Rho);
   E.XStar = std::move(XStar);
   ++E.Stats.Splits;
   ++E.Stats.NodesExpanded;

@@ -4,6 +4,7 @@
 
 #include "nn/Dense.h"
 #include "nn/Relu.h"
+#include "opt/Pgd.h"
 
 #include <gtest/gtest.h>
 
@@ -244,8 +245,13 @@ TEST(HarnessTest, DefaultMicroDomainCasesAreDistinctlyNamed) {
   EXPECT_EQ(Bases.size(), 4u);
   EXPECT_TRUE(SawWidePowerset);
   size_t DomainCases = Names.size();
-  for (const CexSearchCase &Case : defaultCexSearchCases())
+  bool SawVerifierPopulation = false;
+  for (const CexSearchCase &Case : defaultCexSearchCases()) {
     EXPECT_TRUE(Names.insert(Case.Name).second) << Case.Name;
+    // The population the verifier runs at every node is timed too.
+    SawVerifierPopulation |= Case.Restarts == PgdConfig().Restarts;
+  }
   EXPECT_GE(DomainCases, 10u);
-  EXPECT_EQ(Names.size(), DomainCases + 3);
+  EXPECT_EQ(Names.size(), DomainCases + 5);
+  EXPECT_TRUE(SawVerifierPopulation);
 }

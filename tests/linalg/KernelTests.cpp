@@ -10,7 +10,9 @@
 //    absColumnSums are bit-identical across *all* levels;
 //  - reductions (matMul, matMulTransposed, absRowSums) may regroup their
 //    accumulation under AVX2/FMA, but stay bit-identical across thread
-//    counts *within* a level and within a small tolerance of the reference.
+//    counts *within* a level and within a small tolerance of the reference;
+//  - the Dense batch kernels (affineBatch, matMul) equal the per-point
+//    matVec + bias and matTVec byte for byte at every level.
 //
 // Each product/sweep case runs both below and above the parallel threshold
 // (setParallelThreshold(0) forces every kernel onto the thread pool), on
@@ -27,6 +29,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <thread>
@@ -407,6 +410,90 @@ TEST(KernelTest, AxpyIsPositionIndependentWithinALevel) {
       for (size_t J = 0; J < X.cols(); ++J)
         ASSERT_EQ(Whole(0, J), Y0(0, J) + A * X(0, J));
   });
+}
+
+// The Dense batch kernels against their per-point definitions, byte for
+// byte (the sign of a zero and a NaN's payload count): each row of
+// affineBatch is matVec(W, x) + b and each row of matMul(G, W) is
+// matTVec(W, g), at every level, serial and forced-threaded, with some
+// weights infinite so NaNs arise too. K covers every residue mod 16 and
+// both of the dot's 8- and 4-element drains; N every remainder mod 4 and
+// rows wider than one register panel. Outputs compare whole, so a
+// remainder store past a row's end shows in the next row.
+TEST(KernelTest, DenseBatchKernelsEqualPerPointBytesOnEveryShape) {
+  std::vector<size_t> Ks, Ns;
+  for (size_t K = 1; K <= 40; ++K)
+    Ks.push_back(K);
+  for (size_t K : {47, 48, 49, 50, 63, 64, 65, 100, 200, 300})
+    Ks.push_back(K);
+  for (size_t N = 1; N <= 9; ++N)
+    Ns.push_back(N);
+  for (size_t N = 47; N <= 53; ++N)
+    Ns.push_back(N);
+  for (size_t N : {96, 97, 200})
+    Ns.push_back(N);
+  const size_t Batches[] = {0, 1, 2, 3, 17};
+  auto SameBytes = [](const Matrix &Got, const Matrix &Want) {
+    ASSERT_EQ(Got.rows(), Want.rows());
+    ASSERT_EQ(Got.cols(), Want.cols());
+    // An empty matrix has no storage, and memcmp takes no null pointer.
+    const size_t Bytes = Got.rows() * Got.cols() * sizeof(double);
+    if (Bytes == 0 || std::memcmp(Got.data(), Want.data(), Bytes) == 0)
+      return;
+    for (size_t I = 0; I < Got.rows(); ++I)
+      for (size_t J = 0; J < Got.cols(); ++J)
+        ASSERT_EQ(std::memcmp(Got.row(I) + J, Want.row(I) + J,
+                              sizeof(double)),
+                  0)
+            << "at (" << I << ", " << J << "): " << Got(I, J) << " vs "
+            << Want(I, J);
+  };
+  Rng R(1010);
+  for (size_t K : Ks) {
+    for (size_t N : Ns) {
+      SCOPED_TRACE("K=" + std::to_string(K) + " N=" + std::to_string(N));
+      Matrix W = randomMatrix(N, K, R);
+      // An infinite weight makes the zero-gradient skip observable: without
+      // it, 0 * inf would turn the skipped row's terms into NaN.
+      if ((K + N) % 3 == 0)
+        W(N / 2, K / 2) = std::numeric_limits<double>::infinity();
+      Vector Bias(N);
+      for (size_t J = 0; J < N; ++J)
+        Bias[J] = R.uniform(-2.0, 2.0);
+      for (size_t B : Batches) {
+        Matrix X = randomMatrix(B, K, R);
+        // A ReLU's gradients: zeros of both signs, which matMul and matTVec
+        // both skip, and the last row all zeros.
+        Matrix G = randomMatrix(B, N, R, 0.4);
+        for (size_t I = 0; I < B; ++I)
+          for (size_t J = 0; J < N; ++J)
+            if (G(I, J) == 0.0 && (I + J) % 2 == 1)
+              G(I, J) = -0.0;
+        for (size_t J = 0; B > 0 && J < N; ++J)
+          G(B - 1, J) = J % 2 == 0 ? 0.0 : -0.0;
+        forEachSimdLevel([&](kernels::SimdLevel) {
+          Matrix WantFwd(B, N), WantBwd(B, K);
+          for (size_t I = 0; I < B; ++I) {
+            Vector Xi(std::vector<double>(X.row(I), X.row(I) + K));
+            Vector Y = matVec(W, Xi);
+            Y += Bias;
+            std::memcpy(WantFwd.row(I), Y.data(), N * sizeof(double));
+            Vector Gi(std::vector<double>(G.row(I), G.row(I) + N));
+            Vector D = matTVec(W, Gi);
+            std::memcpy(WantBwd.row(I), D.data(), K * sizeof(double));
+          }
+          ThresholdGuard Guard;
+          for (size_t Threshold : {size_t(1) << 40, size_t(0)}) {
+            kernels::setParallelThreshold(Threshold);
+            SameBytes(kernels::affineBatch(X, W, Bias), WantFwd);
+            SameBytes(matMul(G, W), WantBwd);
+          }
+        });
+        if (HasFatalFailure())
+          return;
+      }
+    }
+  }
 }
 
 // The convolution microkernel, both shapes: each lane is one chain over

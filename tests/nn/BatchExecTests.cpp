@@ -12,6 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "ConvGeometries.h"
+#include "core/Verifier.h"
 #include "linalg/Kernels.h"
 #include "nn/Builder.h"
 #include "nn/Conv2D.h"
@@ -28,6 +29,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 
 using namespace charon;
 
@@ -105,8 +107,8 @@ template <typename Fn> void underBothThreadings(Fn Body) {
 // positions per vector for.
 const size_t BatchSizes[] = {0, 1, 2, 3, 17};
 
-/// Forwards every Layer call to an owned layer, counting the batched
-/// concrete passes.
+/// Forwards every Layer call to an owned layer, counting the per-point and
+/// the batched concrete passes.
 class CountingLayer final : public Layer {
 public:
   explicit CountingLayer(std::unique_ptr<Layer> Inner)
@@ -116,10 +118,12 @@ public:
   size_t inputSize() const override { return Inner->inputSize(); }
   size_t outputSize() const override { return Inner->outputSize(); }
   Vector forward(const Vector &Input) const override {
+    ++PointForwards;
     return Inner->forward(Input);
   }
   Vector backward(const Vector &Input, const Vector &GradOut,
                   bool AccumulateParams) override {
+    ++PointBackwards;
     return Inner->backward(Input, GradOut, AccumulateParams);
   }
   Matrix forwardBatch(const Matrix &X) const override {
@@ -149,10 +153,25 @@ public:
 
   mutable size_t Forwards = 0;
   mutable size_t Backwards = 0;
+  mutable size_t PointForwards = 0;
+  size_t PointBackwards = 0;
 
 private:
   std::unique_ptr<Layer> Inner;
 };
+
+/// \p Net with every layer wrapped in a CountingLayer; \p Counters gets
+/// the wrappers in layer order.
+Network countedCopy(const Network &Net,
+                    std::vector<CountingLayer *> &Counters) {
+  Network Counted;
+  for (size_t I = 0; I < Net.numLayers(); ++I) {
+    auto L = std::make_unique<CountingLayer>(Net.layer(I).clone());
+    Counters.push_back(L.get());
+    Counted.addLayer(std::move(L));
+  }
+  return Counted;
+}
 
 /// Both PGD engines over a spread of population shapes, every class, cold
 /// and warm-started, under both threadings: results must match bit for bit.
@@ -205,9 +224,18 @@ void checkLayerBatchIdentity(Layer &L, uint64_t Seed) {
 
 TEST(BatchExecTest, DenseMatchesScalarRows) {
   Rng R(41);
-  // Deliberately non-square so a transposed shape would be caught.
-  DenseLayer L(randomMatrix(5, 7, R), rowToVector(randomMatrix(1, 5, R), 0));
-  checkLayerBatchIdentity(L, 42);
+  // 7 -> 5 is deliberately non-square, so a transposed shape would be
+  // caught; the others are the tracked networks' layers: 5 -> 50, 50 -> 50
+  // and 50 -> 5 (ACAS 6x50), 300 -> 100 and 200 -> 200 (the wide image
+  // MLPs).
+  const std::pair<size_t, size_t> Shapes[] = {
+      {7, 5}, {5, 50}, {50, 50}, {50, 5}, {300, 100}, {200, 200}};
+  for (auto [In, Out] : Shapes) {
+    SCOPED_TRACE(std::to_string(In) + " -> " + std::to_string(Out));
+    DenseLayer L(randomMatrix(Out, In, R),
+                 rowToVector(randomMatrix(1, Out, R), 0));
+    checkLayerBatchIdentity(L, 42);
+  }
 }
 
 TEST(BatchExecTest, ReluMatchesScalarRows) {
@@ -339,13 +367,8 @@ TEST(BatchExecTest, PgdRunsOneForwardPassPerBackwardPassPlusOne) {
   // Steps + 1 forward passes through every layer.
   Rng NetRng(54);
   Network Net = makeMlp(8, {16, 16}, 3, NetRng);
-  Network Counted;
   std::vector<CountingLayer *> Counters;
-  for (size_t I = 0; I < Net.numLayers(); ++I) {
-    auto L = std::make_unique<CountingLayer>(Net.layer(I).clone());
-    Counters.push_back(L.get());
-    Counted.addLayer(std::move(L));
-  }
+  Network Counted = countedCopy(Net, Counters);
   Box Region = Box::uniform(8, -0.7, 0.4);
   for (int Restarts : {2, 6}) {
     for (CountingLayer *L : Counters)
@@ -361,6 +384,34 @@ TEST(BatchExecTest, PgdRunsOneForwardPassPerBackwardPassPlusOne) {
       EXPECT_LE(Counters[I]->Forwards, Counters[I]->Backwards + 1)
           << "layer " << I << ", " << Restarts << " restarts";
     }
+  }
+}
+
+TEST(BatchExecTest, PolicyRunsOnePointPassPerAnalyzedNodePlusOnePerSplit) {
+  // PGD runs batched passes only. The policy's features take one per-point
+  // forward and backward pass per analyzed node (objectiveGradient keeps
+  // its forward pass's activations, and pi_alpha and pi_I share the
+  // features), and pi_I's influence gradient one more of each per split.
+  Rng NetRng(60);
+  Network Net = makeMlp(4, {12, 12}, 3, NetRng);
+  std::vector<CountingLayer *> Counters;
+  Network Counted = countedCopy(Net, Counters);
+  const Vector Center{0.1, -0.2, 0.3, 0.0};
+  const size_t K = Net.classify(Center);
+  for (CountingLayer *L : Counters)
+    L->PointForwards = L->PointBackwards = 0;
+  VerifierConfig Config;
+  Config.TimeLimitSeconds = 60.0;
+  VerifyResult R = Verifier(Counted, VerificationPolicy(), Config)
+                       .verify({Box::linfBall(Center, 0.2, -1.0, 1.0), K,
+                                "count"});
+  ASSERT_NE(R.Result, Outcome::Timeout);
+  ASSERT_GT(R.Stats.Splits, 0) << "the property must refine";
+  const size_t Want = static_cast<size_t>(R.Stats.AnalyzeCalls +
+                                          R.Stats.Splits);
+  for (size_t I = 0; I < Counters.size(); ++I) {
+    EXPECT_EQ(Counters[I]->PointForwards, Want) << "layer " << I;
+    EXPECT_EQ(Counters[I]->PointBackwards, Want) << "layer " << I;
   }
 }
 
