@@ -19,7 +19,6 @@
 //   --policy <file>         learned policy (default: built-in policy)
 //   --fgsm                  use FGSM instead of PGD (charon only)
 //   --parallel              analyze subregions on all cores (charon only)
-//   --order lifo|best-first frontier scheduling order (charon only)
 //   --trace <file.jsonl>    write one JSON line per node expansion
 //   --checkpoint <file>     on Timeout, save the open frontier here
 //   --resume <file>         continue the search from a saved checkpoint
@@ -55,8 +54,8 @@ namespace {
   std::fprintf(stderr,
                "usage: %s <network.net|model.onnx> <property.prop> [--tool T] "
                "[--budget S] [--delta D] [--policy F] [--fgsm] "
-               "[--parallel] [--order lifo|best-first] [--trace F] "
-               "[--checkpoint F] [--resume F] [--cert F]\n"
+               "[--parallel] [--trace F] [--checkpoint F] [--resume F] "
+               "[--cert F]\n"
                "       %s --import-onnx <model.onnx> <out.net>\n",
                Argv0, Argv0);
   std::exit(2);
@@ -110,7 +109,6 @@ int main(int Argc, char **Argv) {
   std::string PolicyPath;
   bool UseFgsm = false;
   bool Parallel = false;
-  std::string Order = "lifo";
   std::string TracePath, CheckpointPath, ResumePath, CertPath;
   for (int I = 3; I < Argc; ++I) {
     if (!std::strcmp(Argv[I], "--tool") && I + 1 < Argc)
@@ -125,8 +123,6 @@ int main(int Argc, char **Argv) {
       UseFgsm = true;
     else if (!std::strcmp(Argv[I], "--parallel"))
       Parallel = true;
-    else if (!std::strcmp(Argv[I], "--order") && I + 1 < Argc)
-      Order = Argv[++I];
     else if (!std::strcmp(Argv[I], "--trace") && I + 1 < Argc)
       TracePath = Argv[++I];
     else if (!std::strcmp(Argv[I], "--checkpoint") && I + 1 < Argc)
@@ -138,8 +134,6 @@ int main(int Argc, char **Argv) {
     else
       usage(Argv[0]);
   }
-  if (Order != "lifo" && Order != "best-first")
-    usage(Argv[0]);
 
   auto Net = loadAnyNetworkFile(Argv[1]);
   if (!Net) {
@@ -169,8 +163,6 @@ int main(int Argc, char **Argv) {
     VC.TimeLimitSeconds = Budget;
     VC.Delta = Delta;
     VC.Optimizer = UseFgsm ? CexSearchKind::Fgsm : CexSearchKind::Pgd;
-    VC.SearchOrder =
-        Order == "best-first" ? FrontierOrder::BestFirst : FrontierOrder::Lifo;
     VC.EmitCertificate = !CertPath.empty();
 
     std::ofstream TraceOs;

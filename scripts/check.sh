@@ -16,9 +16,11 @@
 # CHARON_KERNEL_THRESHOLD=1, driving the batched search through the
 # threaded kernels under ASan + UBSan.
 # A trace/checkpoint smoke exports the ACAS-like suite, verifies a
-# property with --trace (validating the charon-trace/1 JSONL schema), and
-# exercises the Timeout -> --checkpoint -> --resume path; the sanitize leg
-# runs it with --parallel and forced-threaded kernels.
+# property with --trace (validating the charon-trace/1 JSONL schema,
+# requiring that no node path repeats and, on the serial plain leg, that
+# the paths arrive in ascending DFS order), and exercises the Timeout ->
+# --checkpoint -> --resume path; the sanitize leg runs it with --parallel
+# and forced-threaded kernels.
 # A hostile-input leg then feeds the string-backed parsers a count far
 # larger than the file: charon_check (a certificate's dim and nodes) and
 # charon_cli (a property's dim, a network's dense layer size, and
@@ -180,19 +182,23 @@ TRACE_DIR="$BUILD_DIR/trace-smoke"
 rm -rf "$TRACE_DIR"
 TRACE_ENV=()
 TRACE_FLAGS=()
+TRACE_DRIVER=serial
 if [[ "$SANITIZE" == 1 ]]; then
   TRACE_ENV+=(CHARON_KERNEL_THRESHOLD=1)
   TRACE_FLAGS+=(--parallel)
+  TRACE_DRIVER=parallel
 fi
 # The export trains the seed-321 suite into its own cache dir (the
 # networks/ cache may hold a differently-seeded ACAS net from the bench
-# harness). charon_cli exits 1 on Timeout; the trace is valid either way.
+# harness). The trace covers one second of acas-0, which refines for
+# longer than that, so the order checks see thousands of events.
+# charon_cli exits 1 on Timeout; the trace is valid either way.
 "$BUILD_DIR/examples/acas_export" "$TRACE_DIR" --count 2 \
   --cache "$TRACE_DIR" >/dev/null
 set +e
 env "${TRACE_ENV[@]}" "$BUILD_DIR/examples/charon_cli" \
-  "$TRACE_DIR/acas.net" "$TRACE_DIR/acas-1.prop" \
-  --budget 10 --trace "$TRACE_DIR/trace.jsonl" "${TRACE_FLAGS[@]}"
+  "$TRACE_DIR/acas.net" "$TRACE_DIR/acas-0.prop" \
+  --budget 1 --trace "$TRACE_DIR/trace.jsonl" "${TRACE_FLAGS[@]}"
 TRACE_RC=$?
 set -e
 if [[ "$TRACE_RC" != 0 && "$TRACE_RC" != 1 ]]; then
@@ -200,7 +206,7 @@ if [[ "$TRACE_RC" != 0 && "$TRACE_RC" != 1 ]]; then
   exit 1
 fi
 if command -v python3 >/dev/null 2>&1; then
-  python3 - "$TRACE_DIR/trace.jsonl" <<'EOF'
+  python3 - "$TRACE_DIR/trace.jsonl" "$TRACE_DRIVER" <<'EOF'
 import json, sys
 lines = [l for l in open(sys.argv[1]) if l.strip()]
 assert lines, "empty trace"
@@ -214,7 +220,15 @@ for line in lines:
     assert event["depth"] >= 0 and event["diameter"] > 0
 paths = [e["path"] for e in map(json.loads, lines)]
 assert "-" in paths, "root never expanded"
-print(f"trace smoke: {len(lines)} JSONL events OK")
+assert len(set(paths)) == len(paths), "a node path repeats"
+if sys.argv[2] == "serial":
+    # A serial run takes the DFS-least open node at every step: the root
+    # first, a path before its extensions, 0 before 1. That is string order
+    # on the bit strings, with the root as the empty string.
+    bits = ["" if p == "-" else p for p in paths]
+    for a, b in zip(bits, bits[1:]):
+        assert a < b, f"path {b or '-'} follows {a or '-'} out of DFS order"
+print(f"trace smoke: {len(lines)} JSONL events OK ({sys.argv[2]})")
 EOF
 else
   grep -q '"path":"-"' "$TRACE_DIR/trace.jsonl"

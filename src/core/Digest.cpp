@@ -97,9 +97,10 @@ uint64_t charon::digestVerifierConfigSemantics(const VerifierConfig &Config) {
   H.u64(static_cast<uint64_t>(Config.Optimizer));
   H.u64(Config.UseCounterexampleSearch ? 1 : 0);
   H.u64(Config.Seed);
-  H.u64(static_cast<uint64_t>(Config.SearchOrder));
-  // The removed complete-fallback hook (installed, diameter) is hashed at
-  // its former default, like the CEGAR settings below.
+  // The removed search-order setting (Lifo) and complete-fallback hook
+  // (installed, diameter) are hashed at their former defaults, like the
+  // CEGAR settings below.
+  H.u64(0);
   H.u64(0);
   H.f64(0.05);
   // Kernel precision has one value, but stays hashed so digests computed

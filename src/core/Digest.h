@@ -65,7 +65,8 @@ uint64_t digestProperty(const RobustnessProperty &Prop);
 
 /// Digest of every VerifierConfig field that can influence the verdict or
 /// the counterexample (delta, budget, depth cap, optimizer kind and
-/// hyperparameters, seed, frontier order). CancelRequested, the trace
+/// hyperparameters, seed), plus removed settings at their former defaults
+/// so that persisted digests keep their values. CancelRequested, the trace
 /// sink, and EmitCertificate are excluded entirely: the first can only
 /// truncate a run to Timeout and the others only observe it; none changes
 /// a verdict.

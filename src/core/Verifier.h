@@ -16,7 +16,7 @@
 /// verifyParallel() — are thin wrappers over the explicit proof-search
 /// engine in src/search/: one shared node-expansion path, path-derived
 /// per-node RNG seeds (so serial and parallel runs return bit-identical
-/// verdicts, counterexamples, and objectives), a pluggable frontier order,
+/// verdicts, counterexamples, and objectives), one DFS-ordered open set,
 /// resumable checkpoints on Timeout, and structured per-node trace events.
 ///
 //===----------------------------------------------------------------------===//
@@ -29,7 +29,6 @@
 #include "linalg/SimdDispatch.h"
 #include "nn/Network.h"
 #include "opt/Pgd.h"
-#include "search/Frontier.h"
 #include "search/Trace.h"
 #include "support/Timer.h"
 
@@ -124,9 +123,6 @@ struct VerifierConfig {
   /// RNG seed. Each proof-tree node derives its own seed from this value
   /// and its split path, so randomness is independent of scheduling.
   uint64_t Seed = 7;
-  /// Frontier scheduling order (see search/Frontier.h). Pure heuristics:
-  /// the verdict-selection rule keeps clean-run answers order-independent.
-  FrontierOrder SearchOrder = FrontierOrder::Lifo;
 
   /// Kernel precision of the abstract-domain legs. Double is the only
   /// value; the field stays digested so every config digest, and with it

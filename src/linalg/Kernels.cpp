@@ -170,7 +170,8 @@ void affineRowsScalar(const Matrix &X, const Matrix &W, const double *Bias,
 /// Rows [Begin, End) of C = A * B in i-k-j order with column panels: the
 /// inner j-loop stays contiguous in both B and C, and panelling bounds the
 /// active B working set. Per-element accumulation remains ascending in k
-/// (panels reorder work across elements, never within one).
+/// (panels reorder work across elements, never within one), from a +0.0
+/// written over C's uninitialized panel first.
 void matMulRowsScalar(const Matrix &A, const Matrix &B, Matrix &C,
                       size_t Begin, size_t End) {
   const size_t NK = A.cols();
@@ -181,6 +182,7 @@ void matMulRowsScalar(const Matrix &A, const Matrix &B, Matrix &C,
     for (size_t I = Begin; I < End; ++I) {
       double *CRow = C.row(I);
       const double *ARow = A.row(I);
+      std::fill(CRow + JB, CRow + JE, 0.0);
       for (size_t K = 0; K < NK; ++K) {
         double Aik = ARow[K];
         if (Aik == 0.0)
@@ -515,7 +517,7 @@ Vector charon::matTVec(const Matrix &A, const Vector &X) {
 
 Matrix charon::matMul(const Matrix &A, const Matrix &B) {
   assert(A.cols() == B.rows() && "matMul shape mismatch");
-  Matrix C(A.rows(), B.cols());
+  Matrix C = Matrix::uninit(A.rows(), B.cols());
   const kernels::detail::SimdOps &Ops = kernels::detail::activeOps();
   kernels::parallelFor(A.rows(), 2 * A.cols() * B.cols(),
                        [&A, &B, &C, &Ops](size_t Begin, size_t End) {

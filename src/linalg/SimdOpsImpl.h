@@ -63,9 +63,10 @@ struct SimdOps {
   void (*AffineRows)(const Matrix &X, const Matrix &W, const double *Bias,
                      Matrix &Out, size_t Begin, size_t End);
 
-  /// Rows [Begin, End) of C += A * B in i-k-j order (C pre-zeroed), built
-  /// on Saxpy semantics with the Aik == 0.0 skip. A body that runs each
-  /// element's chain from +0.0 itself may overwrite C instead.
+  /// Rows [Begin, End) of C = A * B in i-k-j order, built on Saxpy
+  /// semantics with the Aik == 0.0 skip: each element's chain starts from
+  /// +0.0. C arrives uninitialized, so the body writes every element of
+  /// its rows.
   void (*MatMulRows)(const Matrix &A, const Matrix &B, Matrix &C,
                      size_t Begin, size_t End);
 

@@ -9,16 +9,27 @@
 
 using namespace charon;
 
+void charon::writeStatsCounters(std::ostream &Os, const VerifyStats &S) {
+  Os << " " << S.PgdCalls << " " << S.AnalyzeCalls << " " << S.Splits << " "
+     << S.MaxDepth << " " << S.IntervalChoices << " " << S.ZonotopeChoices
+     << " " << S.DisjunctSum << " " << S.NodesExpanded;
+}
+
+bool charon::readStatsCounters(TextReader &R, VerifyStats &S) {
+  return R.integer(S.PgdCalls) && R.integer(S.AnalyzeCalls) &&
+         R.integer(S.Splits) && R.integer(S.MaxDepth) &&
+         R.integer(S.IntervalChoices) && R.integer(S.ZonotopeChoices) &&
+         R.integer(S.DisjunctSum) && R.integer(S.NodesExpanded);
+}
+
 void charon::saveCheckpoint(const SearchCheckpoint &Cp, std::ostream &Os) {
   writeHeader(Os, "charon-checkpoint", 1);
-  Os << "\norder " << toString(Cp.Order) << "\n";
+  Os << "\norder lifo\n";
   Os << "network " << Cp.NetworkFingerprint << " property "
      << Cp.PropertyDigest << " config " << Cp.ConfigDigest << "\n";
-  const VerifyStats &S = Cp.Stats;
-  Os << "stats " << S.PgdCalls << " " << S.AnalyzeCalls << " " << S.Splits
-     << " " << S.MaxDepth << " " << S.IntervalChoices << " "
-     << S.ZonotopeChoices << " " << S.DisjunctSum << " " << S.NodesExpanded
-     << " " << S.Seconds << "\n";
+  Os << "stats";
+  writeStatsCounters(Os, Cp.Stats);
+  Os << " " << Cp.Stats.Seconds << "\n";
   size_t Dim = Cp.Open.empty() ? 0 : Cp.Open.front().Region.dim();
   Os << "dim " << Dim << "\n";
   Os << "open " << Cp.Open.size() << "\n";
@@ -44,20 +55,16 @@ namespace {
 
 std::optional<SearchCheckpoint> readCheckpoint(TextReader &R) {
   SearchCheckpoint Cp;
-  VerifyStats &S = Cp.Stats;
+  std::string_view Order;
   size_t Dim = 0, Count = 0;
   if (!R.header("charon-checkpoint", 1) || !R.keyword("order") ||
-      !R.oneOf({FrontierOrder::Lifo, FrontierOrder::BestFirst}, Cp.Order) ||
+      !R.token(Order) || (Order != "lifo" && Order != "best-first") ||
       !R.keyword("network") || !R.integer(Cp.NetworkFingerprint) ||
       !R.keyword("property") || !R.integer(Cp.PropertyDigest) ||
       !R.keyword("config") || !R.integer(Cp.ConfigDigest) ||
-      !R.keyword("stats") || !R.integer(S.PgdCalls) ||
-      !R.integer(S.AnalyzeCalls) || !R.integer(S.Splits) ||
-      !R.integer(S.MaxDepth) || !R.integer(S.IntervalChoices) ||
-      !R.integer(S.ZonotopeChoices) || !R.integer(S.DisjunctSum) ||
-      !R.integer(S.NodesExpanded) || !R.number(S.Seconds) ||
-      !R.keyword("dim") || !R.count(Dim) || !R.keyword("open") ||
-      !R.count(Count) || (Count > 0 && Dim == 0))
+      !R.keyword("stats") || !readStatsCounters(R, Cp.Stats) ||
+      !R.number(Cp.Stats.Seconds) || !R.keyword("dim") || !R.count(Dim) ||
+      !R.keyword("open") || !R.count(Count) || (Count > 0 && Dim == 0))
     return std::nullopt;
 
   Cp.Open.reserve(Count);

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// A compact, serializable snapshot of an interrupted proof search: the
-/// open frontier (each open node's split path, region, warm-start witness,
-/// and priority) plus a summary of the verified subtree (the accumulated
+/// open nodes (each one's split path, region, warm-start witness, and
+/// priority) plus a summary of the verified subtree (the accumulated
 /// stats). Node expansions are committed atomically — a node whose
 /// analysis a deadline aborted stays open — so resuming a checkpoint
 /// expands exactly the nodes the uninterrupted run would have expanded,
@@ -37,6 +37,13 @@
 ///   end
 /// \endcode
 ///
+/// The `order` line is always `lifo`: the search has one order. The reader
+/// also accepts `order best-first`, written by older builds that had a
+/// second order, so their checkpoints and the cache logs embedding them
+/// still load.
+/// A node's priority (its parent's PGD objective) is recorded data that no
+/// scheduler reads.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CHARON_SEARCH_CHECKPOINT_H
@@ -44,7 +51,6 @@
 
 #include "core/Verifier.h"
 #include "linalg/Box.h"
-#include "search/Frontier.h"
 
 #include <iosfwd>
 #include <optional>
@@ -52,6 +58,7 @@
 #include <vector>
 
 namespace charon {
+class TextReader;
 
 /// One open node of an interrupted search.
 struct CheckpointNode {
@@ -63,7 +70,6 @@ struct CheckpointNode {
 
 /// Snapshot of an interrupted proof search.
 struct SearchCheckpoint {
-  FrontierOrder Order = FrontierOrder::Lifo;
   uint64_t NetworkFingerprint = 0;
   uint64_t PropertyDigest = 0;
   /// digestVerifierConfigSemantics() of the interrupted run's config.
@@ -75,6 +81,14 @@ struct SearchCheckpoint {
   /// expand them).
   std::vector<CheckpointNode> Open;
 };
+
+/// Writes the eight VerifyStats counters (not Seconds), a space before
+/// each: the shared head of the checkpoint's and the cache log's `stats`
+/// lines.
+void writeStatsCounters(std::ostream &Os, const VerifyStats &S);
+
+/// Reads the counters writeStatsCounters() writes into \p S.
+bool readStatsCounters(TextReader &R, VerifyStats &S);
 
 /// Writes \p Cp to \p Os in the documented text format.
 void saveCheckpoint(const SearchCheckpoint &Cp, std::ostream &Os);

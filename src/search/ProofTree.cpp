@@ -126,9 +126,8 @@ bool ProofTree::dfsPrecedes(NodeId A, NodeId B) const {
     return false;
   std::vector<uint8_t> PA = pathOf(A);
   std::vector<uint8_t> PB = pathOf(B);
-  // Lexicographic with 0 < 1 and prefix-precedes-extension is exactly the
-  // sequential LIFO expansion order: the driver pushes the upper half, then
-  // the lower half, so the lower half (and every ancestor) pops first.
+  // Lexicographic with 0 < 1 and prefix-precedes-extension is depth-first
+  // preorder with the lower half first: the serial expansion order.
   return std::lexicographical_compare(PA.begin(), PA.end(), PB.begin(),
                                       PB.end());
 }

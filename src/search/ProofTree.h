@@ -19,10 +19,11 @@
 ///    *where it sits in the tree*, never on when a scheduler happened to
 ///    run it. This is what makes serial and parallel searches (and
 ///    checkpoint-resumed ones) bit-identical.
-///  - A total "DFS order" over nodes (the order the sequential LIFO driver
-///    expands them: ancestors before descendants, lower split half before
-///    upper). The engine uses it to pick a scheduling-independent
-///    falsification when several nodes refute the property.
+///  - A total "DFS order" over nodes (ancestors before descendants, lower
+///    split half before upper). The engine takes open nodes in this order,
+///    so a serial run expands depth first, and uses it to pick a
+///    scheduling-independent falsification when several nodes refute the
+///    property.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,8 +69,8 @@ struct ProofNode {
   /// RNG seed for this node's counterexample search, folded along the path
   /// from the root (see ProofTree doc comment).
   uint64_t PathSeed = 0;
-  /// Frontier priority: the parent's PGD objective (smaller = closer to a
-  /// refutation = expanded earlier under best-first order). 0 at the root.
+  /// The parent's PGD objective (0 at the root), recorded in checkpoints.
+  /// No scheduler reads it.
   double Priority = 0.0;
   /// Parent's best witness, projected into this region by the node's own
   /// search as a warm start. Cleared once the node resolves.
@@ -110,7 +111,7 @@ public:
 
   /// Adds the two children of \p Parent produced by splitting it, lower
   /// half first. Both inherit \p Warm as their warm-start witness and
-  /// \p Priority (the parent's PGD objective) as their frontier priority.
+  /// \p Priority (the parent's PGD objective) as their priority.
   std::pair<NodeId, NodeId> addChildren(NodeId Parent, Box Lower, Box Upper,
                                         const Vector &Warm, double Priority);
 
@@ -129,9 +130,9 @@ public:
   /// Renders pathOf() as a string of '0'/'1' characters, "-" for the root.
   std::string pathString(NodeId Id) const;
 
-  /// True when \p A is expanded strictly before \p B by the sequential
-  /// LIFO driver: ancestors precede descendants, and at the first
-  /// diverging split the lower half precedes the upper.
+  /// True when \p A is expanded strictly before \p B by the serial
+  /// driver: ancestors precede descendants, and at the first diverging
+  /// split the lower half precedes the upper.
   bool dfsPrecedes(NodeId A, NodeId B) const;
 
   /// The seed fold: seed of a child on side \p Bit of a node with

@@ -15,6 +15,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <set>
+#include <vector>
 
 using namespace charon;
 
@@ -50,14 +51,14 @@ struct SearchEngine::Expansion {
   double Seconds = 0.0;      ///< node wall-clock, for the trace event
 };
 
-/// Everything one run() shares between the drivers: the tree, the frontier,
-/// the DFS-ordered open set, the falsification candidate, and the committed
-/// stats. Guarded by Mutex; Work is signaled whenever the frontier grows or
+/// Everything one run() shares between the drivers: the tree, the
+/// DFS-ordered open set, the falsification candidate, and the committed
+/// stats. Guarded by Mutex; Work is signaled whenever the open set grows or
 /// the done/in-flight state changes.
 struct SearchEngine::SearchState {
   SearchState(const RobustnessProperty &P, const VerifierConfig &Config)
       : Prop(P), Budget(Config.TimeLimitSeconds), Tree(Config.Seed),
-        Open(Config.SearchOrder, &Tree), OpenSet(DfsLess{&Tree}) {}
+        OpenSet(DfsLess{&Tree}) {}
 
   const RobustnessProperty &Prop;
   Deadline Budget;
@@ -66,10 +67,11 @@ struct SearchEngine::SearchState {
   std::mutex Mutex;
   std::condition_variable Work;
   ProofTree Tree;
-  Frontier Open;
-  /// Every Open-status node — scheduled or in flight — in DFS order, so
-  /// begin() is the earliest node the sequential driver would still expand.
+  /// Every Open-status node, in flight or not, in DFS order, so begin() is
+  /// the earliest node the sequential driver would still expand.
   std::set<NodeId, DfsLess> OpenSet;
+  /// The open nodes being expanded outside the lock, one per busy worker.
+  std::vector<NodeId> InFlight;
   /// DFS-earliest falsified node so far (InvalidNodeId when none). Only
   /// confirmed — made the final verdict — once no open node DFS-precedes it.
   NodeId BestFalsified = InvalidNodeId;
@@ -80,10 +82,16 @@ struct SearchEngine::SearchState {
   VerifyStats Stats;
   bool TimedOut = false; ///< deadline, cancellation, or depth cap hit
   bool Done = false;     ///< no further scheduling; workers drain
-  unsigned InFlight = 0; ///< expansions currently outside the lock
   /// Restored from a checkpoint: the tree holds only the detached frontier
   /// (no materialized root), so a tree certificate cannot be built.
   bool Resumed = false;
+
+  /// True when a worker is expanding \p Id.
+  bool inFlight(NodeId Id) const {
+    return std::find(InFlight.begin(), InFlight.end(), Id) != InFlight.end();
+  }
+  /// True when some open node waits that no worker is expanding.
+  bool schedulable() const { return OpenSet.size() > InFlight.size(); }
 };
 
 SearchEngine::SearchEngine(const Network &N, const VerificationPolicy &P,
@@ -190,7 +198,7 @@ SearchEngine::StepResult SearchEngine::runStep(SearchState &S) const {
     if (S.TimedOut) {
       // Stop scheduling; in-flight expansions finish (their analyses abort
       // at the same deadline) before the run concludes.
-      if (S.InFlight > 0)
+      if (!S.InFlight.empty())
         return StepResult::NoWork;
       S.Done = true;
       S.Work.notify_all();
@@ -206,19 +214,23 @@ SearchEngine::StepResult SearchEngine::runStep(SearchState &S) const {
       S.Work.notify_all();
       return StepResult::Finished;
     }
-    if (S.Open.empty()) {
-      if (S.InFlight > 0)
+    // Take the DFS-least open node no worker holds: on a serial run, the
+    // node the classic depth-first loop expands next.
+    auto Next = std::find_if(S.OpenSet.begin(), S.OpenSet.end(),
+                             [&S](NodeId Open) { return !S.inFlight(Open); });
+    if (Next == S.OpenSet.end()) {
+      if (!S.InFlight.empty())
         return StepResult::NoWork;
       S.Done = true;
       S.Work.notify_all();
       return StepResult::Finished;
     }
-    Id = S.Open.pop();
+    Id = *Next;
     // A DFS-later node cannot change the confirmed verdict; skip it.
     if (S.BestFalsified != InvalidNodeId &&
         S.Tree.dfsPrecedes(S.BestFalsified, Id)) {
       S.Tree.node(Id).Status = NodeStatus::Pruned;
-      S.OpenSet.erase(Id);
+      S.OpenSet.erase(Next);
       continue;
     }
     break;
@@ -229,14 +241,14 @@ SearchEngine::StepResult SearchEngine::runStep(SearchState &S) const {
   Vector Warm = Node.Warm;
   uint64_t Seed = Node.PathSeed;
   uint32_t Depth = Node.Depth;
-  ++S.InFlight;
+  S.InFlight.push_back(Id);
   Lock.unlock();
 
   Expansion E = expandNode(S.Prop, Region, Warm.empty() ? nullptr : &Warm,
                            Seed, &S.Budget);
 
   Lock.lock();
-  --S.InFlight;
+  S.InFlight.erase(std::find(S.InFlight.begin(), S.InFlight.end(), Id));
   ProofNode &N = S.Tree.node(Id);
   N.PgdObjective = E.PgdObjective;
   N.Domain = E.Domain;
@@ -294,20 +306,16 @@ SearchEngine::StepResult SearchEngine::runStep(SearchState &S) const {
                                          E.PgdObjective);
     S.OpenSet.insert(LId);
     S.OpenSet.insert(UId);
-    if (Depth + 1 > static_cast<uint32_t>(Config.MaxDepth)) {
-      // Safety net beyond the theoretical bound: stop and report Timeout;
-      // the children stay open so a resume under a larger cap continues.
+    // Safety net beyond the theoretical bound: stop and report Timeout;
+    // the children stay open so a resume under a larger cap continues.
+    if (Depth + 1 > static_cast<uint32_t>(Config.MaxDepth))
       S.TimedOut = true;
-    } else {
-      // Upper before lower so the lower half pops first under Lifo — the
-      // classic depth-first order.
-      S.Open.push(UId);
-      S.Open.push(LId);
-    }
     break;
   }
   }
-  std::string Path = S.Tree.pathString(Id);
+  std::string Path;
+  if (Config.Trace)
+    Path = S.Tree.pathString(Id);
   S.Work.notify_all();
   Lock.unlock();
 
@@ -371,7 +379,6 @@ VerifyResult SearchEngine::finish(SearchState &S,
   }
   Result.Result = Outcome::Timeout;
   auto Cp = std::make_shared<SearchCheckpoint>();
-  Cp->Order = Config.SearchOrder;
   Cp->NetworkFingerprint = fingerprintNetwork(Net);
   Cp->PropertyDigest = digestProperty(Prop);
   Cp->ConfigDigest = digestVerifierConfigSemantics(Config);
@@ -405,31 +412,20 @@ VerifyResult SearchEngine::run(const RobustnessProperty &Prop,
       Resume->PropertyDigest == digestProperty(Prop) &&
       Resume->ConfigDigest == digestVerifierConfigSemantics(Config) &&
       !Resume->Open.empty()) {
-    // Rebuild the frontier. Checkpoints store open nodes DFS-ascending;
-    // pushing in reverse leaves the DFS-least node on top of the Lifo
-    // stack, recreating the interrupted run's exact schedule (BestFirst
-    // reorders by priority regardless of push order).
+    // Rebuild the open set; taking its nodes in DFS order replays the
+    // interrupted run's exact schedule.
     S.Stats = Resume->Stats;
-    std::vector<NodeId> Ids;
-    Ids.reserve(Resume->Open.size());
     for (const CheckpointNode &Node : Resume->Open)
-      Ids.push_back(S.Tree.addDetached(Node.Path, Node.Region, Node.Warm,
-                                       Node.Priority));
-    for (auto It = Ids.rbegin(); It != Ids.rend(); ++It) {
-      S.OpenSet.insert(*It);
-      S.Open.push(*It);
-    }
+      S.OpenSet.insert(S.Tree.addDetached(Node.Path, Node.Region, Node.Warm,
+                                          Node.Priority));
     Resumed = true;
   }
   S.Resumed = Resumed;
-  if (!Resumed) {
-    NodeId Root = S.Tree.addRoot(Prop.Region);
-    S.OpenSet.insert(Root);
-    S.Open.push(Root);
-  }
+  if (!Resumed)
+    S.OpenSet.insert(S.Tree.addRoot(Prop.Region));
 
   if (!Pool) {
-    // NoWork is unreachable serially: InFlight is always zero when the
+    // NoWork is unreachable serially: InFlight is always empty when the
     // single driver thread re-enters runStep.
     while (runStep(S) != StepResult::Finished)
       ;
@@ -448,8 +444,8 @@ VerifyResult SearchEngine::run(const RobustnessProperty &Prop,
         case StepResult::NoWork: {
           std::unique_lock<std::mutex> Lock(S.Mutex);
           S.Work.wait(Lock, [&S] {
-            return S.Done || S.InFlight == 0 ||
-                   (!S.TimedOut && !S.Open.empty());
+            return S.Done || S.InFlight.empty() ||
+                   (!S.TimedOut && S.schedulable());
           });
           if (S.Done)
             return;

@@ -198,11 +198,9 @@ void charon::writeCacheRecord(std::ostream &Os, const CacheRecord &Rec) {
   Os << "result " << toString(R.Result) << " " << R.ObjectiveAtCex << "\n";
   Os << "cex " << R.Counterexample.size();
   writeValues(Os, R.Counterexample.data(), R.Counterexample.size());
-  const VerifyStats &S = R.Stats;
-  Os << "\nstats " << S.PgdCalls << " " << S.AnalyzeCalls << " " << S.Splits
-     << " " << S.MaxDepth << " " << S.IntervalChoices << " "
-     << S.ZonotopeChoices << " " << S.DisjunctSum << " " << S.NodesExpanded
-     << " 0 0 0 0 " << S.Seconds << "\n";
+  Os << "\nstats";
+  writeStatsCounters(Os, R.Stats);
+  Os << " 0 0 0 0 " << R.Stats.Seconds << "\n";
   Os << "cert ";
   writeBlock(Os, R.Certificate ? serializeCertificate(*R.Certificate) : "");
   Os << "checkpoint ";
@@ -223,17 +221,13 @@ std::optional<CacheRecord> charon::readCacheRecord(TextReader &R) {
       !R.number(Res.ObjectiveAtCex) || !R.keyword("cex") || !R.count(CexSize))
     return std::nullopt;
   Res.Counterexample = Vector(CexSize);
-  VerifyStats &S = Res.Stats;
   long Unused = 0; // the removed CEGAR counters' columns, read and dropped
   std::string Cert, Cp;
   if (!R.numbers(Res.Counterexample.data(), CexSize) ||
-      !R.keyword("stats") || !R.integer(S.PgdCalls) ||
-      !R.integer(S.AnalyzeCalls) || !R.integer(S.Splits) ||
-      !R.integer(S.MaxDepth) || !R.integer(S.IntervalChoices) ||
-      !R.integer(S.ZonotopeChoices) || !R.integer(S.DisjunctSum) ||
-      !R.integer(S.NodesExpanded) || !R.integer(Unused) ||
+      !R.keyword("stats") || !readStatsCounters(R, Res.Stats) ||
       !R.integer(Unused) || !R.integer(Unused) || !R.integer(Unused) ||
-      !R.number(S.Seconds) || !R.keyword("cert") || !R.block(Cert) ||
+      !R.integer(Unused) || !R.number(Res.Stats.Seconds) ||
+      !R.keyword("cert") || !R.block(Cert) ||
       !R.keyword("checkpoint") || !R.block(Cp) || !R.keyword("end") ||
       !R.endLine())
     return std::nullopt;

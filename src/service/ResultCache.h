@@ -21,8 +21,9 @@
 /// digest includes the time budget, so "same query, same budget" returns
 /// the same timeout instead of burning the budget again. They never
 /// participate in subsumption (a timeout proves nothing about any
-/// region). Callers who want fresh attempts after transient load spikes
-/// can disable timeout caching at the service level.
+/// region). VerificationService resumes the checkpoint such a hit carries
+/// instead of returning the timeout, so a repeated query continues the
+/// search where the earlier budget ran out.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -4,8 +4,8 @@
 //
 // The certificate contract under test: every decided direct verdict emitted
 // with EmitCertificate carries a certificate whose canonical text form
-// round-trips byte-identically, which the standalone checker accepts across
-// frontier orders and the parallel driver, and every class of tampering —
+// round-trips byte-identically, which the standalone checker accepts from
+// the serial and the parallel driver, and every class of tampering —
 // inflated margins, dropped leaves, shrunk subregions, flipped verdicts,
 // wrong digests — is rejected. Checkpoint-resumed runs certify Falsified
 // with a trivial single-witness certificate and leave Verified uncertified,
@@ -112,36 +112,31 @@ TEST(CertificateTest, RoundTripIsByteIdentical) {
   }
 }
 
-TEST(CertificateTest, CheckerAcceptsAcrossOrdersAndParallel) {
+TEST(CertificateTest, CheckerAcceptsSerialAndParallel) {
   ThreadPool Pool(4);
   int Checked = 0;
-  for (FrontierOrder Order : {FrontierOrder::Lifo, FrontierOrder::BestFirst}) {
-    VerifierConfig Config = certConfig();
-    Config.SearchOrder = Order;
-    Verifier V(acasSuite().Net, VerificationPolicy(), Config);
-    for (const RobustnessProperty &Prop : acasSuite().Properties) {
-      SCOPED_TRACE(Prop.Name);
-      for (bool Parallel : {false, true}) {
-        VerifyResult R =
-            Parallel ? V.verifyParallel(Prop, Pool) : V.verify(Prop);
-        if (R.Result == Outcome::Timeout)
-          continue;
-        ASSERT_TRUE(R.Certificate);
-        EXPECT_EQ(R.Certificate->Verdict, R.Result);
-        CertCheckReport Rep =
-            checkCertificate(acasSuite().Net, Prop, *R.Certificate);
-        EXPECT_TRUE(Rep.Accepted) << firstError(Rep);
-        if (R.Result == Outcome::Verified) {
-          EXPECT_GT(Rep.VerifiedLeaves, 0);
-          EXPECT_EQ(Rep.FalsifiedLeaves, 0);
-          EXPECT_EQ(Rep.PrunedNodes, 0);
-          EXPECT_EQ(Rep.Reanalyses, Rep.VerifiedLeaves);
-        } else {
-          EXPECT_GT(Rep.FalsifiedLeaves, 0);
-          EXPECT_EQ(Rep.CexReplays, Rep.FalsifiedLeaves);
-        }
-        ++Checked;
+  Verifier V(acasSuite().Net, VerificationPolicy(), certConfig());
+  for (const RobustnessProperty &Prop : acasSuite().Properties) {
+    SCOPED_TRACE(Prop.Name);
+    for (bool Parallel : {false, true}) {
+      VerifyResult R = Parallel ? V.verifyParallel(Prop, Pool) : V.verify(Prop);
+      if (R.Result == Outcome::Timeout)
+        continue;
+      ASSERT_TRUE(R.Certificate);
+      EXPECT_EQ(R.Certificate->Verdict, R.Result);
+      CertCheckReport Rep =
+          checkCertificate(acasSuite().Net, Prop, *R.Certificate);
+      EXPECT_TRUE(Rep.Accepted) << firstError(Rep);
+      if (R.Result == Outcome::Verified) {
+        EXPECT_GT(Rep.VerifiedLeaves, 0);
+        EXPECT_EQ(Rep.FalsifiedLeaves, 0);
+        EXPECT_EQ(Rep.PrunedNodes, 0);
+        EXPECT_EQ(Rep.Reanalyses, Rep.VerifiedLeaves);
+      } else {
+        EXPECT_GT(Rep.FalsifiedLeaves, 0);
+        EXPECT_EQ(Rep.CexReplays, Rep.FalsifiedLeaves);
       }
+      ++Checked;
     }
   }
   EXPECT_GE(Checked, 8) << "too few certificates decided within budget";

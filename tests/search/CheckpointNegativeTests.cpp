@@ -8,7 +8,9 @@
 // non-numeric doubles, inverted region bounds, warm-start size mismatches,
 // counts larger than the remaining text, and duplicate node paths (two
 // frontier entries with the same path can never come from the engine,
-// whose paths identify nodes and seed their RNG streams).
+// whose paths identify nodes and seed their RNG streams). The one order
+// token besides `lifo` that builds with a second search order wrote,
+// `best-first`, must keep loading.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +27,6 @@ namespace {
 /// A small well-formed two-node checkpoint built by hand.
 SearchCheckpoint sampleCheckpoint() {
   SearchCheckpoint Cp;
-  Cp.Order = FrontierOrder::Lifo;
   Cp.NetworkFingerprint = 0x1234;
   Cp.PropertyDigest = 0x5678;
   Cp.ConfigDigest = 0x9abc;
@@ -70,6 +71,14 @@ TEST(CheckpointNegativeTest, BaselineParsesAndRoundTrips) {
   ASSERT_TRUE(Cp.has_value());
   EXPECT_EQ(Text, serializeCheckpoint(*Cp));
   EXPECT_EQ(Cp->Open.size(), 2u);
+}
+
+TEST(CheckpointNegativeTest, BestFirstOrderLoadsAndResavesAsLifo) {
+  std::string Text = sampleText();
+  std::optional<SearchCheckpoint> Cp =
+      deserializeCheckpoint(replaced(Text, "order lifo", "order best-first"));
+  ASSERT_TRUE(Cp.has_value());
+  EXPECT_EQ(serializeCheckpoint(*Cp), Text);
 }
 
 TEST(CheckpointNegativeTest, RejectsTruncationAtEveryLineBoundary) {

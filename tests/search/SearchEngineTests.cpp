@@ -6,10 +6,9 @@
 // verifyParallel(): cooperative cancellation and deadline expiry drain the
 // frontier cleanly (no fabricated verdict, a resumable checkpoint instead),
 // checkpoints round-trip byte-identically and resuming one reproduces the
-// uninterrupted run bit-for-bit, frontier orders are pure scheduling (same
-// verdict/counterexample/objective), and the trace sink sees exactly one
-// event per expansion. Plus unit coverage for the ProofTree's path seeds
-// and DFS order and the Frontier's pop orders.
+// uninterrupted run bit-for-bit, and the trace sink sees exactly one event
+// per expansion. Plus unit coverage for the ProofTree's path seeds and DFS
+// order.
 //
 //===----------------------------------------------------------------------===//
 
@@ -130,44 +129,6 @@ TEST(ProofTreeTest, DfsOrderIsAncestorsFirstLowerHalfFirst) {
   EXPECT_TRUE(Tree.dfsPrecedes(LU, U));
   EXPECT_FALSE(Tree.dfsPrecedes(U, LU));
   EXPECT_FALSE(Tree.dfsPrecedes(R, R));
-}
-
-//===----------------------------------------------------------------------===//
-// Frontier: pop orders
-//===----------------------------------------------------------------------===//
-
-TEST(FrontierTest, LifoPopsLastPushedFirst) {
-  ProofTree Tree(7);
-  Box Region = Box::uniform(1, 0.0, 1.0);
-  NodeId R = Tree.addRoot(Region);
-  auto [Lo, Hi] = Region.split(0, 0.5);
-  auto [L, U] = Tree.addChildren(R, Lo, Hi, Vector(), 0.0);
-
-  Frontier F(FrontierOrder::Lifo, &Tree);
-  F.push(U);
-  F.push(L);
-  ASSERT_EQ(F.size(), 2u);
-  EXPECT_EQ(F.pop(), L); // pushed upper-then-lower => lower expands first
-  EXPECT_EQ(F.pop(), U);
-  EXPECT_TRUE(F.empty());
-}
-
-TEST(FrontierTest, BestFirstPopsMinPriorityWithDfsTieBreak) {
-  ProofTree Tree(7);
-  Box Region = Box::uniform(1, 0.0, 1.0);
-  NodeId R = Tree.addRoot(Region);
-  auto [Lo, Hi] = Region.split(0, 0.5);
-  auto [L, U] = Tree.addChildren(R, Lo, Hi, Vector(), 2.0);
-  auto [LLo, LHi] = Lo.split(0, 0.25);
-  auto [LL, LU] = Tree.addChildren(L, LLo, LHi, Vector(), 0.5);
-
-  Frontier F(FrontierOrder::BestFirst, &Tree);
-  F.push(U);  // priority 2.0
-  F.push(LU); // priority 0.5
-  F.push(LL); // priority 0.5, DFS-earlier than LU
-  EXPECT_EQ(F.pop(), LL); // min priority, tie broken toward DFS-earliest
-  EXPECT_EQ(F.pop(), LU);
-  EXPECT_EQ(F.pop(), U);
 }
 
 //===----------------------------------------------------------------------===//
@@ -340,36 +301,6 @@ TEST(SearchEngineTest, MismatchedCheckpointIsIgnored) {
   EXPECT_EQ(WithStale.ObjectiveAtCex, Fresh.ObjectiveAtCex);
   EXPECT_TRUE(sameVector(WithStale.Counterexample, Fresh.Counterexample));
   EXPECT_TRUE(sameStatsIgnoringTime(WithStale.Stats, Fresh.Stats));
-}
-
-//===----------------------------------------------------------------------===//
-// Frontier orders are pure scheduling
-//===----------------------------------------------------------------------===//
-
-TEST(SearchEngineTest, FrontierOrdersAgreeOnVerdictAndCounterexample) {
-  BenchmarkSuite Suite = makeAcasSuite(8, 321, CacheDir);
-  VerificationPolicy Policy;
-  VerifierConfig Lifo = baseConfig();
-  VerifierConfig Best = baseConfig();
-  Best.SearchOrder = FrontierOrder::BestFirst;
-  Verifier VLifo(Suite.Net, Policy, Lifo);
-  Verifier VBest(Suite.Net, Policy, Best);
-
-  int Compared = 0;
-  for (const RobustnessProperty &Prop : Suite.Properties) {
-    SCOPED_TRACE(Prop.Name);
-    VerifyResult A = VLifo.verify(Prop);
-    VerifyResult B = VBest.verify(Prop);
-    if (A.Result == Outcome::Timeout || B.Result == Outcome::Timeout)
-      continue;
-    ++Compared;
-    // The DFS-earliest falsification rule makes the answer independent of
-    // the pop order, down to the counterexample bits.
-    EXPECT_EQ(A.Result, B.Result);
-    EXPECT_EQ(A.ObjectiveAtCex, B.ObjectiveAtCex);
-    EXPECT_TRUE(sameVector(A.Counterexample, B.Counterexample));
-  }
-  EXPECT_GE(Compared, 4) << "too few properties decided within budget";
 }
 
 //===----------------------------------------------------------------------===//

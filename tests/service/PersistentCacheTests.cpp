@@ -8,7 +8,8 @@
 // contract across cache instances: full record round-trips (verdict,
 // counterexample, stats, certificate, checkpoint), the pinned record bytes,
 // replay-in-order semantics, torn-tail recovery (including an oversized
-// count), foreign-file refusal, and the single-writer flock.
+// count), old checkpoint order tokens, foreign-file refusal, and the
+// single-writer flock.
 //
 //===----------------------------------------------------------------------===//
 
@@ -309,6 +310,44 @@ TEST_F(PersistentCacheTest, RecordBytesArePinned) {
   std::stringstream Text;
   Text << Is.rdbuf();
   EXPECT_EQ(Text.str(), Magic + Record + Record);
+}
+
+TEST_F(PersistentCacheTest, BestFirstCheckpointRecordReplaysWithTheNext) {
+  // Builds with a second search order wrote `order best-first` into the
+  // checkpoints they cached. attachFile truncates a log at the first record
+  // it cannot parse, so such a record must parse, or the records after it
+  // would be cut away with it.
+  VerifyResult Timeout;
+  Timeout.Result = Outcome::Timeout;
+  Timeout.Checkpoint = sampleCheckpoint();
+  std::ostringstream Log;
+  Log << "charon-cache 1\n";
+  writeCacheRecord(Log, {key(7, 8, 10), box(0, 1), 1, Timeout});
+  writeCacheRecord(Log, {key(1, 2, 3), box(0, 1), 0, verified()});
+  const std::string Lifo = serializeCheckpoint(*Timeout.Checkpoint);
+  std::string BestFirst = Lifo;
+  BestFirst.replace(BestFirst.find("order lifo"), 10, "order best-first");
+  auto Block = [](const std::string &Cp) {
+    return "checkpoint " + std::to_string(Cp.size()) + "\n" + Cp;
+  };
+  std::string Text = Log.str();
+  size_t At = Text.find(Block(Lifo));
+  ASSERT_NE(At, std::string::npos);
+  Text.replace(At, Block(Lifo).size(), Block(BestFirst));
+  {
+    std::ofstream Os(Path);
+    Os << Text;
+  }
+
+  ResultCache Cache(64);
+  ASSERT_TRUE(Cache.attachFile(Path));
+  EXPECT_EQ(Cache.stats().Loaded, 2);
+  EXPECT_EQ(fileSize(Path), Text.size()) << "nothing was truncated";
+  auto Hit = Cache.lookup(key(7, 8, 10), box(0, 1), 1);
+  ASSERT_TRUE(Hit.has_value());
+  ASSERT_TRUE(Hit->Checkpoint != nullptr);
+  EXPECT_EQ(serializeCheckpoint(*Hit->Checkpoint), Lifo);
+  EXPECT_TRUE(Cache.lookup(key(1, 2, 3), box(0, 1), 0).has_value());
 }
 
 TEST_F(PersistentCacheTest, RefusesForeignFile) {

@@ -53,7 +53,6 @@ Reprint streamed(LoadFn Load, SaveFn Save) {
 
 SearchCheckpoint sampleCheckpoint() {
   SearchCheckpoint Cp;
-  Cp.Order = FrontierOrder::BestFirst;
   Cp.NetworkFingerprint = 0x1234;
   Cp.PropertyDigest = 0x5678;
   Cp.ConfigDigest = 0x9abc;
