@@ -17,13 +17,15 @@
 //   --budget <seconds>      per-property time limit (default 10)
 //   --delta <d>             Eq. 4 threshold (default 1e-6, charon only)
 //   --policy <file>         learned policy (default: built-in policy)
-//   --fgsm                  use FGSM instead of PGD (charon only)
 //   --parallel              analyze subregions on all cores (charon only)
 //   --trace <file.jsonl>    write one JSON line per node expansion
 //   --checkpoint <file>     on Timeout, save the open frontier here
 //   --resume <file>         continue the search from a saved checkpoint
 //   --cert <file>           on a decided verdict, save a proof certificate
 //                           (re-check it with charon_check; charon only)
+//
+// A budget or delta that is not a finite number above 0 prints the usage
+// text and exits 2.
 //
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +40,7 @@
 #include "nn/Io.h"
 #include "onnx/OnnxImport.h"
 #include "search/Checkpoint.h"
+#include "support/TextFormat.h"
 #include "support/ThreadPool.h"
 
 #include <cstdio>
@@ -53,12 +56,21 @@ namespace {
 [[noreturn]] void usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s <network.net|model.onnx> <property.prop> [--tool T] "
-               "[--budget S] [--delta D] [--policy F] [--fgsm] "
+               "[--budget S] [--delta D] [--policy F] "
                "[--parallel] [--trace F] [--checkpoint F] [--resume F] "
                "[--cert F]\n"
                "       %s --import-onnx <model.onnx> <out.net>\n",
                Argv0, Argv0);
   std::exit(2);
+}
+
+/// Reads the number after flag \p I: a finite number above 0. Anything
+/// else prints the usage text and exits 2.
+double positiveArg(int Argc, char **Argv, int &I) {
+  double V = 0.0;
+  if (I + 1 >= Argc || !parseNumber(Argv[++I], V) || !(V > 0.0))
+    usage(Argv[0]);
+  return V;
 }
 
 /// Loads a network from either the native format or an ONNX model,
@@ -107,20 +119,17 @@ int main(int Argc, char **Argv) {
   double Budget = 10.0;
   double Delta = 1e-6;
   std::string PolicyPath;
-  bool UseFgsm = false;
   bool Parallel = false;
   std::string TracePath, CheckpointPath, ResumePath, CertPath;
   for (int I = 3; I < Argc; ++I) {
     if (!std::strcmp(Argv[I], "--tool") && I + 1 < Argc)
       Tool = Argv[++I];
-    else if (!std::strcmp(Argv[I], "--budget") && I + 1 < Argc)
-      Budget = std::atof(Argv[++I]);
-    else if (!std::strcmp(Argv[I], "--delta") && I + 1 < Argc)
-      Delta = std::atof(Argv[++I]);
+    else if (!std::strcmp(Argv[I], "--budget"))
+      Budget = positiveArg(Argc, Argv, I);
+    else if (!std::strcmp(Argv[I], "--delta"))
+      Delta = positiveArg(Argc, Argv, I);
     else if (!std::strcmp(Argv[I], "--policy") && I + 1 < Argc)
       PolicyPath = Argv[++I];
-    else if (!std::strcmp(Argv[I], "--fgsm"))
-      UseFgsm = true;
     else if (!std::strcmp(Argv[I], "--parallel"))
       Parallel = true;
     else if (!std::strcmp(Argv[I], "--trace") && I + 1 < Argc)
@@ -162,7 +171,6 @@ int main(int Argc, char **Argv) {
     VerifierConfig VC;
     VC.TimeLimitSeconds = Budget;
     VC.Delta = Delta;
-    VC.Optimizer = UseFgsm ? CexSearchKind::Fgsm : CexSearchKind::Pgd;
     VC.EmitCertificate = !CertPath.empty();
 
     std::ofstream TraceOs;

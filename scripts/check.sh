@@ -39,7 +39,12 @@
 # a .prop bound, a checkpoint priority and a certificate margin must exit 2
 # with their load/parse diagnostic; a --policy file must fall back to the
 # default policy with a warning (exit 0); and a cache record with a nan
-# region bound must be truncated (exit 0). A signal fails the leg.
+# region bound must be truncated (exit 0). Last, charon_cli must refuse
+# --fgsm, --delta 0, --delta abc and --budget abc with its usage text
+# (exit 2), and charon_serve, given one valid request line and lines with
+# "delta":0, "budget":-1 and a nan bound, must answer the valid line, write
+# an error response for each other line (naming the key for delta and
+# budget), and exit 2. A signal fails the leg.
 # A certificate smoke then decides an exported ACAS property with --cert,
 # requires charon_check to accept the emitted certificate, and requires it
 # to reject a tampered copy; the sanitize leg runs it forced-threaded.
@@ -395,9 +400,42 @@ if [[ "$(cat "$HOSTILE_DIR/nonfinite.db")" != "charon-cache 1" ]]; then
   echo "hostile smoke: the cache record with a nan bound was not truncated" >&2
   exit 1
 fi
+# CLI flags that cannot run: the deleted --fgsm, a delta of 0 (no
+# termination guarantee) and a budget or delta that is not a number.
+for FLAGS in "--fgsm" "--delta 0" "--delta abc" "--budget abc"; do
+  expect_exit 2 "usage:" "$BUILD_DIR/examples/charon_cli" \
+    "$HOSTILE_DIR/identity.net" "$HOSTILE_DIR/identity.prop" $FLAGS
+done
+# One runnable request line, then a delta and a budget that cannot run
+# and a nan bound: the first is answered, each other line gets an error
+# response (naming the key for delta and budget), and the batch exits 2.
+IDENTITY_REQ="\"network\":\"$HOSTILE_DIR/identity.net\",\"label\":0"
+IDENTITY_REQ+=",\"lower\":[0.6,0],\"upper\":[1,0.4]"
+printf '%s\n' "{$IDENTITY_REQ}" "{$IDENTITY_REQ,\"delta\":0}" \
+  "{$IDENTITY_REQ,\"budget\":-1}" "{${IDENTITY_REQ/0.6/nan}}" \
+  > "$HOSTILE_DIR/unrunnable.jsonl"
+set +e
+env "${TRACE_ENV[@]}" "$BUILD_DIR/examples/charon_serve" \
+  "$HOSTILE_DIR/unrunnable.jsonl" --workers 1 \
+  > "$HOSTILE_DIR/unrunnable.out" 2> "$HOSTILE_DIR/stderr"
+RC=$?
+set -e
+UNRUNNABLE_OUT="$HOSTILE_DIR/unrunnable.out"
+if [[ "$RC" != 2 ]] ||
+   [[ "$(grep -c '"outcome":"verified"' "$UNRUNNABLE_OUT")" != 1 ]] ||
+   ! grep -qF 'line 2: \"delta\" must' "$UNRUNNABLE_OUT" ||
+   ! grep -qF 'line 3: \"budget\" must' "$UNRUNNABLE_OUT" ||
+   ! grep -qF 'line 4: expected a finite number' "$UNRUNNABLE_OUT"; then
+  echo "hostile smoke: charon_serve on a zero delta, a negative budget" \
+       "and a nan bound exited $RC (want 2, one verified line, three" \
+       "errors)" >&2
+  cat "$UNRUNNABLE_OUT" "$HOSTILE_DIR/stderr" >&2
+  exit 1
+fi
 echo "hostile smoke: oversized counts and shapes refused, cache record" \
      "truncated, bad worker counts refused, one-output and zero-layer" \
-     "networks refused, non-finite values refused in every format"
+     "networks refused, non-finite values refused in every format," \
+     "unrunnable deltas and budgets refused"
 
 # Certificate smoke: decide an exported ACAS property with --cert, check
 # the certificate with the standalone charon_check (which re-runs the

@@ -5,13 +5,3 @@
 using namespace charon;
 
 AbstractElement::~AbstractElement() = default;
-
-Box AbstractElement::toBox() const {
-  size_t N = dim();
-  Vector Lo(N), Hi(N);
-  for (size_t I = 0; I < N; ++I) {
-    Lo[I] = lowerBound(I);
-    Hi[I] = upperBound(I);
-  }
-  return Box(std::move(Lo), std::move(Hi));
-}

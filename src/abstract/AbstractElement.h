@@ -84,9 +84,6 @@ public:
   /// intersection is provably empty. Used by powerset ReLU case splitting.
   virtual std::unique_ptr<AbstractElement>
   meetHalfspaceAtZero(size_t D, bool NonNegative) const = 0;
-
-  /// Interval concretization (bounding box) of the element.
-  Box toBox() const;
 };
 
 } // namespace charon

@@ -23,6 +23,7 @@ PowersetElement::PowersetElement(
     : Elems(std::move(Elements)), Budget(MaxDisjuncts),
       Base(std::move(Baseline)) {
   assert(!Elems.empty() && "powerset must be nonempty");
+  assert(Base && "null baseline");
 }
 
 std::unique_ptr<AbstractElement> PowersetElement::clone() const {
@@ -31,7 +32,7 @@ std::unique_ptr<AbstractElement> PowersetElement::clone() const {
   for (const auto &E : Elems)
     Copy.push_back(E->clone());
   return std::make_unique<PowersetElement>(std::move(Copy), Budget,
-                                           Base ? Base->clone() : nullptr);
+                                           Base->clone());
 }
 
 size_t PowersetElement::dim() const { return Elems.front()->dim(); }
@@ -39,15 +40,13 @@ size_t PowersetElement::dim() const { return Elems.front()->dim(); }
 void PowersetElement::applyAffine(const Matrix &W, const Vector &B) {
   for (auto &E : Elems)
     E->applyAffine(W, B);
-  if (Base)
-    Base->applyAffine(W, B);
+  Base->applyAffine(W, B);
 }
 
 void PowersetElement::applyConv(const AffineView &View) {
   for (auto &E : Elems)
     E->applyConv(View);
-  if (Base)
-    Base->applyConv(View);
+  Base->applyConv(View);
 }
 
 void PowersetElement::applyActivation(ActivationKind K, size_t Begin,
@@ -111,33 +110,27 @@ void PowersetElement::applyActivation(ActivationKind K, size_t Begin,
 
   for (auto &E : Elems)
     E->applyActivation(K, Begin, End);
-  if (Base)
-    Base->applyActivation(K, Begin, End);
+  Base->applyActivation(K, Begin, End);
 }
 
 void PowersetElement::applyMaxPool(const PoolSpec &Spec) {
   for (auto &E : Elems)
     E->applyMaxPool(Spec);
-  if (Base)
-    Base->applyMaxPool(Spec);
+  Base->applyMaxPool(Spec);
 }
 
 double PowersetElement::lowerBound(size_t I) const {
   double Best = std::numeric_limits<double>::infinity();
   for (const auto &E : Elems)
     Best = std::min(Best, E->lowerBound(I));
-  if (Base)
-    Best = std::max(Best, Base->lowerBound(I));
-  return Best;
+  return std::max(Best, Base->lowerBound(I));
 }
 
 double PowersetElement::upperBound(size_t I) const {
   double Best = -std::numeric_limits<double>::infinity();
   for (const auto &E : Elems)
     Best = std::max(Best, E->upperBound(I));
-  if (Base)
-    Best = std::min(Best, Base->upperBound(I));
-  return Best;
+  return std::min(Best, Base->upperBound(I));
 }
 
 double PowersetElement::lowerBoundDiff(size_t K, size_t J) const {
@@ -145,20 +138,16 @@ double PowersetElement::lowerBoundDiff(size_t K, size_t J) const {
   double Best = std::numeric_limits<double>::infinity();
   for (const auto &E : Elems)
     Best = std::min(Best, E->lowerBoundDiff(K, J));
-  if (Base)
-    Best = std::max(Best, Base->lowerBoundDiff(K, J));
-  return Best;
+  return std::max(Best, Base->lowerBoundDiff(K, J));
 }
 
 std::unique_ptr<AbstractElement>
 PowersetElement::meetHalfspaceAtZero(size_t D, bool NonNegative) const {
   // A sound emptiness proof from the baseline trumps the disjunct meets.
-  std::unique_ptr<AbstractElement> MetBase;
-  if (Base) {
-    MetBase = Base->meetHalfspaceAtZero(D, NonNegative);
-    if (!MetBase)
-      return nullptr;
-  }
+  std::unique_ptr<AbstractElement> MetBase =
+      Base->meetHalfspaceAtZero(D, NonNegative);
+  if (!MetBase)
+    return nullptr;
   std::vector<std::unique_ptr<AbstractElement>> Met;
   for (const auto &E : Elems)
     if (auto M = E->meetHalfspaceAtZero(D, NonNegative))

@@ -39,11 +39,10 @@ public:
   /// \p MaxDisjuncts (>= 1).
   PowersetElement(std::unique_ptr<AbstractElement> Initial, int MaxDisjuncts);
 
-  /// Assembles a powerset from existing disjuncts. \p Baseline may be null
-  /// (bound queries then use the disjunct union alone).
+  /// Assembles a powerset from existing disjuncts and their unsplit
+  /// \p Baseline.
   PowersetElement(std::vector<std::unique_ptr<AbstractElement>> Elems,
-                  int MaxDisjuncts,
-                  std::unique_ptr<AbstractElement> Baseline = nullptr);
+                  int MaxDisjuncts, std::unique_ptr<AbstractElement> Baseline);
 
   std::unique_ptr<AbstractElement> clone() const override;
   size_t dim() const override;
@@ -67,7 +66,6 @@ public:
   meetHalfspaceAtZero(size_t D, bool NonNegative) const override;
 
   size_t numDisjuncts() const { return Elems.size(); }
-  int maxDisjuncts() const { return Budget; }
 
   /// Read access to disjunct \p I (for diagnostics and benches).
   const AbstractElement &disjunct(size_t I) const { return *Elems[I]; }
@@ -76,7 +74,7 @@ private:
   std::vector<std::unique_ptr<AbstractElement>> Elems;
   int Budget;
   /// Unsplit copy of the base element, propagated in parallel and used to
-  /// tighten every bound query. Null when assembled from raw disjuncts.
+  /// tighten every bound query.
   std::unique_ptr<AbstractElement> Base;
 };
 

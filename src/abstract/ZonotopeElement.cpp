@@ -395,52 +395,3 @@ ZonotopeElement::meetHalfspaceAtZero(size_t D, bool NonNegative) const {
   return std::make_unique<ZonotopeElement>(
       std::move(NewCenter), std::move(NewDense), std::move(NewSparse));
 }
-
-void ZonotopeElement::compact(double Tol) {
-  size_t N = dim();
-  size_t Gd = Dense.rows();
-  Vector Folded(N);
-
-  Vector Mags = kernels::absRowSums(Dense);
-  std::vector<size_t> KeptRows;
-  KeptRows.reserve(Gd);
-  for (size_t J = 0; J < Gd; ++J) {
-    if (Mags[J] <= Tol) {
-      // Fold the small generator into an axis-aligned envelope (sound:
-      // componentwise interval hull of its contribution).
-      const double *Row = Dense.row(J);
-      for (size_t I = 0; I < N; ++I)
-        Folded[I] += std::fabs(Row[I]);
-    } else {
-      KeptRows.push_back(J);
-    }
-  }
-  Vector SparseMags(Sparse.size());
-  kernels::oneHotRowSumsInto(Sparse, SparseMags, 0);
-  std::vector<SparseGenerator> KeptSparse;
-  KeptSparse.reserve(Sparse.size());
-  for (size_t S = 0, E = Sparse.size(); S < E; ++S) {
-    if (SparseMags[S] <= Tol)
-      Folded[Sparse[S].Coord] += SparseMags[S];
-    else
-      KeptSparse.push_back(Sparse[S]);
-  }
-
-  if (KeptRows.size() != Gd) {
-    Matrix NewDense(KeptRows.size(), N);
-    for (size_t R = 0, E = KeptRows.size(); R < E; ++R) {
-      const double *Src = Dense.row(KeptRows[R]);
-      double *Dst = NewDense.row(R);
-      for (size_t I = 0; I < N; ++I)
-        Dst[I] = Src[I];
-    }
-    Dense = std::move(NewDense);
-  }
-  Sparse = std::move(KeptSparse);
-  for (size_t I = 0; I < N; ++I) {
-    if (Folded[I] == 0.0)
-      continue;
-    Sparse.push_back({I, Folded[I]});
-  }
-  invalidateRadii();
-}

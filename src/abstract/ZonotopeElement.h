@@ -90,22 +90,9 @@ public:
 
   const Vector &center() const { return Center; }
 
-  /// The dense generator block: one row per (densified) noise symbol.
-  const Matrix &denseGenerators() const { return Dense; }
-
-  /// The sparse one-hot tail, in creation order (newer than every dense row).
-  const std::vector<SparseGenerator> &sparseGenerators() const {
-    return Sparse;
-  }
-
   /// Materialized copy of generator \p E (dense rows first, then the sparse
   /// tail) — for tests and diagnostics, not hot paths.
   Vector generatorRow(size_t E) const;
-
-  /// Drops generators whose total magnitude is below \p Tol, folding their
-  /// mass into per-dimension "box" generators. Keeps ReLU-heavy analyses
-  /// from accumulating unboundedly many symbols.
-  void compact(double Tol);
 
 private:
   /// Per-coordinate deviation radii (sum of |g_I| over generators), cached

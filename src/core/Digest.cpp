@@ -93,8 +93,11 @@ uint64_t charon::digestVerifierConfigSemantics(const VerifierConfig &Config) {
   H.f64(Config.Delta);
   H.u64(Config.Pgd.Steps);
   H.u64(Config.Pgd.Restarts);
-  H.f64(Config.Pgd.StepScale);
-  H.u64(static_cast<uint64_t>(Config.Optimizer));
+  // PGD's step is a constant now, no longer a setting, and is hashed where
+  // the setting was. The removed optimizer choice (PGD) is hashed at its
+  // former default, like the settings below.
+  H.f64(PgdInitialStep);
+  H.u64(0);
   H.u64(Config.UseCounterexampleSearch ? 1 : 0);
   H.u64(Config.Seed);
   // The removed search-order setting (Lifo) and complete-fallback hook

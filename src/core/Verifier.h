@@ -97,26 +97,19 @@ struct VerifyResult {
   std::shared_ptr<const ProofCertificate> Certificate;
 };
 
-/// Which gradient-based optimizer drives the counterexample search. The
-/// paper uses PGD but notes any gradient method fits (Sec. 8); FGSM is the
-/// classic cheap single-step alternative.
-enum class CexSearchKind { Pgd, Fgsm };
-
 /// Verifier configuration.
 struct VerifierConfig {
   /// Eq. 4 threshold: refute when F(x*) <= Delta. Must be > 0 for the
   /// termination guarantee (Theorem 5.2); smaller is more precise.
   double Delta = 1e-6;
-  /// Wall-clock budget per property; <= 0 means unlimited.
+  /// Wall-clock budget per property; negative means unlimited, and 0 is
+  /// already expired.
   double TimeLimitSeconds = -1.0;
   /// Hard cap on refinement depth (safety net far above what Theorem 5.2
   /// predicts for sane inputs).
   int MaxDepth = 400;
   /// PGD settings for the counterexample search at every node.
   PgdConfig Pgd;
-  /// Optimizer used for the search (PGD by default; FGSM is cheaper and
-  /// weaker — refinement compensates by handing it smaller regions).
-  CexSearchKind Optimizer = CexSearchKind::Pgd;
   /// Disable the counterexample search (ablation: proof search only, like
   /// a refinement-only verifier). Falsification becomes impossible.
   bool UseCounterexampleSearch = true;

@@ -223,17 +223,6 @@ void reluBackwardRowsScalar(const Matrix &X, const Matrix &GradOut,
   }
 }
 
-void absRowSumsRowsScalar(const Matrix &A, double *Out, size_t Begin,
-                          size_t End) {
-  for (size_t I = Begin; I < End; ++I) {
-    const double *Row = A.row(I);
-    double Sum = 0.0;
-    for (size_t J = 0, NC = A.cols(); J < NC; ++J)
-      Sum += std::fabs(Row[J]);
-    Out[I] = Sum;
-  }
-}
-
 /// Column block of the radius reduction: each column accumulates its
 /// |entries| in ascending-row order — the layout-equivalence contract — so
 /// column sharding and vector backends all produce bitwise-equal sums.
@@ -275,7 +264,6 @@ const kernels::detail::SimdOps ScalarTable = {
     scaleColumnsRowsScalar,
     reluRowsScalar,
     reluBackwardRowsScalar,
-    absRowSumsRowsScalar,
     absColumnSumsColsScalar,
     dotScalar,
     saxpyScalar,
@@ -308,15 +296,6 @@ Matrix kernels::matMulTransposed(const Matrix &A, const Matrix &B) {
   Matrix C = Matrix::uninit(A.rows(), B.rows());
   matMulTransposedInto(A, B, C, 0);
   return C;
-}
-
-Vector kernels::absRowSums(const Matrix &A) {
-  Vector Out(A.rows());
-  const detail::SimdOps &Ops = detail::activeOps();
-  parallelFor(A.rows(), A.cols(), [&A, &Out, &Ops](size_t Begin, size_t End) {
-    Ops.AbsRowSumsRows(A, Out.data(), Begin, End);
-  });
-  return Out;
 }
 
 Vector kernels::absColumnSums(const Matrix &A) {
@@ -474,14 +453,6 @@ void kernels::oneHotMatMulInto(const std::vector<OneHot> &Sparse,
                   }
                 }
               });
-}
-
-void kernels::oneHotRowSumsInto(const std::vector<OneHot> &Sparse, Vector &Out,
-                                size_t RowOffset) {
-  assert(RowOffset + Sparse.size() <= Out.size() &&
-         "oneHotRowSumsInto destination too small");
-  for (size_t S = 0, NS = Sparse.size(); S < NS; ++S)
-    Out[RowOffset + S] = std::fabs(Sparse[S].Mag);
 }
 
 //===----------------------------------------------------------------------===//

@@ -87,10 +87,6 @@ Matrix matMulTransposed(const Matrix &A, const Matrix &B);
 void matMulTransposedInto(const Matrix &A, const Matrix &B, Matrix &C,
                           size_t RowOffset);
 
-/// Per-row L1 norms: Out[i] = sum_j |A(i, j)|. For a generator matrix this
-/// is each noise symbol's total magnitude (the compaction criterion).
-Vector absRowSums(const Matrix &A);
-
 /// Per-column L1 norms: Out[j] = sum_i |A(i, j)|. For a generator matrix
 /// this is the per-coordinate deviation radius. Sharded by *column* blocks:
 /// every column accumulates its |entries| in ascending-row order within its
@@ -135,12 +131,6 @@ struct OneHot {
 /// every SIMD level); sharded across generators.
 void oneHotMatMulInto(const std::vector<OneHot> &Sparse, const Matrix &W,
                       Matrix &C, size_t RowOffset);
-
-/// Per-generator L1 norms of the one-hot tail: Out[RowOffset + s] =
-/// |Sparse[s].Mag| (each virtual row has a single entry). The sparse
-/// counterpart of absRowSums.
-void oneHotRowSumsInto(const std::vector<OneHot> &Sparse, Vector &Out,
-                       size_t RowOffset);
 
 //===----------------------------------------------------------------------===//
 // Batched concrete execution (rows = batch points)

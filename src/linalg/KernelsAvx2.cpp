@@ -517,33 +517,6 @@ void reluBackwardRowsAvx2(const Matrix &X, const Matrix &GradOut, Matrix &Out,
   }
 }
 
-void absRowSumsRowsAvx2(const Matrix &A, double *Out, size_t Begin,
-                        size_t End) {
-  const size_t NC = A.cols();
-  const __m256d SignMask = _mm256_set1_pd(-0.0);
-  for (size_t I = Begin; I < End; ++I) {
-    const double *Row = A.row(I);
-    __m256d S0 = _mm256_setzero_pd();
-    __m256d S1 = _mm256_setzero_pd();
-    size_t J = 0;
-    for (; J + 8 <= NC; J += 8) {
-      S0 = _mm256_add_pd(
-          S0, _mm256_andnot_pd(SignMask, _mm256_loadu_pd(Row + J)));
-      S1 = _mm256_add_pd(
-          S1, _mm256_andnot_pd(SignMask, _mm256_loadu_pd(Row + J + 4)));
-    }
-    if (J + 4 <= NC) {
-      S0 = _mm256_add_pd(
-          S0, _mm256_andnot_pd(SignMask, _mm256_loadu_pd(Row + J)));
-      J += 4;
-    }
-    double Sum = hsum(_mm256_add_pd(S0, S1));
-    for (; J < NC; ++J)
-      Sum += std::fabs(Row[J]);
-    Out[I] = Sum;
-  }
-}
-
 /// Column block of the radius reduction, vectorized *across* columns: each
 /// column still receives its |entries| in ascending-row order with one add
 /// per row, so the result is bitwise equal to the scalar body.
@@ -629,7 +602,6 @@ const detail::SimdOps Avx2Table = {
     scaleColumnsRowsAvx2,
     reluRowsAvx2,
     reluBackwardRowsAvx2,
-    absRowSumsRowsAvx2,
     absColumnSumsColsAvx2,
     dotAvx2,
     saxpyAvx2,

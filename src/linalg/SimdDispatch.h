@@ -16,8 +16,8 @@
 ///    levels: they perform exactly one IEEE operation per element (or, for
 ///    absColumnSums, accumulate each column in ascending-row order at every
 ///    level).
-///  - Reductions (matVec dots, matMulTransposed, affineBatch, absRowSums)
-///    and saxpy-style products (matTVec, matMul) change their accumulation
+///  - Reductions (matVec dots, matMulTransposed, affineBatch) and
+///    saxpy-style products (matTVec, matMul) change their accumulation
 ///    grouping under AVX2/FMA, so results are bit-identical only *within* a
 ///    level. Within a level the pair contracts still hold exactly. The dot
 ///    scheme is a per-element tree, which the level's Dot defines (matVec)

@@ -30,8 +30,8 @@
 ///  - ScaleColumnsRows, ReluRows and ReluBackwardRows perform one IEEE
 ///    operation per element and must match the scalar results bitwise
 ///    (vector max/and/mul are exact matches; no FMA allowed in them).
-///  - MmtRows and AbsRowSumsRows may regroup accumulation freely; they are
-///    only required to be deterministic per (shape, level).
+///  - MmtRows may regroup accumulation freely; it is only required to be
+///    deterministic per (shape, level).
 ///  - ConvBlock runs one sequential chain per lane. With Fused false it
 ///    multiplies, then adds, and must match the scalar body bitwise; with
 ///    Fused true it uses the level's Saxpy arithmetic (fma at avx2).
@@ -80,10 +80,6 @@ struct SimdOps {
   /// Rows [Begin, End): Out(i, j) = X(i, j) > 0 ? GradOut(i, j) : 0.
   void (*ReluBackwardRows)(const Matrix &X, const Matrix &GradOut,
                            Matrix &Out, size_t Begin, size_t End);
-
-  /// Rows [Begin, End): Out[i] = sum_j |A(i, j)|.
-  void (*AbsRowSumsRows)(const Matrix &A, double *Out, size_t Begin,
-                         size_t End);
 
   /// Columns [ColBegin, ColEnd): Out[j] += sum_i |A(i, j)| accumulated in
   /// ascending-row order per column (Out pre-zeroed).

@@ -56,12 +56,6 @@ double charon::distance2(const Vector &A, const Vector &B) {
   return std::sqrt(Sum);
 }
 
-void charon::axpy(double Alpha, const Vector &X, Vector &Y) {
-  assert(X.size() == Y.size() && "vector size mismatch");
-  for (size_t I = 0, E = X.size(); I < E; ++I)
-    Y[I] += Alpha * X[I];
-}
-
 size_t charon::argmax(const Vector &A) {
   assert(!A.empty() && "argmax of empty vector");
   size_t Best = 0;

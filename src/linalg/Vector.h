@@ -93,9 +93,6 @@ double normInf(const Vector &A);
 /// L2 distance between two vectors of equal size.
 double distance2(const Vector &A, const Vector &B);
 
-/// Y += Alpha * X (BLAS axpy). Sizes must match.
-void axpy(double Alpha, const Vector &X, Vector &Y);
-
 /// Index of the largest entry; requires a nonempty vector. Ties resolve to
 /// the smallest index, making classification deterministic.
 size_t argmax(const Vector &A);

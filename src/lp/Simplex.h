@@ -53,7 +53,6 @@ public:
   void addEqConstraint(std::vector<std::pair<int, double>> Terms, double Rhs);
 
   size_t numVariables() const { return LoBound.size(); }
-  size_t numConstraints() const { return Rows.size(); }
 
   /// Maximizes Objective . x. \p Objective must have numVariables entries.
   /// When \p Budget is non-null the solve is abandoned (IterationLimit)

@@ -112,10 +112,6 @@ Vector Network::objectiveOfOutputs(const Matrix &Y, size_t K) {
   return F;
 }
 
-Matrix Network::objectiveGradientBatch(const Matrix &X, size_t K) const {
-  return objectiveGradientFromActivations(evaluateBatchWithActivations(X), K);
-}
-
 Matrix
 Network::objectiveGradientFromActivations(const std::vector<Matrix> &Acts,
                                           size_t K) const {

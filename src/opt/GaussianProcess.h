@@ -50,8 +50,6 @@ public:
   /// Posterior at \p Query; requires a successful fit.
   GpPrediction predict(const Vector &Query) const;
 
-  size_t numObservations() const { return Xs.size(); }
-
   /// Kernel value between two points (exposed for tests).
   double kernel(const Vector &A, const Vector &B) const;
 

@@ -147,8 +147,8 @@ PgdResult pgdDrive(const Box &Region, const PgdConfig &Config, Rng &R,
               double W = Hi[I] - Lo[I];
               if (W == 0.0 || GRow[I] == 0.0)
                 continue;
-              Row[I] -=
-                  Config.StepScale * Decay * W * (GRow[I] > 0.0 ? 1.0 : -1.0);
+              Row[I] -= PgdInitialStep * Decay * W *
+                        (GRow[I] > 0.0 ? 1.0 : -1.0);
               DidMove = true;
             }
             if (!DidMove)
@@ -181,28 +181,4 @@ PgdResult charon::pgdMinimize(const Network &Net, const Box &Region, size_t K,
   if (Config.Engine == PgdEngine::Scalar)
     return pgdDrive(Region, Config, R, WarmStart, ScalarEval{Net, K, {}});
   return pgdDrive(Region, Config, R, WarmStart, BatchedEval{Net, K, {}});
-}
-
-PgdResult charon::fgsmMinimize(const Network &Net, const Box &Region,
-                               size_t K) {
-  const size_t N = Region.dim();
-  Matrix X(1, N);
-  {
-    Vector C = Region.center();
-    std::copy(C.data(), C.data() + N, X.row(0));
-  }
-  Matrix G = Net.objectiveGradientBatch(X, K);
-  const double *GRow = G.row(0);
-  double *Row = X.row(0);
-  for (size_t I = 0; I < N; ++I) {
-    if (GRow[I] > 0.0)
-      Row[I] = Region.lower()[I];
-    else if (GRow[I] < 0.0)
-      Row[I] = Region.upper()[I];
-  }
-  Vector F = Net.objectiveBatch(X, K);
-  PgdResult Result;
-  Result.X = rowToVector(X, 0);
-  Result.Objective = F[0];
-  return Result;
 }

@@ -9,11 +9,10 @@
 ///
 ///   x* = argmin_{x in I} F(x),  F(x) = N(x)_K - max_{j != K} N(x)_j.
 ///
-/// The paper uses projected gradient descent (PGD, Madry et al.); FGSM is
-/// provided as the classic single-step alternative. Both are *unsound*
-/// falsifiers: F(x*) <= 0 certifies a violation, but F(x*) > 0 proves
-/// nothing — which is exactly why Algorithm 1 couples them with abstract
-/// interpretation.
+/// The search is projected gradient descent (PGD, Madry et al.), as in the
+/// paper. It is an *unsound* falsifier: F(x*) <= 0 certifies a violation,
+/// but F(x*) > 0 proves nothing — which is exactly why Algorithm 1 couples
+/// it with abstract interpretation.
 ///
 /// The search runs all restart chains in lock step as one B x N population.
 /// Scoring a population is one batched forward pass whose activations are
@@ -42,13 +41,17 @@ class Rng;
 /// "before" side of the cex-search benchmarks).
 enum class PgdEngine { Batched, Scalar };
 
+/// The first PGD step, as a fraction of the region's width per dimension;
+/// later steps decay from it. The config digest hashes it, so a change to
+/// it changes every cache, certificate and checkpoint key.
+inline constexpr double PgdInitialStep = 0.3;
+
 /// PGD hyperparameters. The defaults are deliberately light: Algorithm 1
 /// runs a search at every refinement node, so a cheap-but-decent search
 /// beats a thorough-but-slow one (splitting compensates, Sec. 3).
 struct PgdConfig {
-  int Steps = 25;         ///< gradient steps (all chains advance together)
-  int Restarts = 2;       ///< population size (chain 0 starts deterministic)
-  double StepScale = 0.3; ///< initial step, as a fraction of region width
+  int Steps = 25;   ///< gradient steps (all chains advance together)
+  int Restarts = 2; ///< population size (chain 0 starts deterministic)
   /// Stop as soon as the best objective reaches this bound. The default 0
   /// is the true-counterexample certificate; Verifier::step raises it to
   /// VerifierConfig::Delta so the search stops at the Eq. 4 refutation
@@ -75,10 +78,6 @@ struct PgdResult {
 PgdResult pgdMinimize(const Network &Net, const Box &Region, size_t K,
                       const PgdConfig &Config, Rng &R,
                       const Vector *WarmStart = nullptr);
-
-/// Single-step fast gradient sign method from the region center (a batch of
-/// one through the batched execution engine).
-PgdResult fgsmMinimize(const Network &Net, const Box &Region, size_t K);
 
 } // namespace charon
 

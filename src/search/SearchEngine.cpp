@@ -121,9 +121,7 @@ SearchEngine::expandNode(const RobustnessProperty &Prop, const Box &Region,
     ++E.Stats.PgdCalls;
     PgdConfig Search = Config.Pgd;
     Search.EarlyStopObjective = Config.Delta;
-    PgdResult P = Config.Optimizer == CexSearchKind::Pgd
-                      ? pgdMinimize(Net, Region, K, Search, R, Warm)
-                      : fgsmMinimize(Net, Region, K);
+    PgdResult P = pgdMinimize(Net, Region, K, Search, R, Warm);
     XStar = std::move(P.X);
     FStar = P.Objective;
   } else {

@@ -75,11 +75,15 @@ charon::parseRequestLine(const std::string &Line, std::string *Error) {
       Req.Lower = toVector(V.A);
     else if (Key == "upper" && V.K == Value::NumArray)
       Req.Upper = toVector(V.A);
-    else if (Key == "budget" && V.K == Value::Num)
-      Req.BudgetSeconds = V.N;
-    else if (Key == "delta" && V.K == Value::Num)
-      Req.Delta = V.N;
-    else if (Key == "priority" && V.K == Value::Num) {
+    else if ((Key == "budget" || Key == "delta") && V.K == Value::Num) {
+      // A job needs time to run, and delta > 0 is what makes its search
+      // terminate (Theorem 5.2).
+      if (!(V.N > 0.0)) {
+        setError(Error, "\"" + Key + "\" must be above 0");
+        return std::nullopt;
+      }
+      (Key == "budget" ? Req.BudgetSeconds : Req.Delta) = V.N;
+    } else if (Key == "priority" && V.K == Value::Num) {
       if (!wholeInIntRange(V.N, std::numeric_limits<int>::min())) {
         setError(Error, "\"priority\" must be a whole number from "
                         "-2147483648 to 2147483647");

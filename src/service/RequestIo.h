@@ -27,7 +27,9 @@
 /// numbers, booleans, and arrays of numbers) and rejects everything else
 /// with a diagnostic; unknown keys are an error so typos fail loudly.
 /// "label" and "priority" must be whole numbers in int range, the label
-/// non-negative.
+/// non-negative. "budget" (seconds) and "delta" must be above 0: a job
+/// needs time to run, and delta > 0 is what makes its search terminate
+/// (Theorem 5.2). Every number must be a finite decimal.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -94,10 +94,12 @@ VerificationService::~VerificationService() { shutdown(); }
 JobHandle VerificationService::submit(JobRequest Request) {
   assert(Accepting.load() && "submit after shutdown");
   auto State = std::make_shared<detail::JobState>();
-  // Refuse what cannot run: such a job would read past the registry or stop
-  // the whole process where its search starts, with every other job.
+  // Refuse what cannot run: such a job would read past the registry, stop
+  // the whole process where its search starts, with every other job, or
+  // search without the delta > 0 that termination needs (Theorem 5.2).
   if (Request.Net >= Registry.size() ||
-      !propertyFitsNetwork(Request.Prop, Registry.network(Request.Net))) {
+      !propertyFitsNetwork(Request.Prop, Registry.network(Request.Net)) ||
+      !(Request.Config.Delta > 0.0)) {
     JobOutcome Out;
     Out.Refused = true;
     State->finish(std::move(Out));

@@ -58,8 +58,9 @@ struct JobOutcome {
                              ///< certificate instead of trusting or rerunning
   bool Resumed = false;  ///< continued a cached Timeout's checkpoint
   bool Cancelled = false; ///< cancelled before or during execution
-  /// Never run: the request named no registered network, or its property
-  /// does not fit the network. The verdict is Timeout and nothing is cached.
+  /// Never run: the request named no registered network, its property does
+  /// not fit the network, or its delta is not above 0. The verdict is
+  /// Timeout and nothing is cached.
   bool Refused = false;
   double QueueSeconds = 0.0; ///< submit-to-start latency
   double RunSeconds = 0.0;   ///< execution time (0 for pre-run cancels)
@@ -165,8 +166,9 @@ public:
 
   /// Enqueues \p Request. Returns a handle whose outcome becomes available
   /// once a worker finishes the job. A request the service cannot run (an
-  /// unregistered network, or a property that does not fit it) finishes at
-  /// once as Refused. Must not be called after shutdown().
+  /// unregistered network, a property that does not fit it, or a delta not
+  /// above 0) finishes at once as Refused. Must not be called after
+  /// shutdown().
   JobHandle submit(JobRequest Request);
 
   /// Submits every request, waits for all of them, and aggregates. Safe to

@@ -3,8 +3,9 @@
 #include "support/JsonLine.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 using namespace charon;
@@ -116,11 +117,12 @@ private:
     return true;
   }
 
+  /// One finite number in decimal: no hex, inf, nan, or value beyond
+  /// double's range.
   bool parseNumber(double &Out) {
-    char *NumEnd = nullptr;
-    Out = std::strtod(P, &NumEnd);
-    if (NumEnd == P)
-      return fail("expected number");
+    auto [NumEnd, Ec] = std::from_chars(P, End, Out);
+    if (Ec != std::errc() || !std::isfinite(Out))
+      return fail("expected a finite number");
     P = NumEnd;
     return true;
   }

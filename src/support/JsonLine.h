@@ -11,7 +11,8 @@
 /// nothing more and the project takes no external dependencies.
 ///
 /// Numbers print with %.17g, which round-trips every finite double
-/// exactly.
+/// exactly, and parse only as finite decimals: inf, nan, hex and values
+/// beyond double's range are refused.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -191,25 +191,6 @@ TEST(ZonotopeTest, MeetHalfspaceSoundUnderSampling) {
   }
 }
 
-TEST(ZonotopeTest, CompactPreservesBounds) {
-  Rng R(33);
-  ZonotopeElement Z(Box::uniform(3, -1.0, 1.0));
-  Z.applyAffine(Matrix{{0.5, 0.2, 0.1}, {0.0, 1.0, 0.3}, {0.2, 0.1, 0.9}},
-                Vector{0.0, 0.1, -0.1});
-  Z.applyRelu();
-  Vector LoBefore(3), HiBefore(3);
-  for (size_t I = 0; I < 3; ++I) {
-    LoBefore[I] = Z.lowerBound(I);
-    HiBefore[I] = Z.upperBound(I);
-  }
-  Z.compact(0.05);
-  for (size_t I = 0; I < 3; ++I) {
-    // Compaction may only relax bounds, never tighten unsoundly.
-    EXPECT_LE(Z.lowerBound(I), LoBefore[I] + 1e-12);
-    EXPECT_GE(Z.upperBound(I), HiBefore[I] - 1e-12);
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // PowersetElement
 //===----------------------------------------------------------------------===//

@@ -3,10 +3,10 @@
 // The zonotope domain moved from a vector-of-generator-vectors layout to a
 // contiguous generator matrix with a sparse one-hot tail and batched kernels.
 // These tests pin the refactor against a faithful in-test copy of the
-// historical implementation: every transformer, bound query, meet, and
-// compaction must agree within 1e-12 on randomized ACAS-scale stacks (most
-// agree to the bit at SimdLevel::Scalar — the meet differs only in the
-// rounding of its incremental running sum). Every comparison runs at every
+// historical implementation: every transformer, bound query and meet must
+// agree within 1e-12 on randomized ACAS-scale stacks (most agree to the bit
+// at SimdLevel::Scalar — the meet differs only in the rounding of its
+// incremental running sum). Every comparison runs at every
 // SIMD level the build + host support, and a separate test checks that
 // forcing every kernel onto the thread pool is bit-identical to the serial
 // path at each level. The convolution step (applyConv, the structured
@@ -226,31 +226,6 @@ public:
                                          std::move(NewGens));
   }
 
-  void compact(double Tol) {
-    size_t N = dim();
-    Vector Folded(N);
-    std::vector<Vector> Kept;
-    for (Vector &G : Generators) {
-      double Mag = 0.0;
-      for (size_t I = 0; I < N; ++I)
-        Mag += std::fabs(G[I]);
-      if (Mag <= Tol) {
-        for (size_t I = 0; I < N; ++I)
-          Folded[I] += std::fabs(G[I]);
-      } else {
-        Kept.push_back(std::move(G));
-      }
-    }
-    Generators = std::move(Kept);
-    for (size_t I = 0; I < N; ++I) {
-      if (Folded[I] == 0.0)
-        continue;
-      Vector G(N);
-      G[I] = Folded[I];
-      Generators.push_back(std::move(G));
-    }
-  }
-
   size_t numGenerators() const { return Generators.size(); }
   Vector generator(size_t E) const { return Generators[E]; }
   const Vector &center() const { return Center; }
@@ -431,29 +406,6 @@ TEST(ZonotopeLayoutTest, MeetHalfspaceMatchesReference) {
         }
     }
     EXPECT_GT(Meets, 0u); // The sweep must exercise non-trivial meets.
-  });
-}
-
-TEST(ZonotopeLayoutTest, CompactMatchesReference) {
-  forEachSimdLevel([&] {
-    Rng R(57);
-    Box In = randomInputBox(12, R);
-    ZonotopeElement Z(In);
-    RefZonotope Ref(In);
-    for (int Layer = 0; Layer < 3; ++Layer) {
-      Matrix W = randomWeights(12, 12, R);
-      Vector B = randomBias(12, R);
-      Z.applyAffine(W, B);
-      Ref.applyAffine(W, B);
-      Z.applyRelu();
-      Ref.applyRelu();
-    }
-    ASSERT_GT(Z.numGenerators(), 12u);
-    Z.compact(0.05);
-    Ref.compact(0.05);
-    expectSameBounds(Z, Ref, 1e-12);
-    expectSameGenerators(Z, Ref, 1e-12);
-    ASSERT_LT(Z.numGenerators(), Ref.numGenerators() + 1); // Same count.
   });
 }
 

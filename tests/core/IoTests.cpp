@@ -1,10 +1,7 @@
-//===- IoTests.cpp - Policy/property serialization and config tests -----------===//
+//===- IoTests.cpp - Policy/property serialization tests ----------------------===//
 
 #include "core/PolicyIo.h"
 #include "core/PropertyIo.h"
-#include "core/Verifier.h"
-
-#include "TestNetworks.h"
 
 #include <gtest/gtest.h>
 
@@ -194,35 +191,4 @@ TEST(PropertyIoTest, RejectsDimBeyondText) {
 TEST(PropertyIoTest, RejectsGarbage) {
   std::stringstream Ss("hello world");
   EXPECT_FALSE(loadProperty(Ss).has_value());
-}
-
-//===----------------------------------------------------------------------===//
-// FGSM-driven verification (Sec. 8: any gradient optimizer fits)
-//===----------------------------------------------------------------------===//
-
-TEST(FgsmVerifierTest, VerifiesRobustRegion) {
-  Network Net = testing_nets::makeXorNetwork();
-  VerifierConfig Config;
-  Config.Optimizer = CexSearchKind::Fgsm;
-  Verifier V(Net, VerificationPolicy(), Config);
-  RobustnessProperty Prop;
-  Prop.Region = Box::uniform(2, 0.3, 0.7);
-  Prop.TargetClass = 1;
-  EXPECT_EQ(V.verify(Prop).Result, Outcome::Verified);
-}
-
-TEST(FgsmVerifierTest, FalsifiesWithDeltaCounterexample) {
-  // FGSM is weaker than PGD per call, but refinement hands it ever-smaller
-  // regions, so delta-completeness still holds end to end.
-  Network Net = testing_nets::makeXorNetwork();
-  VerifierConfig Config;
-  Config.Optimizer = CexSearchKind::Fgsm;
-  Config.TimeLimitSeconds = 10.0;
-  Verifier V(Net, VerificationPolicy(), Config);
-  RobustnessProperty Prop;
-  Prop.Region = Box::uniform(2, 0.1, 0.9);
-  Prop.TargetClass = 1;
-  VerifyResult R = V.verify(Prop);
-  ASSERT_EQ(R.Result, Outcome::Falsified);
-  EXPECT_LE(Net.objective(R.Counterexample, 1), Config.Delta);
 }

@@ -8,7 +8,7 @@
 //    single-threaded reference loop (the historical contract);
 //  - elementwise kernels (scaleColumns, gatherColumns, relu*) and
 //    absColumnSums are bit-identical across *all* levels;
-//  - reductions (matMul, matMulTransposed, absRowSums) may regroup their
+//  - reductions (matMul, matMulTransposed) may regroup their
 //    accumulation under AVX2/FMA, but stay bit-identical across thread
 //    counts *within* a level and within a small tolerance of the reference;
 //  - the Dense batch kernels (affineBatch, matMul) equal the per-point
@@ -71,14 +71,6 @@ Matrix naiveMatMulTransposed(const Matrix &A, const Matrix &B) {
   return C;
 }
 
-Vector naiveAbsRowSums(const Matrix &A) {
-  Vector Out(A.rows());
-  for (size_t I = 0; I < A.rows(); ++I)
-    for (size_t J = 0; J < A.cols(); ++J)
-      Out[I] += std::fabs(A(I, J));
-  return Out;
-}
-
 Vector naiveAbsColumnSums(const Matrix &A) {
   Vector Out(A.cols());
   for (size_t I = 0; I < A.rows(); ++I)
@@ -114,13 +106,6 @@ void expectClose(const Matrix &Got, const Matrix &Want, double Tol) {
       ASSERT_NEAR(Got(I, J), Want(I, J),
                   Tol * std::max(1.0, std::fabs(Want(I, J))))
           << "at (" << I << ", " << J << ")";
-}
-
-void expectClose(const Vector &Got, const Vector &Want, double Tol) {
-  ASSERT_EQ(Got.size(), Want.size());
-  for (size_t I = 0; I < Got.size(); ++I)
-    ASSERT_NEAR(Got[I], Want[I], Tol * std::max(1.0, std::fabs(Want[I])))
-        << "at " << I;
 }
 
 /// Restores the parallel threshold when a test scope ends.
@@ -263,27 +248,6 @@ TEST(KernelTest, AbsColumnSumsExactAtEveryLevelAndThreading) {
   }
 }
 
-TEST(KernelTest, AbsRowSumsMatchNaive) {
-  Rng R(414);
-  const Shape Shapes[] = {{0, 0, 0}, {0, 5, 0}, {1, 9, 0},
-                          {9, 1, 0}, {23, 57, 0}};
-  for (const Shape &S : Shapes) {
-    Matrix A = randomMatrix(S.M, S.K, R, 0.2);
-    Vector Want = naiveAbsRowSums(A);
-    forEachSimdLevel([&](kernels::SimdLevel L) {
-      ThresholdGuard G;
-      kernels::setParallelThreshold(size_t(1) << 40);
-      Vector Serial = kernels::absRowSums(A);
-      if (L == kernels::SimdLevel::Scalar)
-        expectValueEqual(Serial, Want);
-      else
-        expectClose(Serial, Want, 1e-12);
-      kernels::setParallelThreshold(0);
-      expectValueEqual(kernels::absRowSums(A), Serial);
-    });
-  }
-}
-
 TEST(KernelTest, ScaleColumnsMatchesNaiveSerialAndParallel) {
   Rng R(505);
   const Shape Shapes[] = {{0, 4, 0}, {1, 6, 0}, {17, 1, 0}, {31, 44, 0}};
@@ -382,13 +346,6 @@ TEST(KernelTest, OneHotKernelsMatchDenseEquivalents) {
       for (size_t J = 0; J < W.rows(); ++J)
         ASSERT_EQ(C(2 + S, J), Sparse[S].Mag * W(J, Sparse[S].Coord))
             << "at (" << S << ", " << J << ")";
-
-    Vector Sums(Sparse.size() + 1);
-    Sums[0] = -3.0;
-    kernels::oneHotRowSumsInto(Sparse, Sums, 1);
-    ASSERT_EQ(Sums[0], -3.0);
-    for (size_t S = 0; S < Sparse.size(); ++S)
-      ASSERT_EQ(Sums[1 + S], std::fabs(Sparse[S].Mag));
   });
 }
 

@@ -61,14 +61,6 @@ TEST(VectorTest, DotAndNorms) {
   EXPECT_DOUBLE_EQ(distance2(A, B), 5.0);
 }
 
-TEST(VectorTest, Axpy) {
-  Vector X{1.0, 2.0};
-  Vector Y{10.0, 20.0};
-  axpy(3.0, X, Y);
-  EXPECT_DOUBLE_EQ(Y[0], 13.0);
-  EXPECT_DOUBLE_EQ(Y[1], 26.0);
-}
-
 TEST(VectorTest, ArgmaxBreaksTiesLow) {
   Vector V{1.0, 5.0, 5.0, 2.0};
   EXPECT_EQ(argmax(V), 1u);

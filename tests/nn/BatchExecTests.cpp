@@ -307,7 +307,6 @@ TEST(BatchExecTest, NetworkObjectiveBatchMatchesScalarOnMlp) {
         ASSERT_EQ(F.size(), B);
         for (size_t I = 0; I < B; ++I)
           ASSERT_EQ(F[I], WantF[I]);
-        expectValueEqual(Net.objectiveGradientBatch(X, K), WantG);
         expectValueEqual(Net.objectiveGradientFromActivations(
                              Net.evaluateBatchWithActivations(X), K),
                          WantG);
@@ -333,7 +332,6 @@ TEST(BatchExecTest, NetworkObjectiveBatchMatchesScalarOnLeNet) {
     Vector F = Net.objectiveBatch(X, 1);
     for (size_t I = 0; I < X.rows(); ++I)
       ASSERT_EQ(F[I], WantF[I]);
-    expectValueEqual(Net.objectiveGradientBatch(X, 1), WantG);
     expectValueEqual(Net.objectiveGradientFromActivations(
                          Net.evaluateBatchWithActivations(X), 1),
                      WantG);
@@ -413,25 +411,4 @@ TEST(BatchExecTest, PolicyRunsOnePointPassPerAnalyzedNodePlusOnePerSplit) {
     EXPECT_EQ(Counters[I]->PointForwards, Want) << "layer " << I;
     EXPECT_EQ(Counters[I]->PointBackwards, Want) << "layer " << I;
   }
-}
-
-TEST(BatchExecTest, FgsmMatchesManualScalarReplication) {
-  Rng NetRng(53);
-  Network Net = makeMlp(7, {10}, 3, NetRng);
-  Box Region = Box::uniform(7, -0.5, 0.9);
-
-  // The classic single-point FGSM, written out with the scalar calls.
-  Vector X = Region.center();
-  Vector G = Net.objectiveGradient(X, 2);
-  for (size_t I = 0; I < X.size(); ++I) {
-    if (G[I] > 0.0)
-      X[I] = Region.lower()[I];
-    else if (G[I] < 0.0)
-      X[I] = Region.upper()[I];
-  }
-  double Want = Net.objective(X, 2);
-
-  PgdResult Got = fgsmMinimize(Net, Region, 2);
-  ASSERT_EQ(Got.Objective, Want);
-  ASSERT_TRUE(approxEqual(Got.X, X, 0.0));
 }

@@ -82,13 +82,6 @@ TEST(PgdTest, BeatsCenterObjective) {
   EXPECT_LE(Result.Objective, Net.objective(Region.center(), 2) + 1e-12);
 }
 
-TEST(FgsmTest, StaysInRegionAndImprovesOrMatchesCenter) {
-  Network Net = testing_nets::makeXorNetwork();
-  Box Region = Box::uniform(2, 0.1, 0.9);
-  PgdResult Result = fgsmMinimize(Net, Region, 1);
-  EXPECT_TRUE(Region.contains(Result.X, 1e-9));
-}
-
 TEST(PgdTest, ZeroWidthRegionReturnsThePoint) {
   Network Net = testing_nets::makeXorNetwork();
   Vector P{0.4, 0.6};

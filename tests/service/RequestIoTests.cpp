@@ -138,6 +138,29 @@ TEST(RequestIoTest, RejectsMalformedLines) {
     EXPECT_FALSE(parseRequestLine(Line, &Error).has_value()) << Line;
     EXPECT_FALSE(Error.empty()) << Line;
   }
+  // A number that is not a finite decimal, in a value or in an array.
+  for (const char *Line :
+       {R"({"network":"n","lower":[nan],"upper":[1]})",
+        R"({"network":"n","lower":[-inf],"upper":[1]})",
+        R"({"network":"n","lower":[0x1],"upper":[2]})",
+        R"({"network":"n","epsilon":1e999,"center":[0]})",
+        R"({"network":"n","epsilon":inf,"center":[0]})"}) {
+    Error.clear();
+    EXPECT_FALSE(parseRequestLine(Line, &Error).has_value()) << Line;
+    EXPECT_FALSE(Error.empty()) << Line;
+  }
+  // A delta or budget that cannot run: delta > 0 is what makes the search
+  // terminate, and a job needs time. The diagnostic names the key.
+  for (const char *Key : {"delta", "budget"})
+    for (const char *Value : {"0", "-1", "-0"}) {
+      std::string Line = R"({"network":"n","lower":[0],"upper":[1],")" +
+                         std::string(Key) + "\":" + Value + "}";
+      Error.clear();
+      EXPECT_FALSE(parseRequestLine(Line, &Error).has_value()) << Line;
+      EXPECT_NE(Error.find(std::string("\"") + Key + "\""),
+                std::string::npos)
+          << Line << ": " << Error;
+    }
 }
 
 TEST(RequestIoTest, ResponseRoundTripsBitExactly) {

@@ -141,10 +141,14 @@ TEST(ShapeMisfitTest, ServiceRefusesQueriesItCannotRun) {
   Valid.Net = *Mixed;
   Valid.Prop = mixedProperty(0.1);
   Valid.Config.TimeLimitSeconds = 30.0;
+  // Without delta > 0 the search has no termination guarantee (Theorem
+  // 5.2), and the engine asserts on it.
+  JobRequest NoDelta = Valid;
+  NoDelta.Config.Delta = 0.0;
 
   long InsertsBefore = Service.cache().stats().Inserts;
-  BatchReport Report = Service.runBatch({Misfit, Unknown, Valid});
-  for (int I : {0, 1}) {
+  BatchReport Report = Service.runBatch({Misfit, Unknown, NoDelta, Valid});
+  for (int I : {0, 1, 2}) {
     const JobOutcome &Out = Report.Outcomes[I];
     EXPECT_TRUE(Out.Refused) << "job " << I;
     EXPECT_EQ(Out.Result.Result, Outcome::Timeout) << "job " << I;
@@ -154,7 +158,7 @@ TEST(ShapeMisfitTest, ServiceRefusesQueriesItCannotRun) {
   // Only the valid job reached the cache.
   EXPECT_EQ(Service.cache().stats().Inserts, InsertsBefore + 1);
 
-  const JobOutcome &Ran = Report.Outcomes[2];
+  const JobOutcome &Ran = Report.Outcomes[3];
   EXPECT_FALSE(Ran.Refused);
   VerifyResult Direct =
       Verifier(Service.registry().network(*Mixed), VerificationPolicy(),
