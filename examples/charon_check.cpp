@@ -13,6 +13,7 @@
 // Options:
 //   --margin-slack <s>     accept recomputed margin + s >= recorded (0)
 //   --objective-slack <s>  accept recomputed objective <= delta + s (0)
+//                          (each slack a finite number >= 0)
 //   --quiet                print only the verdict line
 //
 // Exit code: 0 when the certificate is accepted, 1 when rejected,
@@ -25,6 +26,7 @@
 #include "core/Digest.h"
 #include "core/PropertyIo.h"
 #include "nn/Io.h"
+#include "support/TextFormat.h"
 #include "support/Timer.h"
 
 #include <cstdio>
@@ -43,6 +45,15 @@ namespace {
   std::exit(2);
 }
 
+/// A slack must be a finite number >= 0: a nan or infinite slack would
+/// make obligations 4 and 5 accept anything.
+double slackArg(const char *Arg, const char *Argv0) {
+  double S = 0.0;
+  if (!parseNumber(Arg, S) || !(S >= 0.0))
+    usage(Argv0);
+  return S;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -53,9 +64,9 @@ int main(int Argc, char **Argv) {
   bool Quiet = false;
   for (int I = 4; I < Argc; ++I) {
     if (!std::strcmp(Argv[I], "--margin-slack") && I + 1 < Argc)
-      Cfg.MarginSlack = std::atof(Argv[++I]);
+      Cfg.MarginSlack = slackArg(Argv[++I], Argv[0]);
     else if (!std::strcmp(Argv[I], "--objective-slack") && I + 1 < Argc)
-      Cfg.ObjectiveSlack = std::atof(Argv[++I]);
+      Cfg.ObjectiveSlack = slackArg(Argv[++I], Argv[0]);
     else if (!std::strcmp(Argv[I], "--quiet"))
       Quiet = true;
     else

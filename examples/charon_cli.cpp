@@ -155,7 +155,8 @@ int main(int Argc, char **Argv) {
     return 2;
   }
   if (!propertyFitsNetwork(*Prop, *Net)) {
-    std::fprintf(stderr, "error: property does not match network shape\n");
+    std::fprintf(stderr, "error: property does not match network shape, or a "
+                         "bound is nan, infinite or inverted\n");
     return 2;
   }
 

@@ -8,18 +8,20 @@
 //   charon_fuzz [options]                 run a campaign
 //   charon_fuzz --replay <file.repro>     replay one repro deterministically
 //
-// Options:
-//   --seconds <s>      campaign wall-clock budget (default 60)
-//   --cases <n>        stop after n cases (default: time budget only)
+// Options (a value that is not a number, or out of range, is a usage error):
+//   --seconds <s>      campaign wall-clock budget, above 0 (default 60)
+//   --cases <n>        stop after n >= 1 cases (default: time budget only)
 //   --seed <s>         campaign seed (default 1)
 //   --out <dir>        write a .repro file per violating case (default
 //                      fuzz-repros)
 //   --domains <list>   comma-separated containment domains, e.g.
 //                      Interval,Zonotope^2 (default: all domain families)
-//   --samples <n>      concrete points per containment check (default 24)
-//   --budget <s>       per-verify time budget inside oracles (default 1)
-//   --inject-bug <eps> fault injection: pretend abstract bounds are eps
-//                      tighter; a campaign must then report violations
+//   --samples <n>      concrete points per containment check, >= 0
+//                      (default 24)
+//   --budget <s>       per-verify time budget inside oracles, above 0
+//                      (default 1)
+//   --inject-bug <eps> fault injection, eps above 0: pretend abstract bounds
+//                      are eps tighter; a campaign must then report violations
 //                      (sanity check that the oracles can catch real bugs)
 //
 // Exit status: 0 = no violations (or replay matched expectation),
@@ -28,6 +30,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "fuzz/Campaign.h"
+#include "support/TextFormat.h"
 
 #include <cstdio>
 #include <cstring>
@@ -44,6 +47,24 @@ namespace {
                "[--inject-bug EPS] [--replay FILE]\n",
                Argv0);
   std::exit(2);
+}
+
+/// A flag's value as a finite number above 0; anything else prints the
+/// usage text and exits 2 (a value that read as 0 would switch off what the
+/// flag asks for, e.g. the fault injection).
+double positiveArg(const char *Arg, const char *Argv0) {
+  double V = 0.0;
+  if (!parseNumber(Arg, V) || !(V > 0.0))
+    usage(Argv0);
+  return V;
+}
+
+/// A flag's value as a decimal integer of type \p T, at least \p Min.
+template <typename T> T integerArg(const char *Arg, T Min, const char *Argv0) {
+  T V = 0;
+  if (!parseInteger(Arg, V) || V < Min)
+    usage(Argv0);
+  return V;
 }
 
 int replay(const std::string &Path) {
@@ -77,11 +98,11 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     if (!std::strcmp(Argv[I], "--seconds") && I + 1 < Argc)
-      Config.TimeBudgetSeconds = std::atof(Argv[++I]);
+      Config.TimeBudgetSeconds = positiveArg(Argv[++I], Argv[0]);
     else if (!std::strcmp(Argv[I], "--cases") && I + 1 < Argc)
-      Config.MaxCases = std::atol(Argv[++I]);
+      Config.MaxCases = integerArg(Argv[++I], 1L, Argv[0]);
     else if (!std::strcmp(Argv[I], "--seed") && I + 1 < Argc)
-      Config.Seed = std::strtoull(Argv[++I], nullptr, 10);
+      Config.Seed = integerArg<uint64_t>(Argv[++I], 0, Argv[0]);
     else if (!std::strcmp(Argv[I], "--out") && I + 1 < Argc)
       Config.ReproDir = Argv[++I];
     else if (!std::strcmp(Argv[I], "--domains") && I + 1 < Argc) {
@@ -105,11 +126,11 @@ int main(int Argc, char **Argv) {
         Pos = Comma + 1;
       }
     } else if (!std::strcmp(Argv[I], "--samples") && I + 1 < Argc)
-      Config.Oracle.ContainmentSamples = std::atoi(Argv[++I]);
+      Config.Oracle.ContainmentSamples = integerArg(Argv[++I], 0, Argv[0]);
     else if (!std::strcmp(Argv[I], "--budget") && I + 1 < Argc)
-      Config.Oracle.VerifyBudgetSeconds = std::atof(Argv[++I]);
+      Config.Oracle.VerifyBudgetSeconds = positiveArg(Argv[++I], Argv[0]);
     else if (!std::strcmp(Argv[I], "--inject-bug") && I + 1 < Argc)
-      Config.Oracle.InjectTighten = std::atof(Argv[++I]);
+      Config.Oracle.InjectTighten = positiveArg(Argv[++I], Argv[0]);
     else if (!std::strcmp(Argv[I], "--replay") && I + 1 < Argc)
       ReplayPath = Argv[++I];
     else

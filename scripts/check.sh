@@ -44,7 +44,9 @@
 # (exit 2), and charon_serve, given one valid request line and lines with
 # "delta":0, "budget":-1 and a nan bound, must answer the valid line, write
 # an error response for each other line (naming the key for delta and
-# budget), and exit 2. A signal fails the leg.
+# budget), and exit 2. charon_check must refuse a slack of nan, inf or abc,
+# and charon_fuzz an --inject-bug or --seconds of abc, with their usage text
+# (exit 2). A signal fails the leg.
 # A certificate smoke then decides an exported ACAS property with --cert,
 # requires charon_check to accept the emitted certificate, and requires it
 # to reject a tampered copy; the sanitize leg runs it forced-threaded.
@@ -90,7 +92,9 @@ fi
 scripts/check_test_registration.sh
 
 cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
-cmake --build "$BUILD_DIR" -j
+# One compiler per core: a bare -j starts every compile at once, which a
+# cold sanitize build cannot hold in memory.
+cmake --build "$BUILD_DIR" -j "$(nproc)"
 if [[ "$SANITIZE" == 1 ]]; then
   (cd "$BUILD_DIR" && CHARON_KERNEL_THRESHOLD=1 ctest --output-on-failure -j)
 else
@@ -406,6 +410,19 @@ for FLAGS in "--fgsm" "--delta 0" "--delta abc" "--budget abc"; do
   expect_exit 2 "usage:" "$BUILD_DIR/examples/charon_cli" \
     "$HOSTILE_DIR/identity.net" "$HOSTILE_DIR/identity.prop" $FLAGS
 done
+# Slacks that would switch the checker's obligations off, and fuzz flags
+# that are not numbers (read as 0, --inject-bug abc would inject nothing).
+# The case cap keeps a fuzz flag that is not refused from running long.
+for FLAGS in "--objective-slack nan" "--margin-slack inf" \
+             "--margin-slack abc"; do
+  expect_exit 2 "usage:" "$BUILD_DIR/examples/charon_check" \
+    "$TRACE_DIR/acas.net" "$TRACE_DIR/acas-1.prop" \
+    "$HOSTILE_DIR/nonfinite.cert" $FLAGS
+done
+for FLAGS in "--inject-bug abc" "--seconds abc"; do
+  expect_exit 2 "usage:" "$BUILD_DIR/examples/charon_fuzz" --cases 1 \
+    --out "$HOSTILE_DIR/fuzz-repros" $FLAGS
+done
 # One runnable request line, then a delta and a budget that cannot run
 # and a nan bound: the first is answered, each other line gets an error
 # response (naming the key for delta and budget), and the batch exits 2.
@@ -435,7 +452,8 @@ fi
 echo "hostile smoke: oversized counts and shapes refused, cache record" \
      "truncated, bad worker counts refused, one-output and zero-layer" \
      "networks refused, non-finite values refused in every format," \
-     "unrunnable deltas and budgets refused"
+     "unrunnable deltas and budgets refused, bad slacks and fuzz flags" \
+     "refused"
 
 # Certificate smoke: decide an exported ACAS property with --cert, check
 # the certificate with the standalone charon_check (which re-runs the

@@ -7,6 +7,7 @@
 #include "core/Property.h"
 #include "linalg/Matrix.h"
 
+#include <cmath>
 #include <map>
 #include <sstream>
 
@@ -62,6 +63,15 @@ CertCheckReport charon::checkCertificate(const Network &Net,
   auto FailNode = [&](const CertNode &N, const std::string &Msg) {
     Fail("node " + pathName(N.Path) + ": " + Msg);
   };
+
+  // A nan or infinite slack would make obligations 4 and 5 accept any
+  // margin and any counterexample; a negative one would refuse sound ones.
+  auto CheckSlack = [&](const char *Name, double Slack) {
+    if (!(std::isfinite(Slack) && Slack >= 0.0))
+      Fail(std::string("config: ") + Name + " must be finite and >= 0");
+  };
+  CheckSlack("MarginSlack", Cfg.MarginSlack);
+  CheckSlack("ObjectiveSlack", Cfg.ObjectiveSlack);
 
   // Obligation 1: guards. Everything downstream replays against Net and
   // Prop, so a digest mismatch means the certificate proves a different

@@ -52,7 +52,9 @@ namespace charon {
 /// Checker knobs. The defaults demand exact domination: replays run the
 /// same deterministic transformers that produced the certificate, so a
 /// certificate produced by this binary revalidates with zero slack.
-/// Cross-version or cross-platform checking may need small slacks.
+/// Cross-version or cross-platform checking may need small slacks. Each
+/// slack must be finite and >= 0; checkCertificate rejects any certificate
+/// under a config whose slack is not.
 struct CertCheckConfig {
   /// Accept a verified leaf when recomputed margin + MarginSlack >= the
   /// recorded margin.

@@ -17,6 +17,7 @@
 #include "linalg/Box.h"
 #include "nn/Network.h"
 
+#include <cmath>
 #include <string>
 
 namespace charon {
@@ -29,10 +30,16 @@ struct RobustnessProperty {
 };
 
 /// True when \p Prop can be asked of \p Net: the region has the network's
-/// input dimension, and the target is one of at least two outputs (the
-/// objective compares it with a competing class).
+/// input dimension, every bound is finite with lower <= upper (Box checks
+/// the order only in asserts), and the target is one of at least two
+/// outputs (the objective compares it with a competing class).
 inline bool propertyFitsNetwork(const RobustnessProperty &Prop,
                                 const Network &Net) {
+  const Vector &Lo = Prop.Region.lower();
+  const Vector &Hi = Prop.Region.upper();
+  for (size_t I = 0; I < Prop.Region.dim(); ++I)
+    if (!(std::isfinite(Lo[I]) && std::isfinite(Hi[I]) && Lo[I] <= Hi[I]))
+      return false;
   return Prop.Region.dim() == Net.inputSize() && Net.outputSize() >= 2 &&
          Prop.TargetClass < Net.outputSize();
 }

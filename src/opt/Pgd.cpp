@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -82,6 +83,16 @@ struct ScalarEval {
 /// Each step differentiates exactly the batch scored last (the initial
 /// population, then each step's moved chains), so the engine is asked for
 /// the gradient of that batch rather than handed the rows again.
+///
+/// A chain whose projected step leaves its row bit for bit where it was
+/// scored is at a fixed point and leaves the population. Its gradient is a
+/// function of the row's bits, so every later step would have the same
+/// signs with a smaller size, and would leave the row in place again: each
+/// coordinate the step did not change is zero-width, has zero gradient,
+/// sits at the bound its gradient pushes it past, or had its step absorbed
+/// by rounding, and a smaller step changes none of these. Re-scoring the
+/// row would return an F that the strict-< scan has already seen and the
+/// early-stop test has already failed, so dropping it changes no result.
 template <typename Eval>
 PgdResult pgdDrive(const Box &Region, const PgdConfig &Config, Rng &R,
                    const Vector *WarmStart, Eval E) {
@@ -117,16 +128,18 @@ PgdResult pgdDrive(const Box &Region, const PgdConfig &Config, Rng &R,
     return Best.Objective <= Config.EarlyStopObjective;
   };
 
-  if (Update(X, E.score(X)))
+  // Xa is the batch scored last; its row A is chain Active[A].
+  Matrix Xa = X;
+  if (Update(Xa, E.score(Xa)))
     return Best;
 
   const Vector &Lo = Region.lower();
   const Vector &Hi = Region.upper();
 
-  // Chains that still have a descent direction, ascending; row A of the
-  // batch scored last is chain Active[A]. A chain whose signed step moves
-  // nothing (dead-ReLU zero gradient) can never move again and is dropped
-  // from the population.
+  // Chains that can still move, ascending. A chain whose signed step moves
+  // nothing (dead-ReLU zero gradient), or whose projected step lands on
+  // the row it was scored at (a fixed point, see above), can never move
+  // again and is dropped from the population.
   std::vector<int> Active(static_cast<size_t>(Chains));
   std::iota(Active.begin(), Active.end(), 0);
 
@@ -153,9 +166,9 @@ PgdResult pgdDrive(const Box &Region, const PgdConfig &Config, Rng &R,
             }
             if (!DidMove)
               continue;
-            Moved[A] = 1;
             for (size_t I = 0; I < N; ++I)
               Row[I] = std::min(std::max(Row[I], Lo[I]), Hi[I]);
+            Moved[A] = std::memcmp(Row, Xa.row(A), N * sizeof(double)) != 0;
           }
         });
     std::vector<int> Next;
@@ -166,7 +179,7 @@ PgdResult pgdDrive(const Box &Region, const PgdConfig &Config, Rng &R,
     Active = std::move(Next);
     if (Active.empty())
       break;
-    Matrix Xa = gatherRows(X, Active);
+    Xa = gatherRows(X, Active);
     if (Update(Xa, E.score(Xa)))
       return Best;
   }

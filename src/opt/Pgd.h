@@ -17,11 +17,17 @@
 /// The search runs all restart chains in lock step as one B x N population.
 /// Scoring a population is one batched forward pass whose activations are
 /// kept, so each step costs one backward pass from them plus one forward
-/// pass that scores the stepped rows: a default 25-step search runs 26
-/// forward and 25 backward passes for the whole population instead of
-/// Restarts x Steps scalar passes. The search returns as soon as any chain
-/// crosses the early-stop threshold. The Scalar engine recomputes every
-/// pass row by row and remains the bit-identity oracle.
+/// pass that scores the stepped rows: a default 25-step search runs at most
+/// 26 forward and 25 backward passes for the whole population instead of
+/// Restarts x Steps scalar passes. A chain leaves the population once it
+/// cannot move again: its signed step moves nothing (a dead-ReLU zero
+/// gradient), or its projected step leaves its row bit for bit where it was
+/// scored. In the second case every later step would leave it there too,
+/// since the gradient is a function of the row's bits and the steps only
+/// shrink, so re-scoring it would return an objective already seen; the
+/// rule changes no result. The search returns as soon as any chain crosses
+/// the early-stop threshold. The Scalar engine recomputes every pass row by
+/// row and remains the bit-identity oracle.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -399,7 +399,8 @@ VerifyResult SearchEngine::run(const RobustnessProperty &Prop,
                                const SearchCheckpoint *Resume,
                                ThreadPool *Pool) const {
   if (!propertyFitsNetwork(Prop, Net))
-    reportFatalError("property does not match network shape");
+    reportFatalError("property does not match network shape, or a bound is "
+                     "nan, infinite or inverted");
   if (Pool)
     Net.warmCaches(); // the workers then only read the shared network
 

@@ -7,7 +7,8 @@
 // round-trips byte-identically, which the standalone checker accepts from
 // the serial and the parallel driver, and every class of tampering —
 // inflated margins, dropped leaves, shrunk subregions, flipped verdicts,
-// wrong digests — is rejected. Checkpoint-resumed runs certify Falsified
+// wrong digests — is rejected, also under a checker config whose slack is
+// nan, infinite or negative. Checkpoint-resumed runs certify Falsified
 // with a trivial single-witness certificate and leave Verified uncertified,
 // and the service answers a cross-config repeat query by re-checking the
 // stored certificate instead of re-running the search.
@@ -29,6 +30,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -197,6 +199,67 @@ TEST(CertCheckerTest, RejectsInflatedMargin) {
   CertCheckConfig Lax;
   Lax.MarginSlack = 0.25;
   EXPECT_TRUE(checkCertificate(acasSuite().Net, *F.Prop, T, Lax).Accepted);
+}
+
+TEST(CertCheckerTest, RejectsSlacksThatAreNotFiniteAndNonNegative) {
+  // Every comparison with a nan slack is false, and an infinite one
+  // forgives any margin or objective, so either would let obligations 4
+  // and 5 accept a wrong certificate. The checker refuses such a config.
+  const double BadSlacks[] = {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(), -0.25};
+  auto ExpectRefused = [](const RobustnessProperty &Prop,
+                          const ProofCertificate &Cert,
+                          const CertCheckConfig &Cfg, const char *Field) {
+    CertCheckReport Rep = checkCertificate(acasSuite().Net, Prop, Cert, Cfg);
+    EXPECT_FALSE(Rep.Accepted) << Field;
+    EXPECT_NE(firstError(Rep).find(Field), std::string::npos)
+        << firstError(Rep);
+  };
+
+  const VerifiedFixture &F = verifiedFixture();
+  ASSERT_NE(F.Prop, nullptr);
+  ProofCertificate Inflated = F.Cert;
+  for (CertNode &N : Inflated.Nodes) {
+    if (N.Kind == CertNodeKind::Verified) {
+      N.Margin += 0.125;
+      break;
+    }
+  }
+  for (double Slack : BadSlacks) {
+    CertCheckConfig Cfg;
+    Cfg.MarginSlack = Slack;
+    ExpectRefused(*F.Prop, Inflated, Cfg, "MarginSlack");
+  }
+
+  // A falsified certificate whose counterexample is moved to a point of its
+  // leaf where the objective exceeds delta.
+  VerifyResult R;
+  const RobustnessProperty *Prop =
+      findDecided(Verifier(acasSuite().Net, VerificationPolicy(), certConfig()),
+                  acasSuite(), Outcome::Falsified, &R);
+  ASSERT_NE(Prop, nullptr);
+  ProofCertificate Wrong = *R.Certificate;
+  bool Moved = false;
+  for (CertNode &N : Wrong.Nodes) {
+    if (N.Kind != CertNodeKind::Falsified)
+      continue;
+    for (const Vector &X :
+         {N.Region.center(), N.Region.lower(), N.Region.upper()}) {
+      if (acasSuite().Net.objective(X, Wrong.TargetClass) > Wrong.Delta) {
+        N.Cex = X;
+        Moved = true;
+        break;
+      }
+    }
+    break;
+  }
+  ASSERT_TRUE(Moved) << "no point of the leaf misses delta";
+  EXPECT_FALSE(checkCertificate(acasSuite().Net, *Prop, Wrong).Accepted);
+  for (double Slack : BadSlacks) {
+    CertCheckConfig Cfg;
+    Cfg.ObjectiveSlack = Slack;
+    ExpectRefused(*Prop, Wrong, Cfg, "ObjectiveSlack");
+  }
 }
 
 TEST(CertCheckerTest, RejectsDroppedLeaf) {

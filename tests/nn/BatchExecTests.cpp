@@ -7,11 +7,13 @@
 // also against the dense lowering on every shared geometry), the batched
 // Network objective and gradient, and the two PGD engines — under both the
 // serial and the forced-threaded kernel configuration. They also pin the batched
-// PGD engine's pass count: one forward pass per backward pass plus one.
+// PGD engine's pass count: at most one forward pass per backward pass plus
+// one, and at most Steps backward passes.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ConvGeometries.h"
+#include "CountingLayer.h"
 #include "core/Verifier.h"
 #include "linalg/Kernels.h"
 #include "nn/Builder.h"
@@ -32,6 +34,8 @@
 #include <utility>
 
 using namespace charon;
+using testing_nets::CountingLayer;
+using testing_nets::countedCopy;
 
 namespace {
 
@@ -106,72 +110,6 @@ template <typename Fn> void underBothThreadings(Fn Body) {
 // 2 is PGD's restart count, and the batch the conv kernel packs two output
 // positions per vector for.
 const size_t BatchSizes[] = {0, 1, 2, 3, 17};
-
-/// Forwards every Layer call to an owned layer, counting the per-point and
-/// the batched concrete passes.
-class CountingLayer final : public Layer {
-public:
-  explicit CountingLayer(std::unique_ptr<Layer> Inner)
-      : Inner(std::move(Inner)) {}
-
-  LayerKind kind() const override { return Inner->kind(); }
-  size_t inputSize() const override { return Inner->inputSize(); }
-  size_t outputSize() const override { return Inner->outputSize(); }
-  Vector forward(const Vector &Input) const override {
-    ++PointForwards;
-    return Inner->forward(Input);
-  }
-  Vector backward(const Vector &Input, const Vector &GradOut,
-                  bool AccumulateParams) override {
-    ++PointBackwards;
-    return Inner->backward(Input, GradOut, AccumulateParams);
-  }
-  Matrix forwardBatch(const Matrix &X) const override {
-    ++Forwards;
-    return Inner->forwardBatch(X);
-  }
-  Matrix backwardBatch(const Matrix &X, const Matrix &GradOut) const override {
-    ++Backwards;
-    return Inner->backwardBatch(X, GradOut);
-  }
-  void applyGradients(double LearningRate, double BatchSize) override {
-    Inner->applyGradients(LearningRate, BatchSize);
-  }
-  void zeroGradients() override { Inner->zeroGradients(); }
-  std::optional<AffineView> affineForm() const override {
-    return Inner->affineForm();
-  }
-  std::optional<ActivationKind> activationKind() const override {
-    return Inner->activationKind();
-  }
-  const PoolSpec *poolSpec() const override { return Inner->poolSpec(); }
-  bool isIdentity() const override { return Inner->isIdentity(); }
-  const Network *residualBody() const override {
-    return Inner->residualBody();
-  }
-  std::unique_ptr<Layer> clone() const override { return Inner->clone(); }
-
-  mutable size_t Forwards = 0;
-  mutable size_t Backwards = 0;
-  mutable size_t PointForwards = 0;
-  size_t PointBackwards = 0;
-
-private:
-  std::unique_ptr<Layer> Inner;
-};
-
-/// \p Net with every layer wrapped in a CountingLayer; \p Counters gets
-/// the wrappers in layer order.
-Network countedCopy(const Network &Net,
-                    std::vector<CountingLayer *> &Counters) {
-  Network Counted;
-  for (size_t I = 0; I < Net.numLayers(); ++I) {
-    auto L = std::make_unique<CountingLayer>(Net.layer(I).clone());
-    Counters.push_back(L.get());
-    Counted.addLayer(std::move(L));
-  }
-  return Counted;
-}
 
 /// Both PGD engines over a spread of population shapes, every class, cold
 /// and warm-started, under both threadings: results must match bit for bit.
@@ -361,8 +299,10 @@ TEST(BatchExecTest, PgdEnginesBitIdenticalOnMixedFixture) {
 
 TEST(BatchExecTest, PgdRunsOneForwardPassPerBackwardPassPlusOne) {
   // Each scored population's activations feed the next step's gradient, so
-  // a full search (no early stop) runs Steps backward passes and at most
-  // Steps + 1 forward passes through every layer.
+  // a search runs at most one forward pass per backward pass plus one, and
+  // at most Steps backward passes. A chain whose step leaves it in place
+  // leaves the population; on this MLP and region some chain keeps moving,
+  // so a search without early stop runs all Steps backward passes.
   Rng NetRng(54);
   Network Net = makeMlp(8, {16, 16}, 3, NetRng);
   std::vector<CountingLayer *> Counters;

@@ -10,7 +10,9 @@
 // round: under the sanitize build a plan built twice, one copy freed while
 // another thread reads it, is reported. A query that does not fit its
 // network is refused where the search starts, in every build, and the
-// service refuses it at submission so no other tenant's job is lost.
+// service refuses it at submission so no other tenant's job is lost. So is
+// a box with a nan or inverted bound, which asserts-on builds already stop
+// where the box is built.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -111,6 +114,19 @@ Network oneOutputNetwork() {
   return Net ? std::move(*Net) : Network();
 }
 
+/// mixedProperty(0.1) with the lower bound of input 0 set to \p Lower0.
+/// Box asserts its bound order, so a nan or inverted bound can be built
+/// only where NDEBUG is defined.
+RobustnessProperty mixedPropertyWithLower0(double Lower0) {
+  RobustnessProperty Prop = mixedProperty(0.1);
+  Vector Lo = Prop.Region.lower();
+  Lo[0] = Lower0;
+  Prop.Region = Box(std::move(Lo), Prop.Region.upper());
+  return Prop;
+}
+
+constexpr double NaN = std::numeric_limits<double>::quiet_NaN();
+
 } // namespace
 
 TEST(ShapeMisfitDeathTest, OneOutputNetworkIsRefusedWhereTheSearchStarts) {
@@ -121,6 +137,22 @@ TEST(ShapeMisfitDeathTest, OneOutputNetworkIsRefusedWhereTheSearchStarts) {
   EXPECT_FALSE(propertyFitsNetwork(Prop, Net));
   EXPECT_DEATH(Verifier(Net, VerificationPolicy()).verify(Prop),
                "property does not match network shape");
+}
+
+TEST(ShapeMisfitDeathTest, NanOrInvertedBoundIsRefusedWhereTheSearchStarts) {
+#ifndef NDEBUG
+  GTEST_SKIP() << "Box's asserts refuse such a box when it is built";
+#endif
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  std::optional<Network> Net = loadNetworkFile(MixedNet);
+  ASSERT_TRUE(Net.has_value());
+  for (double Lower0 : {NaN, 0.5}) {
+    RobustnessProperty Prop = mixedPropertyWithLower0(Lower0);
+    EXPECT_FALSE(propertyFitsNetwork(Prop, *Net)) << Lower0;
+    EXPECT_DEATH(Verifier(*Net, VerificationPolicy()).verify(Prop),
+                 "a bound is nan, infinite or inverted")
+        << Lower0;
+  }
 }
 
 TEST(ShapeMisfitTest, ServiceRefusesQueriesItCannotRun) {
@@ -146,9 +178,22 @@ TEST(ShapeMisfitTest, ServiceRefusesQueriesItCannotRun) {
   JobRequest NoDelta = Valid;
   NoDelta.Config.Delta = 0.0;
 
+  std::vector<JobRequest> Jobs = {Misfit, Unknown, NoDelta};
+#ifdef NDEBUG
+  // A nan bound, and a lower bound above its upper one (Box asserts the
+  // order, so only asserts-off builds can build these).
+  for (double Lower0 : {NaN, 0.5}) {
+    JobRequest Bad = Valid;
+    Bad.Prop = mixedPropertyWithLower0(Lower0);
+    Jobs.push_back(std::move(Bad));
+  }
+#endif
+  const size_t Refused = Jobs.size();
+  Jobs.push_back(Valid);
+
   long InsertsBefore = Service.cache().stats().Inserts;
-  BatchReport Report = Service.runBatch({Misfit, Unknown, NoDelta, Valid});
-  for (int I : {0, 1, 2}) {
+  BatchReport Report = Service.runBatch(Jobs);
+  for (size_t I = 0; I < Refused; ++I) {
     const JobOutcome &Out = Report.Outcomes[I];
     EXPECT_TRUE(Out.Refused) << "job " << I;
     EXPECT_EQ(Out.Result.Result, Outcome::Timeout) << "job " << I;
@@ -158,7 +203,7 @@ TEST(ShapeMisfitTest, ServiceRefusesQueriesItCannotRun) {
   // Only the valid job reached the cache.
   EXPECT_EQ(Service.cache().stats().Inserts, InsertsBefore + 1);
 
-  const JobOutcome &Ran = Report.Outcomes[3];
+  const JobOutcome &Ran = Report.Outcomes[Refused];
   EXPECT_FALSE(Ran.Refused);
   VerifyResult Direct =
       Verifier(Service.registry().network(*Mixed), VerificationPolicy(),
